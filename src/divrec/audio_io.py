@@ -52,7 +52,8 @@ class AudioClip:
 def read_wav(path) -> AudioClip:
     """Decode a RIFF/WAVE PCM16 LE file.
 
-    Raises MalformedHeader for non-RIFF/WAVE containers, UnsupportedEncoding
+    Raises MalformedHeader for non-RIFF/WAVE containers and impossible fmt
+    fields (no channels, sample rate 0), UnsupportedEncoding
     for anything that is not uncompressed 16-bit PCM, and TruncatedData when
     the data chunk is shorter than its declared size.
     """
@@ -93,6 +94,8 @@ def read_wav(path) -> AudioClip:
         raise UnsupportedEncoding(f"{path}: {bits}-bit samples, only 16-bit supported")
     if channels < 1:
         raise MalformedHeader(f"{path}: channel count {channels}")
+    if sample_rate == 0:
+        raise MalformedHeader(f"{path}: sample rate 0")
 
     frame_bytes = 2 * channels
     usable = len(data) - (len(data) % frame_bytes)

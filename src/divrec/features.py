@@ -20,9 +20,11 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import AudioClip
 from .errors import DataError, DegenerateBoundaries, SignalTooShort
+from .network import NUM_CLASSES
 
 NUM_STATIC = 13
 FEATURE_DIM = 2 * NUM_STATIC
@@ -79,15 +81,16 @@ def hamming(n: int) -> np.ndarray:
 
 
 def frame_signal(samples: np.ndarray, config: FeatureConfig | None = None) -> np.ndarray:
-    """Slice into (T, frame_len) at offsets 0, hop, 2*hop, ...; partial tail dropped."""
+    """Slice into (T, frame_len) at offsets 0, hop, 2*hop, ...; partial tail dropped.
+
+    The result is a read-only view of ``samples``, not a copy.
+    """
     config = config or FeatureConfig()
     samples = np.asarray(samples, dtype=np.float64)
     n = samples.shape[0]
     if n < config.frame_len:
         raise SignalTooShort(f"{n} samples < frame length {config.frame_len}")
-    n_frames = (n - config.frame_len) // config.hop + 1
-    offsets = config.hop * np.arange(n_frames)[:, None] + np.arange(config.frame_len)[None, :]
-    return samples[offsets]
+    return sliding_window_view(samples, config.frame_len)[:: config.hop]
 
 
 def power_spectrum(frame: np.ndarray, config: FeatureConfig | None = None) -> np.ndarray:
@@ -256,9 +259,16 @@ def read_feature_cache(path) -> list[AggregatedFeature]:
         pos = 16
         for _ in range(count):
             (label,) = struct.unpack_from("<B", raw, pos)
+            if label >= NUM_CLASSES and label != _NO_LABEL:
+                raise DataError(f"{path}: record {len(records)} has label byte {label}")
             (sid_len,) = struct.unpack_from("<H", raw, pos + 1)
             pos += 3
-            sid = raw[pos : pos + sid_len].decode("utf-8")
+            try:
+                sid = raw[pos : pos + sid_len].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataError(
+                    f"{path}: record {len(records)} source id is not UTF-8"
+                ) from exc
             pos += sid_len
             vector = np.array(struct.unpack_from(f"<{FEATURE_DIM}d", raw, pos))
             pos += 8 * FEATURE_DIM

@@ -8,9 +8,13 @@ Noise reduction is classical magnitude spectral subtraction: Hann-windowed
 frames (512 samples, hop 256), noise magnitude profile estimated as the mean
 magnitude spectrum of the lowest-energy frames of the clip, subtraction with
 oversubtraction factor alpha, output magnitude floored at beta times the
-noisy magnitude, noisy phase reused. Reconstruction is plain overlap-add on
-the same grid; the periodic Hann window sums to exactly 1 at 50% overlap, so
-length is preserved and an all-pass configuration is the identity.
+noisy magnitude. The noisy phase is kept by scaling each complex spectrum
+bin with the real gain out_mag / |X| (zero where |X| is zero) rather than
+rebuilding it from magnitude and angle. Reconstruction is overlap-add on the
+same grid, done one hop-wide block column at a time so that every output
+sample sums its frames in frame order; the periodic Hann window sums to
+exactly 1 at 50% overlap, so length is preserved and an all-pass
+configuration is the identity.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import AudioClip
 from .errors import ClipTooShort
@@ -87,6 +92,24 @@ def _periodic_hann(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
+def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Sum (n_frames, frame_len) frames placed ``hop`` apart; hop <= frame_len.
+
+    Works on rows of ``hop`` samples: frame i's j-th hop-wide block lands on
+    row i + j. Adding block columns from the last to the first sums each
+    sample's frames in ascending frame order, so the result is bit-equal to
+    adding the frames one by one. The output holds whole rows and may run
+    past the last frame's end; the extra samples are zero.
+    """
+    n_frames, frame_len = frames.shape
+    blocks = -(-frame_len // hop)
+    out = np.zeros((n_frames + blocks - 1, hop))
+    for j in reversed(range(blocks)):
+        block = frames[:, j * hop : (j + 1) * hop]
+        out[j : j + n_frames, : block.shape[1]] += block
+    return out.ravel()
+
+
 def reduce_noise(clip: AudioClip, config: NoiseReductionConfig | None = None) -> AudioClip:
     """Magnitude spectral subtraction; output has exactly the input's length."""
     config = config or NoiseReductionConfig()
@@ -107,25 +130,25 @@ def reduce_noise(clip: AudioClip, config: NoiseReductionConfig | None = None) ->
     padded = np.zeros(padded_len)
     padded[hop : hop + n] = x
 
-    offsets = hop * np.arange(n_frames)[:, None] + np.arange(frame_len)[None, :]
-    frames = padded[offsets] * window
+    frames = sliding_window_view(padded, frame_len)[::hop] * window
 
     spectra = np.fft.rfft(frames, axis=1)
     mag = np.abs(spectra)
-    phase = np.angle(spectra)
 
-    energies = np.sum(frames**2, axis=1)
+    # frames are not needed after the FFT, so square them in place
+    energies = np.sum(np.square(frames, out=frames), axis=1)
     k = min(config.noise_frames, n_frames)
     quietest = np.argsort(energies, kind="stable")[:k]
     noise_profile = mag[quietest].mean(axis=0)
 
-    out_mag = np.maximum(mag - config.oversubtraction * noise_profile,
-                         config.spectral_floor * mag)
-    rebuilt = np.fft.irfft(out_mag * np.exp(1j * phase), frame_len, axis=1)
+    # gain = out_mag / mag, computed in place; out_mag is 0 wherever mag is 0
+    gain = np.maximum(mag - config.oversubtraction * noise_profile,
+                      config.spectral_floor * mag)
+    np.divide(gain, mag, out=gain, where=mag > 0)
+    spectra *= gain
+    rebuilt = np.fft.irfft(spectra, frame_len, axis=1)
 
-    out = np.zeros(padded_len)
-    for i in range(n_frames):
-        out[i * hop : i * hop + frame_len] += rebuilt[i]
+    out = _overlap_add(rebuilt, hop)
 
     cleaned = np.clip(out[hop : hop + n], -1.0, 1.0)
     return AudioClip(samples=cleaned, sample_rate=clip.sample_rate, source_id=clip.source_id)

@@ -7,6 +7,7 @@ import pytest
 from divrec.audio_io import AudioClip, ingest, read_wav, write_wav
 from divrec.cli import _build_configs, build_parser, main
 from divrec.features import (
+    AggregatedFeature,
     aggregate,
     build_filterbank,
     extract,
@@ -18,7 +19,7 @@ from divrec.fixture import synthesize_utterance
 from divrec.manifest import read_manifest
 from divrec.training import TrainingConfig
 
-from conftest import sine_clip
+from conftest import build_wav_bytes, sine_clip
 
 SR = 16000
 
@@ -115,6 +116,20 @@ def test_preprocess_logs_bad_file_and_continues(tmp_path, capsys):
                "--out-dir", str(tmp_path / "seg"), "--out", str(tmp_path / "s.csv")])
     assert rc == 0
     assert "broken.wav" in capsys.readouterr().err
+    rows = read_manifest(tmp_path / "s.csv")
+    assert len(rows) == 1 and rows[0].audio_path.endswith("good_seg000.wav")
+
+
+def test_preprocess_lists_zero_sample_rate_file_and_continues(tmp_path, capsys):
+    speaker = tmp_path / "corpus" / "Sylhet" / "spk1"
+    speaker.mkdir(parents=True)
+    write_wav(AudioClip(np.zeros(10 * SR), SR, "ok"), speaker / "good.wav")
+    (speaker / "rate0.wav").write_bytes(build_wav_bytes(np.zeros(SR), sample_rate=0))
+    assert main(["scan", str(tmp_path / "corpus"), "--out", str(tmp_path / "m.csv")]) == 0
+    rc = main(["preprocess", str(tmp_path / "m.csv"),
+               "--out-dir", str(tmp_path / "seg"), "--out", str(tmp_path / "s.csv")])
+    assert rc == 0
+    assert "rate0.wav" in capsys.readouterr().err
     rows = read_manifest(tmp_path / "s.csv")
     assert len(rows) == 1 and rows[0].audio_path.endswith("good_seg000.wav")
 
@@ -220,6 +235,30 @@ def test_train_unknown_config_key_is_usage_error(workspace, tmp_path, capsys):
     assert "warp_speed" in capsys.readouterr().err
 
 
+def _corrupt_cache(path, label: int = 0, source_id: bytes = b"ab"):
+    """An 80-record cache, enough to split and train on, whose first record's
+    label byte and two source-id bytes are then overwritten raw."""
+    records = [AggregatedFeature(np.full(26, i % 8.0), i % 8, f"r{i:02d}") for i in range(80)]
+    write_feature_cache(records, path)
+    raw = bytearray(path.read_bytes())
+    raw[16] = label
+    raw[19:21] = source_id
+    path.write_bytes(bytes(raw))
+    return path
+
+
+CORRUPT_CACHES = {"label-9": {"label": 9}, "non-utf8-id": {"source_id": b"\xff\xfe"}}
+
+
+@pytest.mark.parametrize("corruption", CORRUPT_CACHES.values(), ids=CORRUPT_CACHES.keys())
+def test_train_corrupt_cache_is_data_error(tmp_path, capsys, corruption):
+    cache = _corrupt_cache(tmp_path / "bad.feat", **corruption)
+    rc = main(["train", str(cache), "--model-out", str(tmp_path / "m.bin"),
+               "--metrics-out", str(tmp_path / "m.csv")])
+    assert rc == 2
+    assert "bad.feat" in capsys.readouterr().err
+
+
 def test_train_missing_cache_is_data_error(tmp_path):
     assert main(["train", str(tmp_path / "nope.feat"),
                  "--model-out", str(tmp_path / "m.bin"),
@@ -262,6 +301,13 @@ def test_evaluate_empty_cache_is_data_error(workspace, tmp_path, capsys):
     rc = main(["evaluate", str(workspace / "model.bin"), str(empty)])
     assert rc == 2
     assert "empty" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("corruption", CORRUPT_CACHES.values(), ids=CORRUPT_CACHES.keys())
+def test_evaluate_corrupt_cache_is_data_error(workspace, tmp_path, capsys, corruption):
+    cache = _corrupt_cache(tmp_path / "bad.feat", **corruption)
+    assert main(["evaluate", str(workspace / "model.bin"), str(cache)]) == 2
+    assert "bad.feat" in capsys.readouterr().err
 
 
 def test_evaluate_incompatible_model_is_data_error(workspace, tmp_path, capsys):
@@ -307,6 +353,13 @@ def test_predict_short_file_is_data_error(workspace, tmp_path, capsys):
     rc = main(["predict", str(workspace / "model.bin"), str(tmp_path / "short.wav")])
     assert rc == 2
     assert "too short" in capsys.readouterr().err
+
+
+def test_predict_zero_sample_rate_is_data_error(workspace, tmp_path, capsys):
+    (tmp_path / "rate0.wav").write_bytes(build_wav_bytes(np.zeros(10 * SR), sample_rate=0))
+    rc = main(["predict", str(workspace / "model.bin"), str(tmp_path / "rate0.wav")])
+    assert rc == 2
+    assert "sample rate 0" in capsys.readouterr().err
 
 
 def test_predict_majority_vote_two_against_one(workspace, tmp_path, capsys):

@@ -1,13 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divrec.audio_io import AudioClip
+from divrec.audio_io import AudioClip, encode_pcm16
 from divrec.errors import ClipTooShort
+from divrec.fixture import synthesize_utterance
 from divrec.preprocess import (
     NoiseReductionConfig,
     SegmentationPolicy,
+    _overlap_add,
+    _periodic_hann,
     reduce_noise,
     segment,
 )
@@ -66,7 +71,9 @@ def test_policy_validation():
 
 
 def test_noise_reduction_zero_in_zero_out():
-    out = reduce_noise(AudioClip(np.zeros(4 * SR), SR, "z"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the zero-magnitude gain must not divide 0 by 0
+        out = reduce_noise(AudioClip(np.zeros(4 * SR), SR, "z"))
     assert out.num_samples == 4 * SR
     np.testing.assert_array_equal(out.samples, 0.0)
 
@@ -127,3 +134,83 @@ def test_output_clamped_to_unit_range():
     clip = AudioClip(np.clip(rng.normal(0, 0.5, SR), -1, 1), SR, "c")
     out = reduce_noise(clip)
     assert np.max(np.abs(out.samples)) <= 1.0
+
+
+# --- reference implementation: per-frame overlap-add, angle/exp resynthesis ---
+
+def _reference_overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    n_frames, frame_len = frames.shape
+    out = np.zeros((n_frames - 1) * hop + frame_len)
+    for i in range(n_frames):
+        out[i * hop : i * hop + frame_len] += frames[i]
+    return out
+
+
+def _reference_reduce_noise(clip: AudioClip, config: NoiseReductionConfig) -> np.ndarray:
+    x = clip.samples
+    n = x.shape[0]
+    frame_len, hop = config.frame_len, config.hop
+    window = _periodic_hann(frame_len)
+    n_frames = int(np.ceil((n + frame_len) / hop)) + 1
+    padded = np.zeros((n_frames - 1) * hop + frame_len)
+    padded[hop : hop + n] = x
+    offsets = hop * np.arange(n_frames)[:, None] + np.arange(frame_len)[None, :]
+    frames = padded[offsets] * window
+
+    spectra = np.fft.rfft(frames, axis=1)
+    mag = np.abs(spectra)
+    phase = np.angle(spectra)
+    energies = np.sum(frames**2, axis=1)
+    quietest = np.argsort(energies, kind="stable")[: min(config.noise_frames, n_frames)]
+    noise_profile = mag[quietest].mean(axis=0)
+    out_mag = np.maximum(mag - config.oversubtraction * noise_profile,
+                         config.spectral_floor * mag)
+    rebuilt = np.fft.irfft(out_mag * np.exp(1j * phase), frame_len, axis=1)
+    out = _reference_overlap_add(rebuilt, hop)
+    return np.clip(out[hop : hop + n], -1.0, 1.0)
+
+
+def _fixture_segment(class_index: int, seconds: float = 10.0) -> AudioClip:
+    rng = np.random.default_rng(100 + class_index)
+    samples = synthesize_utterance(class_index, rng, seconds)
+    # on the PCM16 grid, as segments are after ingest
+    return AudioClip(encode_pcm16(samples) / 32768.0, SR, f"fx{class_index}")
+
+
+@pytest.mark.parametrize("frame_len,hop", [(512, 256), (512, 170), (512, 512), (400, 160)])
+def test_blocked_overlap_add_bit_equal_to_frame_loop(frame_len, hop):
+    frames = np.random.default_rng(frame_len + hop).normal(size=(57, frame_len))
+    blocked = _overlap_add(frames, hop)
+    reference = _reference_overlap_add(frames, hop)
+    np.testing.assert_array_equal(blocked[: reference.shape[0]], reference)
+    np.testing.assert_array_equal(blocked[reference.shape[0] :], 0.0)
+
+
+@pytest.mark.parametrize("class_index", range(8))
+def test_reduce_noise_matches_reference_on_fixture_segments(class_index):
+    clip = _fixture_segment(class_index)
+    config = NoiseReductionConfig()
+    expected = _reference_reduce_noise(clip, config)
+    got = reduce_noise(clip, config).samples
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+    assert encode_pcm16(got).tobytes() == encode_pcm16(expected).tobytes()
+
+
+@pytest.mark.parametrize("frame_len,hop", [(512, 170), (512, 512), (400, 160)])
+def test_reduce_noise_matches_reference_off_default_grid(frame_len, hop):
+    clip = _fixture_segment(3, seconds=2.3)
+    config = NoiseReductionConfig(frame_len=frame_len, hop=hop)
+    expected = _reference_reduce_noise(clip, config)
+    np.testing.assert_allclose(reduce_noise(clip, config).samples, expected,
+                               rtol=0, atol=1e-12)
+
+
+def test_reduce_noise_silent_stretch_raises_no_warning():
+    samples = _fixture_segment(5, seconds=3.0).samples.copy()
+    samples[SR : 2 * SR] = 0.0
+    clip = AudioClip(samples, SR, "gap")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = reduce_noise(clip).samples
+    np.testing.assert_allclose(out, _reference_reduce_noise(clip, NoiseReductionConfig()),
+                               rtol=0, atol=1e-12)
