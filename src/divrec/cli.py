@@ -9,8 +9,8 @@ Exit codes are a stable contract: 0 success, 1 usage error, 2 data error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -44,8 +44,8 @@ from .network import load_model, save_model
 from .preprocess import NoiseReductionConfig, SegmentationPolicy, reduce_noise, segment
 from .training import TrainingConfig, split_dataset, train, write_metrics_csv
 
-_TRAINING_KEYS = {f.name for f in dataclasses.fields(TrainingConfig)}
-_FEATURE_KEYS = {f.name for f in dataclasses.fields(FeatureConfig)}
+_TRAINING_TYPES = typing.get_type_hints(TrainingConfig)
+_FEATURE_TYPES = typing.get_type_hints(FeatureConfig)
 
 
 class UsageError(Exception):
@@ -65,28 +65,27 @@ def _parse_config_file(path) -> dict[str, str]:
     """Plain-text key=value overrides; '#' starts a comment."""
     values: dict[str, str] = {}
     try:
-        fh = open(path)
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            values[key] = value
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        values[key] = value
     return values
 
 
-def _coerce(key: str, raw: str):
-    if key in ("batch_size", "epochs", "seed", "plateau_patience",
-               "frame_len", "hop", "fft_size", "num_filters", "delta_window",
-               "sample_rate"):
+def _coerce(declared, raw: str):
+    """Parse as the field's declared type; 'off'/'none'/'' is None where allowed."""
+    if declared is int:
         return int(raw)
-    if key == "pre_emphasis":
-        return None if raw.lower() in ("off", "none", "") else float(raw)
+    if type(None) in typing.get_args(declared) and raw.lower() in ("off", "none", ""):
+        return None
     return float(raw)
 
 
@@ -96,17 +95,48 @@ def _build_configs(args) -> tuple[TrainingConfig, FeatureConfig]:
     feature_kwargs: dict = {}
     if getattr(args, "config", None):
         for key, raw in _parse_config_file(args.config).items():
-            if key in _TRAINING_KEYS:
-                training_kwargs[key] = _coerce(key, raw)
-            elif key in _FEATURE_KEYS:
-                feature_kwargs[key] = _coerce(key, raw)
+            if key in _TRAINING_TYPES:
+                kwargs, declared = training_kwargs, _TRAINING_TYPES[key]
+            elif key in _FEATURE_TYPES:
+                kwargs, declared = feature_kwargs, _FEATURE_TYPES[key]
             else:
                 raise UsageError(f"unknown config key {key!r}")
+            try:
+                kwargs[key] = _coerce(declared, raw)
+            except ValueError as exc:
+                raise UsageError(f"{args.config}: bad value for {key}: {raw!r}") from exc
     for key in ("learning_rate", "batch_size", "epochs", "seed"):
         value = getattr(args, key, None)
         if value is not None:
             training_kwargs[key] = value
-    return TrainingConfig(**training_kwargs), FeatureConfig(**feature_kwargs)
+    try:
+        return TrainingConfig(**training_kwargs), FeatureConfig(**feature_kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _map_rows(rows: list[ManifestRow], fn, workers: int) -> tuple[list, int]:
+    """Run ``fn`` over ``rows`` on ``workers`` threads; returns the results in
+    manifest order and the count of rows that raised DivrecError (on stderr)."""
+    if workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {workers}")
+
+    def attempt(row: ManifestRow):
+        try:
+            return fn(row), None
+        except DivrecError as exc:
+            return None, f"{row.audio_path}: {exc}"
+
+    results = []
+    failures = 0
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for result, err in pool.map(attempt, rows):
+            if err is not None:
+                failures += 1
+                print(err, file=sys.stderr)
+            else:
+                results.append(result)
+    return results, failures
 
 
 # --- commands ---
@@ -146,27 +176,18 @@ def _preprocess_one(row: ManifestRow, out_dir: Path, policy: SegmentationPolicy,
 def cmd_preprocess(args) -> int:
     rows = read_manifest(args.manifest)
     out_dir = Path(args.out_dir)
-    policy = SegmentationPolicy(args.chunk_seconds, args.min_tail_seconds)
+    try:
+        policy = SegmentationPolicy(args.chunk_seconds, args.min_tail_seconds)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     nr_config = None if args.skip_noise_reduction else NoiseReductionConfig()
 
-    def work(row: ManifestRow):
-        try:
-            return _preprocess_one(row, out_dir, policy, nr_config), None
-        except DivrecError as exc:
-            return None, f"{row.audio_path}: {exc}"
-
-    out_rows: list[ManifestRow] = []
-    failures = 0
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        for result, err in pool.map(work, rows):
-            if err is not None:
-                failures += 1
-                print(err, file=sys.stderr)
-            else:
-                out_rows.extend(result)
-
+    per_file, failures = _map_rows(
+        rows, lambda row: _preprocess_one(row, out_dir, policy, nr_config), args.workers
+    )
     if failures == len(rows):
         raise DataError("all input files failed preprocessing")
+    out_rows = [seg_row for seg_rows in per_file for seg_row in seg_rows]
     write_manifest(out_rows, args.out)
     print(f"wrote {len(out_rows)} segment rows to {args.out} "
           f"({failures}/{len(rows)} input files failed)")
@@ -180,31 +201,15 @@ def cmd_extract(args) -> int:
         feature_config.num_filters, feature_config.fft_size, feature_config.sample_rate
     )
 
-    def work(row: ManifestRow):
-        try:
-            clip = ingest(row.audio_path, feature_config.sample_rate)
-            vector = aggregate(extract(clip, feature_config, bank))
-            return (
-                AggregatedFeature(
-                    vector=vector,
-                    label=label_from_name(row.division),
-                    source_id=row.audio_path,
-                ),
-                None,
-            )
-        except DivrecError as exc:
-            return None, f"{row.audio_path}: {exc}"
+    def featurize(row: ManifestRow) -> AggregatedFeature:
+        clip = ingest(row.audio_path, feature_config.sample_rate)
+        return AggregatedFeature(
+            vector=aggregate(extract(clip, feature_config, bank)),
+            label=label_from_name(row.division),
+            source_id=row.audio_path,
+        )
 
-    records: list[AggregatedFeature] = []
-    failures = 0
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        for record, err in pool.map(work, rows):
-            if err is not None:
-                failures += 1
-                print(err, file=sys.stderr)
-            else:
-                records.append(record)
-
+    records, failures = _map_rows(rows, featurize, args.workers)
     if not records:
         raise DataError("no segments could be extracted")
     write_feature_cache(records, args.out)

@@ -281,6 +281,10 @@ def read_feature_cache(path) -> list[AggregatedFeature]:
             )
     except struct.error as exc:
         raise DataError(f"{path}: truncated feature cache") from exc
+    vectors = np.array([rec.vector for rec in records]).reshape(-1, FEATURE_DIM)
+    non_finite = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+    if non_finite.size:
+        raise DataError(f"{path}: record {non_finite[0]} has a NaN or infinite value")
     return records
 
 
@@ -293,16 +297,3 @@ def write_feature_csv(records: list[AggregatedFeature], path) -> None:
             label = "" if rec.label is None else str(rec.label)
             writer.writerow([label, rec.source_id] + [f"{v:.17g}" for v in rec.vector])
 
-
-def read_feature_csv(path) -> list[AggregatedFeature]:
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:2] != ["label", "source_id"]:
-            raise DataError(f"{path}: not a feature CSV")
-        for row in reader:
-            label = None if row[0] == "" else int(row[0])
-            vector = np.array([float(v) for v in row[2 : 2 + FEATURE_DIM]])
-            records.append(AggregatedFeature(vector=vector, label=label, source_id=row[1]))
-    return records

@@ -9,6 +9,7 @@ an unchanged tree are byte-identical.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,19 +69,22 @@ def write_manifest(rows: list[ManifestRow], path) -> None:
 
 
 def read_manifest(path) -> list[ManifestRow]:
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: manifest is not UTF-8 text ({exc})") from exc
     rows = []
     seen = set()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != MANIFEST_FIELDS:
-            raise DataError(f"{path}: not a manifest (expected header {','.join(MANIFEST_FIELDS)})")
-        for raw in reader:
-            if len(raw) != len(MANIFEST_FIELDS):
-                raise DataError(f"{path}: bad row {raw!r}")
-            row = ManifestRow(*raw)
-            if row.audio_path in seen:
-                raise DataError(f"{path}: duplicate path {row.audio_path}")
-            seen.add(row.audio_path)
-            rows.append(row)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None or tuple(header) != MANIFEST_FIELDS:
+        raise DataError(f"{path}: not a manifest (expected header {','.join(MANIFEST_FIELDS)})")
+    for raw in reader:
+        if len(raw) != len(MANIFEST_FIELDS):
+            raise DataError(f"{path}: bad row {raw!r}")
+        row = ManifestRow(*raw)
+        if row.audio_path in seen:
+            raise DataError(f"{path}: duplicate path {row.audio_path}")
+        seen.add(row.audio_path)
+        rows.append(row)
     return rows

@@ -19,7 +19,7 @@ from .errors import CacheMissing, ModelIncompatible, ShapeMismatch
 MODEL_MAGIC = b"DIVMODL1"
 MODEL_VERSION = 1
 
-_ACTIVATION_TAGS = {"none": 0, "relu": 1, "softmax": 2}
+_ACTIVATION_TAGS = {"relu": 1, "softmax": 2}
 _TAG_ACTIVATIONS = {v: k for k, v in _ACTIVATION_TAGS.items()}
 
 
@@ -153,12 +153,7 @@ def forward(
     for i, spec in enumerate(params.layers):
         z = a @ params.weights[i].T + params.biases[i]
         pre_acts.append(z)
-        if spec.activation == "relu":
-            a = relu(z)
-        elif spec.activation == "softmax":
-            a = softmax(z)
-        else:
-            a = z
+        a = relu(z) if spec.activation == "relu" else softmax(z)
         if spec.dropout_after is not None and mode == "train":
             replay = dropout_masks[i] if dropout_masks is not None else None
             a, mask = dropout(a, spec.dropout_after, mode, rng, mask=replay)
@@ -282,7 +277,7 @@ def load_model(path) -> NetworkParams:
             pos += 8 * spec.out_dim
             weights.append(w.reshape(spec.out_dim, spec.in_dim).copy())
             biases.append(b.copy())
-    except (struct.error, ValueError) as exc:
+    except (struct.error, ValueError, OverflowError) as exc:
         raise ModelIncompatible(f"{path}: malformed payload") from exc
     if pos != len(payload):
         raise ModelIncompatible(f"{path}: payload size mismatch")

@@ -14,13 +14,11 @@ predictions) / (set size).
 from __future__ import annotations
 
 import os
-import struct
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, EmptyClass, ModelIncompatible, NonFiniteGradient
+from .errors import DataError, EmptyClass, NonFiniteGradient
 from .features import AggregatedFeature
 from .network import (
     NUM_CLASSES,
@@ -29,8 +27,6 @@ from .network import (
     forward,
     init_params,
 )
-
-ADAM_MAGIC = b"DIVADAM1"
 
 
 @dataclass
@@ -53,7 +49,9 @@ class TrainingConfig:
     def __post_init__(self) -> None:
         total = self.train_fraction + self.test_fraction + self.val_fraction
         if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"split fractions must sum to 1, got {total}")
+            raise ValueError(
+                f"train_fraction + test_fraction + val_fraction must sum to 1, got {total}"
+            )
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
@@ -260,22 +258,6 @@ class PlateauScheduler:
         return self.lr
 
 
-def reduce_lr_on_plateau(val_losses: list[float], config: TrainingConfig) -> float:
-    """Replay a validation-loss history; returns the rate in effect after it."""
-    if not val_losses:
-        raise ValueError("need at least one completed epoch")
-    sched = PlateauScheduler(
-        lr=config.learning_rate,
-        factor=config.plateau_factor,
-        patience=config.plateau_patience,
-        min_delta=config.plateau_min_delta,
-        min_lr=config.min_lr,
-    )
-    for loss in val_losses:
-        sched.update(loss)
-    return sched.lr
-
-
 def _dataset_arrays(records: list[AggregatedFeature]) -> tuple[np.ndarray, np.ndarray]:
     x = np.stack([rec.vector for rec in records])
     y = np.array([rec.label for rec in records], dtype=np.int64)
@@ -336,9 +318,8 @@ def train(
         state.lr = sched.update(val_loss)
 
         if checkpoint_every and checkpoint_dir is not None and epoch % checkpoint_every == 0:
-            stem = os.path.join(str(checkpoint_dir), f"checkpoint_epoch{epoch:03d}")
-            save_model(params, stem + ".model")
-            save_adam_state(state, stem + ".adam")
+            name = f"checkpoint_epoch{epoch:03d}.model"
+            save_model(params, os.path.join(str(checkpoint_dir), name))
     return params, history
 
 
@@ -352,40 +333,3 @@ def write_metrics_csv(history: list[EpochMetrics], path) -> None:
                 f"{m.val_loss:.17g},{m.val_acc:.17g},{m.learning_rate:.17g}\n"
             )
 
-
-# --- optimizer-state sidecar, same conventions as the model file ---
-
-def save_adam_state(state: AdamState, path) -> None:
-    parts = [struct.pack("<BQd", 1, state.t, state.lr)]
-    for arrs in (state.m_weights, state.m_biases, state.v_weights, state.v_biases):
-        for a in arrs:
-            parts.append(np.ascontiguousarray(a, dtype="<f8").tobytes())
-    payload = b"".join(parts)
-    with open(path, "wb") as fh:
-        fh.write(ADAM_MAGIC)
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload)))
-
-
-def read_adam_state(path, params: NetworkParams, config: TrainingConfig) -> AdamState:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:8] != ADAM_MAGIC:
-        raise ModelIncompatible(f"{path}: not an optimizer sidecar (bad magic)")
-    payload, (checksum,) = raw[8:-4], struct.unpack("<I", raw[-4:])
-    if zlib.crc32(payload) != checksum:
-        raise ModelIncompatible(f"{path}: checksum mismatch, file corrupt")
-    version, t, lr = struct.unpack_from("<BQd", payload, 0)
-    if version != 1:
-        raise ModelIncompatible(f"{path}: unsupported sidecar version {version}")
-    pos = struct.calcsize("<BQd")
-    state = init_adam_state(params, config)
-    state.t, state.lr = t, lr
-    for arrs in (state.m_weights, state.m_biases, state.v_weights, state.v_biases):
-        for i, a in enumerate(arrs):
-            flat = np.frombuffer(payload, dtype="<f8", count=a.size, offset=pos)
-            arrs[i] = flat.reshape(a.shape).copy()
-            pos += 8 * a.size
-    if pos != len(payload):
-        raise ModelIncompatible(f"{path}: payload size mismatch")
-    return state

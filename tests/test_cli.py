@@ -1,5 +1,7 @@
+import csv
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from divrec.features import (
     build_filterbank,
     extract,
     read_feature_cache,
-    read_feature_csv,
     write_feature_cache,
 )
 from divrec.fixture import synthesize_utterance
@@ -134,6 +135,15 @@ def test_preprocess_lists_zero_sample_rate_file_and_continues(tmp_path, capsys):
     assert len(rows) == 1 and rows[0].audio_path.endswith("good_seg000.wav")
 
 
+def test_preprocess_non_utf8_manifest_is_data_error(tmp_path, capsys):
+    manifest = tmp_path / "latin1.csv"
+    manifest.write_bytes(b"audio_path,division,speaker_id,gender\ncaf\xe9.wav,Dhaka,spk1,\n")
+    rc = main(["preprocess", str(manifest),
+               "--out-dir", str(tmp_path / "seg"), "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    assert "latin1.csv" in capsys.readouterr().err
+
+
 def test_preprocess_all_failures_is_data_error(tmp_path, capsys):
     speaker = tmp_path / "corpus" / "Rangpur" / "spk1"
     speaker.mkdir(parents=True)
@@ -168,11 +178,12 @@ def test_extract_record_count_matches_segments(workspace):
 
 def test_extract_csv_matches_binary(workspace):
     binary = read_feature_cache(workspace / "cache.feat")
-    text = read_feature_csv(workspace / "cache.csv")
-    assert len(binary) == len(text)
-    for a, b in zip(binary, text):
-        assert (a.label, a.source_id) == (b.label, b.source_id)
-        np.testing.assert_allclose(a.vector, b.vector, rtol=0, atol=1e-15)
+    with open(workspace / "cache.csv", newline="") as fh:
+        _, *rows = csv.reader(fh)
+    assert len(binary) == len(rows)
+    for a, row in zip(binary, rows):
+        assert (str(a.label), a.source_id) == (row[0], row[1])
+        np.testing.assert_allclose(a.vector, np.array(row[2:], dtype=float), rtol=0, atol=1e-15)
 
 
 def test_extract_agrees_with_in_process_pipeline(workspace):
@@ -235,19 +246,25 @@ def test_train_unknown_config_key_is_usage_error(workspace, tmp_path, capsys):
     assert "warp_speed" in capsys.readouterr().err
 
 
-def _corrupt_cache(path, label: int = 0, source_id: bytes = b"ab"):
+def _corrupt_cache(path, label: int = 0, source_id: bytes = b"ab", first_value: float = 0.0):
     """An 80-record cache, enough to split and train on, whose first record's
-    label byte and two source-id bytes are then overwritten raw."""
+    label byte, two source-id bytes and first feature value are then
+    overwritten raw."""
     records = [AggregatedFeature(np.full(26, i % 8.0), i % 8, f"r{i:02d}") for i in range(80)]
     write_feature_cache(records, path)
     raw = bytearray(path.read_bytes())
     raw[16] = label
     raw[19:21] = source_id
+    raw[22:30] = struct.pack("<d", first_value)
     path.write_bytes(bytes(raw))
     return path
 
 
-CORRUPT_CACHES = {"label-9": {"label": 9}, "non-utf8-id": {"source_id": b"\xff\xfe"}}
+CORRUPT_CACHES = {
+    "label-9": {"label": 9},
+    "non-utf8-id": {"source_id": b"\xff\xfe"},
+    "non-finite-vector": {"first_value": float("inf")},
+}
 
 
 @pytest.mark.parametrize("corruption", CORRUPT_CACHES.values(), ids=CORRUPT_CACHES.keys())
@@ -257,6 +274,15 @@ def test_train_corrupt_cache_is_data_error(tmp_path, capsys, corruption):
                "--metrics-out", str(tmp_path / "m.csv")])
     assert rc == 2
     assert "bad.feat" in capsys.readouterr().err
+
+
+def test_train_non_utf8_config_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "latin1.cfg"
+    config.write_bytes(b"epochs = 3  # caf\xe9\n")
+    rc = main(["train", str(tmp_path / "c.feat"), "--model-out", str(tmp_path / "m.bin"),
+               "--metrics-out", str(tmp_path / "m.csv"), "--config", str(config)])
+    assert rc == 1
+    assert "latin1.cfg" in capsys.readouterr().err
 
 
 def test_train_missing_cache_is_data_error(tmp_path):
@@ -308,6 +334,16 @@ def test_evaluate_corrupt_cache_is_data_error(workspace, tmp_path, capsys, corru
     cache = _corrupt_cache(tmp_path / "bad.feat", **corruption)
     assert main(["evaluate", str(workspace / "model.bin"), str(cache)]) == 2
     assert "bad.feat" in capsys.readouterr().err
+
+
+def test_evaluate_all_nan_cache_is_data_error(workspace, tmp_path, capsys):
+    # argmax of an all-NaN row is label 0, so unchecked these would score 1.0
+    cache = tmp_path / "nan.feat"
+    write_feature_cache(
+        [AggregatedFeature(np.full(26, np.nan), 0, f"n{i}") for i in range(8)], cache
+    )
+    assert main(["evaluate", str(workspace / "model.bin"), str(cache)]) == 2
+    assert "nan.feat" in capsys.readouterr().err
 
 
 def test_evaluate_incompatible_model_is_data_error(workspace, tmp_path, capsys):
@@ -397,6 +433,35 @@ def test_make_fixture_deterministic(tmp_path):
 
 
 # --- exit codes ---
+
+@pytest.mark.parametrize("command, flags, config, named", [
+    ("train", [], "epochs = abc", "epochs"),
+    ("train", [], "train_fraction = 0.5", "train_fraction"),
+    ("extract", [], "hop = 0", "hop"),
+    ("train", ["--epochs", "0"], None, "epochs"),
+    ("train", ["--lr", "5"], None, "learning_rate"),
+    ("preprocess", ["--chunk-seconds", "0"], None, "chunk_seconds"),
+    ("preprocess", ["--workers", "0"], None, "--workers"),
+], ids=["config-epochs-abc", "config-train-fraction", "config-hop-0", "epochs-0", "lr-5",
+        "chunk-seconds-0", "workers-0"])
+def test_invalid_value_is_usage_error(tmp_path, capsys, command, flags, config, named):
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("audio_path,division,speaker_id,gender\n")
+    positional = {
+        "train": [str(tmp_path / "c.feat"), "--model-out", str(tmp_path / "m.bin"),
+                  "--metrics-out", str(tmp_path / "metrics.csv")],
+        "extract": [str(manifest), "--out", str(tmp_path / "c.feat")],
+        "preprocess": [str(manifest), "--out-dir", str(tmp_path / "seg"),
+                       "--out", str(tmp_path / "s.csv")],
+    }[command]
+    if config is not None:
+        (tmp_path / "bad.cfg").write_text(config + "\n")
+        flags = [*flags, "--config", str(tmp_path / "bad.cfg")]
+    assert main([command, *positional, *flags]) == 1
+    err = capsys.readouterr().err
+    assert named in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
 
 def test_usage_error_exits_one():
     with pytest.raises(SystemExit) as excinfo:

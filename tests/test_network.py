@@ -1,4 +1,6 @@
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -302,4 +304,15 @@ def test_model_rejects_truncation(tmp_path):
     save_model(params, path)
     path.write_bytes(path.read_bytes()[:-100])
     with pytest.raises(ModelIncompatible):
+        load_model(path)
+
+
+def test_model_rejects_activation_tag_zero(tmp_path):
+    # the format defines only tags 1 (relu) and 2 (softmax)
+    path = tmp_path / "linear.model"
+    save_model(init_params(1, layers=(LayerSpec(4, 8, "softmax"),)), path)
+    payload = bytearray(path.read_bytes()[8:-4])
+    payload[2 + 8] = 0  # version, layer count, then in_dim and out_dim
+    path.write_bytes(b"DIVMODL1" + payload + struct.pack("<I", zlib.crc32(payload)))
+    with pytest.raises(ModelIncompatible, match="unknown activation tag 0"):
         load_model(path)

@@ -10,13 +10,12 @@ from divrec.errors import DataError, EmptyClass, NonFiniteGradient
 from divrec.features import AggregatedFeature
 from divrec.network import LayerSpec, NetworkParams, backward, forward, init_params
 from divrec.training import (
+    PlateauScheduler,
     TrainingConfig,
     adam_step,
     cross_entropy,
     init_adam_state,
     one_hot,
-    read_adam_state,
-    reduce_lr_on_plateau,
     split_dataset,
     train,
     write_metrics_csv,
@@ -154,7 +153,7 @@ def _scalar_params(value: float) -> NetworkParams:
     return NetworkParams(
         weights=[np.array([[value]])],
         biases=[np.zeros(1)],
-        layers=(LayerSpec(1, 1, "none"),),
+        layers=(LayerSpec(1, 1, "relu"),),
     )
 
 
@@ -162,7 +161,7 @@ def _scalar_grads(value: float) -> NetworkParams:
     return NetworkParams(
         weights=[np.array([[value]])],
         biases=[np.zeros(1)],
-        layers=(LayerSpec(1, 1, "none"),),
+        layers=(LayerSpec(1, 1, "relu"),),
     )
 
 
@@ -225,61 +224,46 @@ def test_non_finite_gradient_raises():
         adam_step(params, _scalar_grads(float("nan")), state)
 
 
-def test_adam_state_sidecar_round_trip(tmp_path):
-    config = TrainingConfig()
-    params = init_params(3)
-    state = init_adam_state(params, config)
-    rng = np.random.default_rng(1)
-    grads = NetworkParams(
-        weights=[rng.normal(0, 1, w.shape) for w in params.weights],
-        biases=[rng.normal(0, 1, b.shape) for b in params.biases],
-        layers=params.layers,
-    )
-    adam_step(params, grads, state)
-    path = tmp_path / "opt.adam"
-    from divrec.training import save_adam_state
-
-    save_adam_state(state, path)
-    back = read_adam_state(path, params, config)
-    assert back.t == state.t
-    assert back.lr == state.lr
-    for a, b in zip(
-        back.m_weights + back.m_biases + back.v_weights + back.v_biases,
-        state.m_weights + state.m_biases + state.v_weights + state.v_biases,
-    ):
-        np.testing.assert_array_equal(a, b)
-
-
 # --- plateau scheduling ---
 
+def _rate_after(val_losses: list[float]) -> float:
+    """Feed a validation-loss history to the scheduler, configured as ``train`` does."""
+    config = TrainingConfig()
+    sched = PlateauScheduler(
+        lr=config.learning_rate,
+        factor=config.plateau_factor,
+        patience=config.plateau_patience,
+        min_delta=config.plateau_min_delta,
+        min_lr=config.min_lr,
+    )
+    for loss in val_losses:
+        sched.update(loss)
+    return sched.lr
+
+
 def test_decreasing_loss_keeps_rate():
-    assert reduce_lr_on_plateau([3.0, 2.5, 2.0, 1.5, 1.0], TrainingConfig()) == 0.001
+    assert _rate_after([3.0, 2.5, 2.0, 1.5, 1.0]) == 0.001
 
 
 def test_flat_loss_halves_rate_at_epoch_four():
-    assert reduce_lr_on_plateau([1.0, 1.0, 1.0], TrainingConfig()) == 0.001
-    assert reduce_lr_on_plateau([1.0, 1.0, 1.0, 1.0], TrainingConfig()) == 0.0005
+    assert _rate_after([1.0, 1.0, 1.0]) == 0.001
+    assert _rate_after([1.0, 1.0, 1.0, 1.0]) == 0.0005
 
 
 def test_improvement_resets_counter():
     losses = [1.0, 1.0, 1.0, 0.5, 0.5, 0.5]  # two bad runs of length 2, no trigger
-    assert reduce_lr_on_plateau(losses, TrainingConfig()) == 0.001
+    assert _rate_after(losses) == 0.001
 
 
 def test_tiny_improvement_does_not_reset():
     # improvements below min_delta (1e-4) count as stagnation
     losses = [1.0, 1.0 - 5e-5, 1.0 - 6e-5, 1.0 - 7e-5]
-    assert reduce_lr_on_plateau(losses, TrainingConfig()) == 0.0005
+    assert _rate_after(losses) == 0.0005
 
 
 def test_rate_never_drops_below_min():
     losses = [1.0] * 200
-    assert reduce_lr_on_plateau(losses, TrainingConfig()) == pytest.approx(1e-6)
-
-
-def test_empty_history_rejected():
-    with pytest.raises(ValueError):
-        reduce_lr_on_plateau([], TrainingConfig())
+    assert _rate_after(losses) == pytest.approx(1e-6)
 
 
 # --- training loop ---
@@ -371,6 +355,6 @@ def test_checkpoints_written(tmp_path):
 
     for epoch in (2, 4):
         model_path = tmp_path / f"checkpoint_epoch{epoch:03d}.model"
-        adam_path = tmp_path / f"checkpoint_epoch{epoch:03d}.adam"
-        assert model_path.exists() and adam_path.exists()
+        assert model_path.exists()
         load_model(model_path)  # parses cleanly
+    assert not list(tmp_path.glob("*.adam"))  # models only, no optimizer sidecar
