@@ -17,6 +17,7 @@ import numpy as np
 from .errors import IoFailure, MalformedHeader, TruncatedData, UnsupportedEncoding
 
 TARGET_SAMPLE_RATE = 16000
+MIN_SAMPLE_RATE = 8000
 
 
 @dataclass
@@ -99,8 +100,7 @@ def read_wav(path) -> AudioClip:
 
     frame_bytes = 2 * channels
     usable = len(data) - (len(data) % frame_bytes)
-    ints = np.frombuffer(data[:usable], dtype="<i2")
-    samples = ints.astype(np.float64) / 32768.0
+    samples = decode_pcm16(np.frombuffer(data[:usable], dtype="<i2"))
     if channels > 1:
         samples = samples.reshape(-1, channels)
     return AudioClip(samples=samples, sample_rate=sample_rate, source_id=str(path))
@@ -133,13 +133,27 @@ def resample_linear(clip: AudioClip, target_rate: int) -> AudioClip:
 
 
 def ingest(path, target_rate: int = TARGET_SAMPLE_RATE) -> AudioClip:
-    """read_wav + to_mono + resample onto the pipeline's 16 kHz grid."""
-    return resample_linear(to_mono(read_wav(path)), target_rate)
+    """read_wav + to_mono + resample onto the pipeline's 16 kHz grid; rates
+    below 8 kHz are refused, since upsampling them multiplies memory."""
+    clip = read_wav(path)
+    if clip.sample_rate < MIN_SAMPLE_RATE:
+        raise UnsupportedEncoding(f"{path}: sample rate {clip.sample_rate} Hz, below {MIN_SAMPLE_RATE}")
+    return resample_linear(to_mono(clip), target_rate)
 
 
 def encode_pcm16(samples: np.ndarray) -> np.ndarray:
     """Quantize amplitudes to int16: round(a * 32767) clamped to the int16 range."""
     return np.clip(np.round(samples * 32767.0), -32768, 32767).astype("<i2")
+
+
+def decode_pcm16(ints: np.ndarray) -> np.ndarray:
+    """Normalize raw int16 samples to float64 amplitudes: raw / 32768."""
+    return ints.astype(np.float64) / 32768.0
+
+
+def pcm16_round_trip(clip: AudioClip) -> AudioClip:
+    """The clip ``read_wav`` returns after ``write_wav``, computed in memory."""
+    return AudioClip(decode_pcm16(encode_pcm16(clip.samples)), clip.sample_rate, clip.source_id)
 
 
 def write_wav(clip: AudioClip, path) -> None:

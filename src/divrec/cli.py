@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .audio_io import ingest, write_wav
+from .audio_io import ingest, pcm16_round_trip, write_wav
 from .errors import DataError, DivrecError, NumericError
 from .evaluation import (
     DIVISION_NAMES,
@@ -30,7 +30,6 @@ from .evaluation import (
 )
 from .features import (
     AggregatedFeature,
-    FeatureConfig,
     aggregate,
     build_filterbank,
     extract,
@@ -41,11 +40,10 @@ from .features import (
 from .fixture import make_fixture
 from .manifest import ManifestRow, read_manifest, scan_corpus, write_manifest
 from .network import load_model, save_model
-from .preprocess import NoiseReductionConfig, SegmentationPolicy, reduce_noise, segment
+from .preprocess import reduce_noise, segment
 from .training import TrainingConfig, split_dataset, train, write_metrics_csv
 
 _TRAINING_TYPES = typing.get_type_hints(TrainingConfig)
-_FEATURE_TYPES = typing.get_type_hints(FeatureConfig)
 
 
 class UsageError(Exception):
@@ -80,37 +78,23 @@ def _parse_config_file(path) -> dict[str, str]:
     return values
 
 
-def _coerce(declared, raw: str):
-    """Parse as the field's declared type; 'off'/'none'/'' is None where allowed."""
-    if declared is int:
-        return int(raw)
-    if type(None) in typing.get_args(declared) and raw.lower() in ("off", "none", ""):
-        return None
-    return float(raw)
-
-
-def _build_configs(args) -> tuple[TrainingConfig, FeatureConfig]:
+def _training_config(args) -> TrainingConfig:
     """defaults <- config file <- explicit CLI flags."""
-    training_kwargs: dict = {}
-    feature_kwargs: dict = {}
-    if getattr(args, "config", None):
+    kwargs: dict = {}
+    if args.config:
         for key, raw in _parse_config_file(args.config).items():
-            if key in _TRAINING_TYPES:
-                kwargs, declared = training_kwargs, _TRAINING_TYPES[key]
-            elif key in _FEATURE_TYPES:
-                kwargs, declared = feature_kwargs, _FEATURE_TYPES[key]
-            else:
+            if key not in _TRAINING_TYPES:
                 raise UsageError(f"unknown config key {key!r}")
             try:
-                kwargs[key] = _coerce(declared, raw)
+                kwargs[key] = _TRAINING_TYPES[key](raw)
             except ValueError as exc:
                 raise UsageError(f"{args.config}: bad value for {key}: {raw!r}") from exc
     for key in ("learning_rate", "batch_size", "epochs", "seed"):
         value = getattr(args, key, None)
         if value is not None:
-            training_kwargs[key] = value
+            kwargs[key] = value
     try:
-        return TrainingConfig(**training_kwargs), FeatureConfig(**feature_kwargs)
+        return TrainingConfig(**kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -150,16 +134,14 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _preprocess_one(row: ManifestRow, out_dir: Path, policy: SegmentationPolicy,
-                    nr_config: NoiseReductionConfig | None) -> list[ManifestRow]:
+def _preprocess_one(row: ManifestRow, out_dir: Path) -> list[ManifestRow]:
     clip = ingest(row.audio_path)
     stem = Path(row.audio_path).stem
     seg_dir = out_dir / row.division / row.speaker_id
     seg_dir.mkdir(parents=True, exist_ok=True)
     out_rows = []
-    for i, chunk in enumerate(segment(clip, policy)):
-        if nr_config is not None:
-            chunk = reduce_noise(chunk, nr_config)
+    for i, chunk in enumerate(segment(clip)):
+        chunk = reduce_noise(chunk)
         seg_path = seg_dir / f"{stem}_seg{i:03d}.wav"
         write_wav(chunk, seg_path)
         out_rows.append(
@@ -176,15 +158,7 @@ def _preprocess_one(row: ManifestRow, out_dir: Path, policy: SegmentationPolicy,
 def cmd_preprocess(args) -> int:
     rows = read_manifest(args.manifest)
     out_dir = Path(args.out_dir)
-    try:
-        policy = SegmentationPolicy(args.chunk_seconds, args.min_tail_seconds)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    nr_config = None if args.skip_noise_reduction else NoiseReductionConfig()
-
-    per_file, failures = _map_rows(
-        rows, lambda row: _preprocess_one(row, out_dir, policy, nr_config), args.workers
-    )
+    per_file, failures = _map_rows(rows, lambda row: _preprocess_one(row, out_dir), args.workers)
     if failures == len(rows):
         raise DataError("all input files failed preprocessing")
     out_rows = [seg_row for seg_rows in per_file for seg_row in seg_rows]
@@ -195,16 +169,12 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    _, feature_config = _build_configs(args)
     rows = read_manifest(args.manifest)
-    bank = build_filterbank(
-        feature_config.num_filters, feature_config.fft_size, feature_config.sample_rate
-    )
+    bank = build_filterbank()
 
     def featurize(row: ManifestRow) -> AggregatedFeature:
-        clip = ingest(row.audio_path, feature_config.sample_rate)
         return AggregatedFeature(
-            vector=aggregate(extract(clip, feature_config, bank)),
+            vector=aggregate(extract(ingest(row.audio_path), bank=bank)),
             label=label_from_name(row.division),
             source_id=row.audio_path,
         )
@@ -222,7 +192,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_train(args) -> int:
-    training_config, _ = _build_configs(args)
+    training_config = _training_config(args)
     records = read_feature_cache(args.cache)
     params, history = train(
         records,
@@ -247,11 +217,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    training_config = _training_config(args)
     params = load_model(args.model)
     check_compatible(params)
     records = read_feature_cache(args.cache)
     if args.split != "full":
-        training_config, _ = _build_configs(args)
         train_set, test_set, val_set = split_dataset(
             records, training_config, require_all_labels=not args.allow_missing_classes
         )
@@ -272,18 +242,13 @@ def cmd_predict(args) -> int:
     clip = ingest(args.wav)
     segments = segment(clip)
     if not segments:
-        raise DataError(
-            f"{args.wav}: too short ({clip.duration:.2f} s), need at least "
-            f"{SegmentationPolicy().min_tail_seconds:.0f} s"
-        )
-    feature_config = FeatureConfig()
+        raise DataError(f"{args.wav}: too short ({clip.duration:.2f} s) for one 8-10 s segment")
     bank = build_filterbank()
-    nr_config = NoiseReductionConfig()
     votes = np.zeros(len(DIVISION_NAMES), dtype=np.int64)
     for chunk in segments:
-        cleaned = reduce_noise(chunk, nr_config)
-        vector = aggregate(extract(cleaned, feature_config, bank))
-        label, probs = predict(params, vector)
+        # the PCM16 rounding a segment file goes through between preprocess and extract
+        cleaned = pcm16_round_trip(reduce_noise(chunk))
+        label, probs = predict(params, aggregate(extract(cleaned, bank=bank)))
         votes[label] += 1
         print(f"{chunk.source_id}: {DIVISION_NAMES[label]} p={probs[label]:.4f}")
     winner = int(np.argmax(votes))  # ties resolve to the lowest label index
@@ -293,14 +258,17 @@ def cmd_predict(args) -> int:
 
 
 def cmd_make_fixture(args) -> int:
-    written = make_fixture(
-        args.out,
-        seed=args.seed if args.seed is not None else 0,
-        speakers_per_class=args.speakers_per_class,
-        files_per_speaker=args.files_per_speaker,
-        file_seconds=args.file_seconds,
-        noise_level=args.noise_level,
-    )
+    try:
+        written = make_fixture(
+            args.out,
+            seed=args.seed,
+            speakers_per_class=args.speakers_per_class,
+            files_per_speaker=args.files_per_speaker,
+            file_seconds=args.file_seconds,
+            noise_level=args.noise_level,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     print(f"wrote {len(written)} files under {args.out}")
     return 0
 
@@ -321,9 +289,6 @@ def build_parser() -> _Parser:
     p.add_argument("manifest")
     p.add_argument("--out-dir", required=True, help="root for segment WAVs")
     p.add_argument("--out", required=True, help="segment manifest CSV path")
-    p.add_argument("--chunk-seconds", type=float, default=10.0)
-    p.add_argument("--min-tail-seconds", type=float, default=8.0)
-    p.add_argument("--skip-noise-reduction", action="store_true")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_preprocess)
 
@@ -331,7 +296,6 @@ def build_parser() -> _Parser:
     p.add_argument("manifest")
     p.add_argument("--out", required=True, help="feature cache path")
     p.add_argument("--csv", help="also write a CSV mirror here")
-    p.add_argument("--config", help="key=value overrides file")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_extract)
 

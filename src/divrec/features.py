@@ -30,7 +30,6 @@ NUM_STATIC = 13
 FEATURE_DIM = 2 * NUM_STATIC
 
 CACHE_MAGIC = b"DIVFEAT1"
-_NO_LABEL = 255
 
 
 @dataclass
@@ -61,16 +60,18 @@ class FilterBank:
 
 @dataclass
 class AggregatedFeature:
-    """26-dim per-segment mean feature vector with an optional division label."""
+    """26-dim per-segment mean feature vector with its division label."""
 
     vector: np.ndarray
-    label: int | None = None
+    label: int
     source_id: str = ""
 
     def __post_init__(self) -> None:
         self.vector = np.asarray(self.vector, dtype=np.float64)
         if self.vector.shape != (FEATURE_DIM,):
             raise ValueError(f"feature vector must have shape ({FEATURE_DIM},)")
+        if not isinstance(self.label, (int, np.integer)) or not 0 <= self.label < NUM_CLASSES:
+            raise ValueError(f"label must be an int in 0..{NUM_CLASSES - 1}, got {self.label!r}")
 
 
 def hamming(n: int) -> np.ndarray:
@@ -234,15 +235,14 @@ def aggregate(feature_matrix: np.ndarray) -> np.ndarray:
 # --- feature cache container (see docs/formats.md) ---
 
 def write_feature_cache(records: list[AggregatedFeature], path) -> None:
-    """Binary cache: DIVFEAT1 magic, u64 count, then per record a label byte
-    (255 = unlabeled), u16 source-id length + UTF-8 bytes, 26 f64 LE values."""
+    """Binary cache: DIVFEAT1 magic, u64 count, then per record a label byte,
+    u16 source-id length + UTF-8 bytes, 26 f64 LE values."""
     with open(path, "wb") as fh:
         fh.write(CACHE_MAGIC)
         fh.write(struct.pack("<Q", len(records)))
         for rec in records:
-            label = _NO_LABEL if rec.label is None else int(rec.label)
             sid = rec.source_id.encode("utf-8")
-            fh.write(struct.pack("<B", label))
+            fh.write(struct.pack("<B", rec.label))
             fh.write(struct.pack("<H", len(sid)))
             fh.write(sid)
             fh.write(struct.pack(f"<{FEATURE_DIM}d", *rec.vector))
@@ -259,8 +259,6 @@ def read_feature_cache(path) -> list[AggregatedFeature]:
         pos = 16
         for _ in range(count):
             (label,) = struct.unpack_from("<B", raw, pos)
-            if label >= NUM_CLASSES and label != _NO_LABEL:
-                raise DataError(f"{path}: record {len(records)} has label byte {label}")
             (sid_len,) = struct.unpack_from("<H", raw, pos + 1)
             pos += 3
             try:
@@ -272,15 +270,14 @@ def read_feature_cache(path) -> list[AggregatedFeature]:
             pos += sid_len
             vector = np.array(struct.unpack_from(f"<{FEATURE_DIM}d", raw, pos))
             pos += 8 * FEATURE_DIM
-            records.append(
-                AggregatedFeature(
-                    vector=vector,
-                    label=None if label == _NO_LABEL else label,
-                    source_id=sid,
-                )
-            )
+            try:
+                records.append(AggregatedFeature(vector, label, sid))
+            except ValueError as exc:
+                raise DataError(f"{path}: record {len(records)}: {exc}") from exc
     except struct.error as exc:
         raise DataError(f"{path}: truncated feature cache") from exc
+    if pos != len(raw):
+        raise DataError(f"{path}: {len(raw) - pos} bytes after the {count} declared records")
     vectors = np.array([rec.vector for rec in records]).reshape(-1, FEATURE_DIM)
     non_finite = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
     if non_finite.size:
@@ -294,6 +291,5 @@ def write_feature_csv(records: list[AggregatedFeature], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["label", "source_id"] + [f"f{i}" for i in range(FEATURE_DIM)])
         for rec in records:
-            label = "" if rec.label is None else str(rec.label)
-            writer.writerow([label, rec.source_id] + [f"{v:.17g}" for v in rec.vector])
+            writer.writerow([rec.label, rec.source_id] + [f"{v:.17g}" for v in rec.vector])
 

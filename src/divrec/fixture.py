@@ -72,6 +72,14 @@ def make_fixture(
     noise_level: float = 0.01,
 ) -> list[Path]:
     """Write the corpus tree root/<Division>/<speaker>/<speaker>_NNN.wav."""
+    # the RIFF size field, 36 + data bytes, is a u32; samples are 2 bytes
+    max_seconds = (2**32 - 37) // 2 / sample_rate
+    if seed < 0 or speakers_per_class < 1 or files_per_speaker < 1:
+        raise ValueError("need seed >= 0, speakers_per_class >= 1 and files_per_speaker >= 1")
+    if not 0 < file_seconds <= max_seconds:
+        raise ValueError(f"file_seconds must lie in (0, {max_seconds:.0f}], got {file_seconds}")
+    if not 0 <= noise_level < float("inf"):
+        raise ValueError(f"noise_level must be finite and >= 0, got {noise_level}")
     root = Path(root)
     rng = np.random.default_rng(seed)
     written: list[Path] = []

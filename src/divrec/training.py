@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, EmptyClass, NonFiniteGradient
+from .errors import DataError, EmptyClass, EmptySet, NonFiniteGradient
 from .features import AggregatedFeature
 from .network import (
     NUM_CLASSES,
@@ -47,15 +47,18 @@ class TrainingConfig:
     min_lr: float = 1e-6
 
     def __post_init__(self) -> None:
-        total = self.train_fraction + self.test_fraction + self.val_fraction
-        if abs(total - 1.0) > 1e-9:
+        fractions = (self.train_fraction, self.test_fraction, self.val_fraction)
+        if not all(0 <= f <= 1 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
             raise ValueError(
-                f"train_fraction + test_fraction + val_fraction must sum to 1, got {total}"
+                f"train_fraction, test_fraction and val_fraction must lie in [0, 1] "
+                f"and sum to 1, got {fractions}"
             )
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("learning_rate", "beta1", "beta2", "plateau_factor"):
             rate = getattr(self, name)
             if not 0 < rate <= 1:
@@ -200,11 +203,7 @@ def split_dataset(
     """Seeded shuffle + stratified slicing into (train, test, validation)."""
     if len(features) < 10:
         raise DataError(f"need at least 10 samples to split, got {len(features)}")
-    labels = []
-    for rec in features:
-        if rec.label is None:
-            raise DataError(f"record {rec.source_id!r} has no label, cannot split")
-        labels.append(rec.label)
+    labels = [rec.label for rec in features]
     present = sorted(set(labels))
     if require_all_labels:
         missing = sorted(set(range(NUM_CLASSES)) - set(present))
@@ -283,6 +282,8 @@ def train(
 
     config = config or TrainingConfig()
     train_set, _, val_set = split_dataset(features, config, require_all_labels)
+    if not train_set or not val_set:
+        raise EmptySet("the split leaves the training or the validation set empty")
     x_train, y_train = _dataset_arrays(train_set)
     x_val, y_val = _dataset_arrays(val_set)
     t_train = one_hot(y_train)

@@ -7,6 +7,7 @@ from divrec.audio_io import (
     AudioClip,
     encode_pcm16,
     ingest,
+    pcm16_round_trip,
     read_wav,
     resample_linear,
     to_mono,
@@ -167,6 +168,25 @@ def test_read_write_identity_on_quantized_grid(tmp_path_factory, raws):
     write_wav(AudioClip(amplitudes, 16000), path)
     back = read_wav(path)
     np.testing.assert_array_equal(back.samples, amplitudes)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(min_value=-1.5, max_value=1.5), min_size=1, max_size=200))
+def test_pcm16_round_trip_equals_write_then_read(tmp_path_factory, amplitudes):
+    # above half scale too, where a write/read round trip is not the identity
+    path = tmp_path_factory.mktemp("q") / "clip.wav"
+    clip = AudioClip(np.array(amplitudes), 16000, "q")
+    write_wav(clip, path)
+    assert pcm16_round_trip(clip).samples.tobytes() == read_wav(path).samples.tobytes()
+
+
+def test_ingest_refuses_rates_below_8k(tmp_path):
+    # upsampling 1 s at 128 Hz to 16 kHz would take 125 times its memory
+    path = tmp_path / "low.wav"
+    path.write_bytes(build_wav_bytes(np.zeros(128), sample_rate=128))
+    with pytest.raises(UnsupportedEncoding, match="128"):
+        ingest(path)
+    assert read_wav(path).sample_rate == 128
 
 
 def test_ingest_produces_mono_16k(tmp_path):

@@ -2,12 +2,14 @@ import csv
 import json
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from divrec.audio_io import AudioClip, ingest, read_wav, write_wav
-from divrec.cli import _build_configs, build_parser, main
+from divrec.cli import _training_config, build_parser, main
+from divrec.evaluation import predict
 from divrec.features import (
     AggregatedFeature,
     aggregate,
@@ -209,7 +211,7 @@ def test_extract_worker_count_does_not_change_output(workspace, tmp_path):
 def test_default_flags_reproduce_training_defaults():
     parser = build_parser()
     args = parser.parse_args(["train", "cache", "--model-out", "m", "--metrics-out", "x"])
-    training, _ = _build_configs(args)
+    training = _training_config(args)
     assert training == TrainingConfig()
     assert training.learning_rate == 0.001
     assert training.batch_size == 128
@@ -246,24 +248,28 @@ def test_train_unknown_config_key_is_usage_error(workspace, tmp_path, capsys):
     assert "warp_speed" in capsys.readouterr().err
 
 
-def _corrupt_cache(path, label: int = 0, source_id: bytes = b"ab", first_value: float = 0.0):
+def _corrupt_cache(path, label: int = 0, source_id: bytes = b"ab", first_value: float = 0.0,
+                   trailing: bytes = b""):
     """An 80-record cache, enough to split and train on, whose first record's
     label byte, two source-id bytes and first feature value are then
-    overwritten raw."""
+    overwritten raw, and ``trailing`` appended."""
     records = [AggregatedFeature(np.full(26, i % 8.0), i % 8, f"r{i:02d}") for i in range(80)]
     write_feature_cache(records, path)
     raw = bytearray(path.read_bytes())
     raw[16] = label
     raw[19:21] = source_id
     raw[22:30] = struct.pack("<d", first_value)
-    path.write_bytes(bytes(raw))
+    path.write_bytes(bytes(raw) + trailing)
     return path
 
 
 CORRUPT_CACHES = {
     "label-9": {"label": 9},
+    "label-255": {"label": 255},
     "non-utf8-id": {"source_id": b"\xff\xfe"},
     "non-finite-vector": {"first_value": float("inf")},
+    # three whole records (label 0, empty source id, zero vector) past the declared 80
+    "trailing-bytes": {"trailing": 3 * bytes(1 + 2 + 8 * 26)},
 }
 
 
@@ -332,7 +338,7 @@ def test_evaluate_empty_cache_is_data_error(workspace, tmp_path, capsys):
 @pytest.mark.parametrize("corruption", CORRUPT_CACHES.values(), ids=CORRUPT_CACHES.keys())
 def test_evaluate_corrupt_cache_is_data_error(workspace, tmp_path, capsys, corruption):
     cache = _corrupt_cache(tmp_path / "bad.feat", **corruption)
-    assert main(["evaluate", str(workspace / "model.bin"), str(cache)]) == 2
+    assert main(["evaluate", str(workspace / "model.bin"), str(cache), "--split", "full"]) == 2
     assert "bad.feat" in capsys.readouterr().err
 
 
@@ -373,6 +379,29 @@ def test_numeric_error_exits_three(workspace, tmp_path, monkeypatch, capsys):
 
 
 # --- predict ---
+
+def test_predict_vectors_equal_cached_vectors(workspace, monkeypatch, capsys):
+    # predict must score exactly the vectors that preprocess + extract cached
+    # for the same audio, PCM16 rounding of the segment files included
+    from divrec import cli
+
+    seen = []
+
+    def spy(params, vector):
+        seen.append(vector.copy())
+        return predict(params, vector)
+
+    monkeypatch.setattr(cli, "predict", spy)
+    cached = {Path(rec.source_id).name: rec.vector
+              for rec in read_feature_cache(workspace / "cache.feat")}
+    for row in read_manifest(workspace / "manifest.csv"):
+        seen.clear()
+        assert main(["predict", str(workspace / "model.bin"), row.audio_path]) == 0
+        stem = Path(row.audio_path).stem
+        assert len(seen) == sum(name.startswith(f"{stem}_seg") for name in cached) > 0
+        for i, vector in enumerate(seen):
+            assert vector.tobytes() == cached[f"{stem}_seg{i:03d}.wav"].tobytes()
+
 
 def test_predict_single_segment_final_equals_segment(workspace, tmp_path, capsys):
     rng = np.random.default_rng(55)
@@ -437,22 +466,35 @@ def test_make_fixture_deterministic(tmp_path):
 @pytest.mark.parametrize("command, flags, config, named", [
     ("train", [], "epochs = abc", "epochs"),
     ("train", [], "train_fraction = 0.5", "train_fraction"),
-    ("extract", [], "hop = 0", "hop"),
+    ("train", [], "hop = 160", "hop"),
+    ("evaluate", [], "hop = 160", "hop"),
     ("train", ["--epochs", "0"], None, "epochs"),
     ("train", ["--lr", "5"], None, "learning_rate"),
-    ("preprocess", ["--chunk-seconds", "0"], None, "chunk_seconds"),
+    ("train", ["--seed", "-1"], None, "seed"),
+    ("evaluate", ["--split", "val", "--seed", "-1"], None, "seed"),
+    ("train", [], "seed = -1", "seed"),
     ("preprocess", ["--workers", "0"], None, "--workers"),
-], ids=["config-epochs-abc", "config-train-fraction", "config-hop-0", "epochs-0", "lr-5",
-        "chunk-seconds-0", "workers-0"])
+    ("make-fixture", ["--seed", "-1"], None, "seed"),
+    ("make-fixture", ["--file-seconds", "-1"], None, "file_seconds"),
+    ("make-fixture", ["--file-seconds", "nan"], None, "file_seconds"),
+    ("make-fixture", ["--file-seconds", "1e300"], None, "file_seconds"),
+    ("make-fixture", ["--noise-level", "-1"], None, "noise_level"),
+], ids=["config-epochs-abc", "config-train-fraction", "config-feature-key",
+        "evaluate-config-feature-key", "epochs-0", "lr-5", "seed-negative",
+        "evaluate-seed-negative", "config-seed-negative", "workers-0", "fixture-seed-negative",
+        "fixture-seconds-negative", "fixture-seconds-nan", "fixture-seconds-huge",
+        "fixture-noise-negative"])
 def test_invalid_value_is_usage_error(tmp_path, capsys, command, flags, config, named):
     manifest = tmp_path / "m.csv"
     manifest.write_text("audio_path,division,speaker_id,gender\n")
     positional = {
         "train": [str(tmp_path / "c.feat"), "--model-out", str(tmp_path / "m.bin"),
                   "--metrics-out", str(tmp_path / "metrics.csv")],
-        "extract": [str(manifest), "--out", str(tmp_path / "c.feat")],
+        "evaluate": [str(tmp_path / "m.bin"), str(tmp_path / "c.feat")],
         "preprocess": [str(manifest), "--out-dir", str(tmp_path / "seg"),
                        "--out", str(tmp_path / "s.csv")],
+        "make-fixture": ["--out", str(tmp_path / "fx"), "--speakers-per-class", "1",
+                         "--files-per-speaker", "1", "--file-seconds", "1"],
     }[command]
     if config is not None:
         (tmp_path / "bad.cfg").write_text(config + "\n")

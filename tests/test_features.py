@@ -346,11 +346,13 @@ def test_pre_emphasis_flag_changes_features():
 # --- cache round trips ---
 
 def _records(rng, n=7):
-    out = []
-    for i in range(n):
-        label = None if i == 3 else i % 8
-        out.append(AggregatedFeature(rng.normal(0, 1, 26), label, f"seg{i:03d}"))
-    return out
+    return [AggregatedFeature(rng.normal(0, 1, 26), i % 8, f"seg{i:03d}") for i in range(n)]
+
+
+@pytest.mark.parametrize("label", [None, 8, -1, 2.0])
+def test_record_rejects_label_outside_0_to_7(label):
+    with pytest.raises(ValueError, match="label"):
+        AggregatedFeature(np.zeros(26), label, "x")
 
 
 def test_binary_cache_round_trip(tmp_path, rng):
@@ -374,7 +376,7 @@ def test_csv_mirror_round_trip(tmp_path, rng):
     assert header == ["label", "source_id"] + [f"f{i}" for i in range(26)]
     assert len(rows) == len(records)
     for rec, row in zip(records, rows):
-        assert row[0] == ("" if rec.label is None else str(rec.label))
+        assert row[0] == str(rec.label)
         assert row[1] == rec.source_id
         np.testing.assert_allclose(rec.vector, np.array(row[2:], dtype=float), rtol=0, atol=1e-15)
 

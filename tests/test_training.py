@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divrec.errors import DataError, EmptyClass, NonFiniteGradient
+from divrec.errors import DataError, EmptyClass, EmptySet, NonFiniteGradient
 from divrec.features import AggregatedFeature
 from divrec.network import LayerSpec, NetworkParams, backward, forward, init_params
 from divrec.training import (
@@ -88,11 +88,20 @@ def test_split_too_few_samples_raises():
         split_dataset(records, TrainingConfig(seed=0))
 
 
-def test_split_unlabeled_record_raises():
-    records = make_records([5, 5, 5, 5, 5, 5, 5, 5])
-    records[0] = AggregatedFeature(records[0].vector, None, "unlabeled")
-    with pytest.raises(DataError):
-        split_dataset(records, TrainingConfig(seed=0))
+@pytest.mark.parametrize("kwargs", [
+    {"seed": -1},
+    {"train_fraction": 2.0, "test_fraction": -1.0, "val_fraction": 0.0},
+    {"train_fraction": math.nan},
+], ids=["seed", "negative-fraction", "nan-fraction"])
+def test_config_rejects_invalid_seed_and_fractions(kwargs):
+    with pytest.raises(ValueError):
+        TrainingConfig(**kwargs)
+
+
+def test_train_rejects_split_with_empty_validation_set():
+    config = TrainingConfig(epochs=1, train_fraction=1.0, test_fraction=0.0, val_fraction=0.0)
+    with pytest.raises(EmptySet):
+        train(make_records([5] * 8), config)
 
 
 @settings(max_examples=40, deadline=None)
