@@ -132,13 +132,13 @@ def resample_linear(clip: AudioClip, target_rate: int) -> AudioClip:
     return AudioClip(samples=resampled, sample_rate=target_rate, source_id=clip.source_id)
 
 
-def ingest(path, target_rate: int = TARGET_SAMPLE_RATE) -> AudioClip:
+def ingest(path) -> AudioClip:
     """read_wav + to_mono + resample onto the pipeline's 16 kHz grid; rates
     below 8 kHz are refused, since upsampling them multiplies memory."""
     clip = read_wav(path)
     if clip.sample_rate < MIN_SAMPLE_RATE:
         raise UnsupportedEncoding(f"{path}: sample rate {clip.sample_rate} Hz, below {MIN_SAMPLE_RATE}")
-    return resample_linear(to_mono(clip), target_rate)
+    return resample_linear(to_mono(clip), TARGET_SAMPLE_RATE)
 
 
 def encode_pcm16(samples: np.ndarray) -> np.ndarray:

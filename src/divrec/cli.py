@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import typing
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -43,11 +42,9 @@ from .network import load_model, save_model
 from .preprocess import reduce_noise, segment
 from .training import TrainingConfig, split_dataset, train, write_metrics_csv
 
-_TRAINING_TYPES = typing.get_type_hints(TrainingConfig)
-
 
 class UsageError(Exception):
-    """Bad flags or config keys; maps to exit code 1."""
+    """Bad flag values; maps to exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,40 +56,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _parse_config_file(path) -> dict[str, str]:
-    """Plain-text key=value overrides; '#' starts a comment."""
-    values: dict[str, str] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, line in enumerate(lines, 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        values[key] = value
-    return values
-
-
 def _training_config(args) -> TrainingConfig:
-    """defaults <- config file <- explicit CLI flags."""
-    kwargs: dict = {}
-    if args.config:
-        for key, raw in _parse_config_file(args.config).items():
-            if key not in _TRAINING_TYPES:
-                raise UsageError(f"unknown config key {key!r}")
-            try:
-                kwargs[key] = _TRAINING_TYPES[key](raw)
-            except ValueError as exc:
-                raise UsageError(f"{args.config}: bad value for {key}: {raw!r}") from exc
-    for key in ("learning_rate", "batch_size", "epochs", "seed"):
-        value = getattr(args, key, None)
-        if value is not None:
-            kwargs[key] = value
+    """TrainingConfig defaults overridden by the flags given."""
+    kwargs = {key: value for key in ("learning_rate", "batch_size", "epochs", "seed")
+              if (value := getattr(args, key, None)) is not None}
     try:
         return TrainingConfig(**kwargs)
     except ValueError as exc:
@@ -101,14 +68,15 @@ def _training_config(args) -> TrainingConfig:
 
 def _map_rows(rows: list[ManifestRow], fn, workers: int) -> tuple[list, int]:
     """Run ``fn`` over ``rows`` on ``workers`` threads; returns the results in
-    manifest order and the count of rows that raised DivrecError (on stderr)."""
+    manifest order and the count of rows that raised DivrecError or OSError
+    (a missing or unreadable file), each logged on stderr."""
     if workers < 1:
         raise UsageError(f"--workers must be at least 1, got {workers}")
 
     def attempt(row: ManifestRow):
         try:
             return fn(row), None
-        except DivrecError as exc:
+        except (DivrecError, OSError) as exc:
             return None, f"{row.audio_path}: {exc}"
 
     results = []
@@ -193,6 +161,10 @@ def cmd_extract(args) -> int:
 
 def cmd_train(args) -> int:
     training_config = _training_config(args)
+    if (args.checkpoint_every is None) != (args.checkpoint_dir is None):
+        raise UsageError("--checkpoint-every and --checkpoint-dir must be given together")
+    if args.checkpoint_every is not None and args.checkpoint_every < 1:
+        raise UsageError(f"--checkpoint-every must be at least 1, got {args.checkpoint_every}")
     records = read_feature_cache(args.cache)
     params, history = train(
         records,
@@ -303,7 +275,6 @@ def build_parser() -> _Parser:
     p.add_argument("cache")
     p.add_argument("--model-out", required=True)
     p.add_argument("--metrics-out", required=True)
-    p.add_argument("--config", help="key=value overrides file")
     p.add_argument("--seed", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)
@@ -318,7 +289,6 @@ def build_parser() -> _Parser:
     p.add_argument("cache")
     p.add_argument("--split", choices=["full", "train", "test", "val"], default="full")
     p.add_argument("--seed", type=int)
-    p.add_argument("--config", help="key=value overrides file")
     p.add_argument("--allow-missing-classes", action="store_true")
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--confusion-csv", help="write the confusion matrix CSV here")

@@ -43,10 +43,6 @@ class SignalTooShort(DataError):
     """Signal shorter than one analysis frame."""
 
 
-class DegenerateBoundaries(DataError):
-    """Two mel filter boundaries collapsed onto the same DFT bin."""
-
-
 # network
 class ShapeMismatch(DataError):
     """Input shape does not match the network architecture."""

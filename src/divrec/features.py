@@ -7,10 +7,9 @@ first-order regression (window 2) of the 13 static coefficients over time,
 giving 26 columns per frame. A segment is summarized as the column-wise mean,
 the input vector of the classifier.
 
-Framing is non-overlapping by default (hop == frame length), so a 10 s clip
-at 16 kHz yields exactly 400 frames of 400 samples. A conventional 10 ms hop
-is available through ``FeatureConfig.hop``; pre-emphasis is off by default
-but can be enabled with ``FeatureConfig.pre_emphasis``.
+Every recipe value is a module constant. Frames do not overlap (the hop is
+the frame length), so a 10 s clip at 16 kHz yields exactly 400 frames of 400
+samples, and there is no pre-emphasis.
 """
 
 from __future__ import annotations
@@ -22,37 +21,24 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio_io import AudioClip
-from .errors import DataError, DegenerateBoundaries, SignalTooShort
+from .audio_io import TARGET_SAMPLE_RATE, AudioClip
+from .errors import DataError, SignalTooShort
 from .network import NUM_CLASSES
 
+FRAME_LEN = 400  # 25 ms at 16 kHz; also the hop
+FFT_SIZE = 512
+NUM_FILTERS = 40
 NUM_STATIC = 13
+DELTA_WINDOW = 2
+LOG_FLOOR = 1e-10
 FEATURE_DIM = 2 * NUM_STATIC
 
 CACHE_MAGIC = b"DIVFEAT1"
 
 
 @dataclass
-class FeatureConfig:
-    sample_rate: int = 16000
-    frame_len: int = 400  # 25 ms at 16 kHz
-    hop: int = 400  # non-overlapping
-    fft_size: int = 512
-    num_filters: int = 40
-    pre_emphasis: float | None = None  # e.g. 0.97; default off
-    delta_window: int = 2
-    log_floor: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if self.frame_len > self.fft_size:
-            raise ValueError("frame_len must not exceed fft_size")
-        if self.hop <= 0:
-            raise ValueError("hop must be positive")
-
-
-@dataclass
 class FilterBank:
-    """40 x (fft_size/2 + 1) non-negative weights plus the 42 boundary bins."""
+    """40 x 257 non-negative weights plus the 42 boundary bins."""
 
     weights: np.ndarray
     boundary_bins: np.ndarray
@@ -81,32 +67,31 @@ def hamming(n: int) -> np.ndarray:
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n) / (n - 1))
 
 
-def frame_signal(samples: np.ndarray, config: FeatureConfig | None = None) -> np.ndarray:
-    """Slice into (T, frame_len) at offsets 0, hop, 2*hop, ...; partial tail dropped.
+def frame_signal(samples: np.ndarray) -> np.ndarray:
+    """Slice into (T, FRAME_LEN) at offsets 0, FRAME_LEN, 2*FRAME_LEN, ...;
+    partial tail dropped.
 
     The result is a read-only view of ``samples``, not a copy.
     """
-    config = config or FeatureConfig()
     samples = np.asarray(samples, dtype=np.float64)
     n = samples.shape[0]
-    if n < config.frame_len:
-        raise SignalTooShort(f"{n} samples < frame length {config.frame_len}")
-    return sliding_window_view(samples, config.frame_len)[:: config.hop]
+    if n < FRAME_LEN:
+        raise SignalTooShort(f"{n} samples < frame length {FRAME_LEN}")
+    return sliding_window_view(samples, FRAME_LEN)[::FRAME_LEN]
 
 
-def power_spectrum(frame: np.ndarray, config: FeatureConfig | None = None) -> np.ndarray:
-    """|DFT(frame * hamming)|^2 / fft_size on fft_size/2 + 1 bins."""
-    config = config or FeatureConfig()
+def power_spectrum(frame: np.ndarray) -> np.ndarray:
+    """|DFT(frame * hamming)|^2 / FFT_SIZE on FFT_SIZE/2 + 1 bins."""
     frame = np.asarray(frame, dtype=np.float64)
-    if frame.shape != (config.frame_len,):
-        raise ValueError(f"expected frame of length {config.frame_len}, got {frame.shape}")
-    return _power_spectra(frame[None, :], config)[0]
+    if frame.shape != (FRAME_LEN,):
+        raise ValueError(f"expected frame of length {FRAME_LEN}, got {frame.shape}")
+    return _power_spectra(frame[None, :])[0]
 
 
-def _power_spectra(frames: np.ndarray, config: FeatureConfig) -> np.ndarray:
-    windowed = frames * hamming(config.frame_len)
-    spectra = np.fft.rfft(windowed, n=config.fft_size, axis=1)
-    return (spectra.real**2 + spectra.imag**2) / config.fft_size
+def _power_spectra(frames: np.ndarray) -> np.ndarray:
+    windowed = frames * hamming(FRAME_LEN)
+    spectra = np.fft.rfft(windowed, n=FFT_SIZE, axis=1)
+    return (spectra.real**2 + spectra.imag**2) / FFT_SIZE
 
 
 def mel(f) -> np.ndarray:
@@ -119,40 +104,24 @@ def mel_inv(m) -> np.ndarray:
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def build_filterbank(
-    num_filters: int = 40,
-    fft_size: int = 512,
-    sample_rate: int = 16000,
-    f_min: float = 0.0,
-    f_max: float | None = None,
-) -> FilterBank:
+def build_filterbank() -> FilterBank:
     """Triangular equal-area mel filterbank on integer DFT bins.
 
-    num_filters + 2 boundaries are spaced uniformly on the mel scale between
-    f_min and f_max and rounded to DFT bin indices. Filter i rises from
-    boundary i-1 to i and falls to i+1, scaled by 2 over the product of the
-    branch width and the full support width, which makes every filter's
-    discrete weight sum equal (exactly 1 for integer boundaries).
+    NUM_FILTERS + 2 boundaries are spaced uniformly on the mel scale between
+    0 Hz and the Nyquist frequency and rounded to DFT bin indices, each at
+    least one bin above the last. Filter i rises from boundary i-1 to i and
+    falls to i+1, scaled by 2 over the product of the branch width and the
+    full support width, which makes every filter's discrete weight sum equal
+    (exactly 1 for integer boundaries).
     """
-    if num_filters < 1:
-        raise ValueError("num_filters must be >= 1")
-    f_max = sample_rate / 2 if f_max is None else f_max
-    if not f_min < f_max <= sample_rate / 2:
-        raise ValueError("need f_min < f_max <= sample_rate / 2")
-
-    mel_pts = np.linspace(mel(f_min), mel(f_max), num_filters + 2)
+    mel_pts = np.linspace(mel(0.0), mel(TARGET_SAMPLE_RATE / 2), NUM_FILTERS + 2)
     hz_pts = mel_inv(mel_pts)
-    bins = np.round(hz_pts * fft_size / sample_rate).astype(np.int64)
-    if np.any(np.diff(bins) < 1):
-        raise DegenerateBoundaries(
-            f"filter boundaries collapse onto shared bins: fft_size {fft_size} is "
-            f"too small for {num_filters} filters"
-        )
+    bins = np.round(hz_pts * FFT_SIZE / TARGET_SAMPLE_RATE).astype(np.int64)
 
-    n_bins = fft_size // 2 + 1
-    weights = np.zeros((num_filters, n_bins))
+    n_bins = FFT_SIZE // 2 + 1
+    weights = np.zeros((NUM_FILTERS, n_bins))
     k = np.arange(n_bins)
-    for i in range(num_filters):
+    for i in range(NUM_FILTERS):
         lo, mid, hi = bins[i], bins[i + 1], bins[i + 2]
         rising = (k >= lo) & (k <= mid)
         falling = (k > mid) & (k <= hi)
@@ -161,11 +130,10 @@ def build_filterbank(
     return FilterBank(weights=weights, boundary_bins=bins)
 
 
-def log_mel_energies(power_spec: np.ndarray, bank: FilterBank,
-                     log_floor: float = 1e-10) -> np.ndarray:
-    """Natural log of the per-filter energies, floored to avoid log(0)."""
+def log_mel_energies(power_spec: np.ndarray, bank: FilterBank) -> np.ndarray:
+    """Natural log of the per-filter energies, floored at LOG_FLOOR to avoid log(0)."""
     energies = power_spec @ bank.weights.T
-    return np.log(np.maximum(energies, log_floor))
+    return np.log(np.maximum(energies, LOG_FLOOR))
 
 
 def dct2_ortho(x: np.ndarray, keep: int = NUM_STATIC) -> np.ndarray:
@@ -180,48 +148,42 @@ def dct2_ortho(x: np.ndarray, keep: int = NUM_STATIC) -> np.ndarray:
     return (x @ basis.T) * scale
 
 
-def delta(features: np.ndarray, window: int = 2) -> np.ndarray:
+def delta(features: np.ndarray) -> np.ndarray:
     """First-order regression over time with edge frames clamped.
 
-    d_t = sum_{n=1..window} n * (c_{t+n} - c_{t-n}) / (2 * sum n^2)
+    d_t = sum_{n=1..DELTA_WINDOW} n * (c_{t+n} - c_{t-n}) / (2 * sum n^2)
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] < 1:
         raise ValueError("expected a (T, d) matrix with T >= 1")
     t_max = features.shape[0] - 1
-    denom = 2.0 * sum(n * n for n in range(1, window + 1))
+    denom = 2.0 * sum(n * n for n in range(1, DELTA_WINDOW + 1))
     out = np.zeros_like(features)
     idx = np.arange(features.shape[0])
-    for n in range(1, window + 1):
+    for n in range(1, DELTA_WINDOW + 1):
         ahead = features[np.minimum(idx + n, t_max)]
         behind = features[np.maximum(idx - n, 0)]
         out += n * (ahead - behind)
     return out / denom
 
 
-def extract(clip: AudioClip, config: FeatureConfig | None = None,
-            bank: FilterBank | None = None) -> np.ndarray:
-    """Full per-frame pipeline: (T, 26) matrix of 13 MFCCs + 13 deltas."""
-    config = config or FeatureConfig()
+def extract(clip: AudioClip, bank: FilterBank | None = None) -> np.ndarray:
+    """Full per-frame pipeline: (T, 26) matrix of 13 MFCCs + 13 deltas.
+
+    ``bank`` lets a caller build the filterbank once for many clips.
+    """
     if clip.samples.ndim != 1:
         raise ValueError("extract expects a mono clip")
-    if clip.sample_rate != config.sample_rate:
+    if clip.sample_rate != TARGET_SAMPLE_RATE:
         raise DataError(
-            f"{clip.source_id}: sample rate {clip.sample_rate}, expected {config.sample_rate}"
+            f"{clip.source_id}: sample rate {clip.sample_rate}, expected {TARGET_SAMPLE_RATE}"
         )
     if bank is None:
-        bank = build_filterbank(config.num_filters, config.fft_size, config.sample_rate)
+        bank = build_filterbank()
 
-    samples = clip.samples
-    if config.pre_emphasis is not None:
-        samples = np.append(samples[0], samples[1:] - config.pre_emphasis * samples[:-1])
-
-    frames = frame_signal(samples, config)
-    power = _power_spectra(frames, config)
-    log_energies = log_mel_energies(power, bank, config.log_floor)
-    static = dct2_ortho(log_energies, NUM_STATIC)
-    dynamic = delta(static, config.delta_window)
-    return np.hstack([static, dynamic])
+    power = _power_spectra(frame_signal(clip.samples))
+    static = dct2_ortho(log_mel_energies(power, bank), NUM_STATIC)
+    return np.hstack([static, delta(static)])
 
 
 def aggregate(feature_matrix: np.ndarray) -> np.ndarray:

@@ -269,6 +269,14 @@ def load_model(path) -> NetworkParams:
                     None if np.isnan(rate) else rate,
                 )
             )
+        if not layers:
+            raise ModelIncompatible(f"{path}: empty layer table")
+        for i, (spec, after) in enumerate(zip(layers, layers[1:])):
+            if spec.out_dim != after.in_dim:
+                raise ModelIncompatible(
+                    f"{path}: layer {i} out_dim {spec.out_dim} does not match "
+                    f"layer {i + 1} in_dim {after.in_dim}"
+                )
         weights, biases = [], []
         for spec in layers:
             w = np.frombuffer(payload, dtype="<f8", count=spec.out_dim * spec.in_dim, offset=pos)

@@ -1,25 +1,22 @@
 """Segmentation into 8-10 s chunks and spectral-subtraction noise reduction.
 
-Segmentation greedily cuts full-length chunks (default 10 s) from the start
-and keeps the remainder only when it is at least ``min_tail_seconds`` long,
-so every emitted chunk lies in [8 s, 10 s] under the defaults.
+Every recipe value is a module constant. Segmentation greedily cuts 10 s
+chunks from the start and keeps the remainder only when it is at least 8 s
+long, so every emitted chunk lies in [8 s, 10 s].
 
 Noise reduction is classical magnitude spectral subtraction: Hann-windowed
 frames (512 samples, hop 256), noise magnitude profile estimated as the mean
-magnitude spectrum of the lowest-energy frames of the clip, subtraction with
-oversubtraction factor alpha, output magnitude floored at beta times the
+magnitude spectrum of the 10 lowest-energy frames of the clip, subtraction
+with oversubtraction factor 1, output magnitude floored at 0.02 times the
 noisy magnitude. The noisy phase is kept by scaling each complex spectrum
 bin with the real gain out_mag / |X| (zero where |X| is zero) rather than
 rebuilding it from magnitude and angle. Reconstruction is overlap-add on the
 same grid, done one hop-wide block column at a time so that every output
 sample sums its frames in frame order; the periodic Hann window sums to
-exactly 1 at 50% overlap, so length is preserved and an all-pass
-configuration is the identity.
+exactly 1 at 50% overlap, so length is preserved.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -28,41 +25,20 @@ from .audio_io import AudioClip
 from .errors import ClipTooShort
 
 
-@dataclass
-class SegmentationPolicy:
-    chunk_seconds: float = 10.0
-    min_tail_seconds: float = 8.0
+CHUNK_SECONDS = 10.0
+MIN_TAIL_SECONDS = 8.0
 
-    def __post_init__(self) -> None:
-        if not 0 < self.min_tail_seconds <= self.chunk_seconds:
-            raise ValueError(
-                f"need 0 < min_tail_seconds <= chunk_seconds, got "
-                f"{self.min_tail_seconds} / {self.chunk_seconds}"
-            )
+NR_FRAME_LEN = 512
+NR_HOP = 256
+NOISE_FRAMES = 10
+OVERSUBTRACTION = 1.0  # alpha
+SPECTRAL_FLOOR = 0.02  # beta
 
 
-@dataclass
-class NoiseReductionConfig:
-    frame_len: int = 512
-    hop: int = 256
-    noise_frames: int = 10
-    oversubtraction: float = 1.0  # alpha
-    spectral_floor: float = 0.02  # beta
-
-    def __post_init__(self) -> None:
-        if self.hop > self.frame_len or self.hop <= 0:
-            raise ValueError("need 0 < hop <= frame_len")
-        if not 0 <= self.spectral_floor < 1:
-            raise ValueError("need 0 <= spectral_floor < 1")
-        if self.oversubtraction <= 0:
-            raise ValueError("need oversubtraction > 0")
-
-
-def segment(clip: AudioClip, policy: SegmentationPolicy | None = None) -> list[AudioClip]:
+def segment(clip: AudioClip) -> list[AudioClip]:
     """Cut consecutive non-overlapping chunks; short input yields an empty list."""
-    policy = policy or SegmentationPolicy()
-    chunk = int(round(policy.chunk_seconds * clip.sample_rate))
-    min_tail = int(round(policy.min_tail_seconds * clip.sample_rate))
+    chunk = int(round(CHUNK_SECONDS * clip.sample_rate))
+    min_tail = int(round(MIN_TAIL_SECONDS * clip.sample_rate))
     x = clip.samples
     out: list[AudioClip] = []
     start = 0
@@ -110,17 +86,16 @@ def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
     return out.ravel()
 
 
-def reduce_noise(clip: AudioClip, config: NoiseReductionConfig | None = None) -> AudioClip:
+def reduce_noise(clip: AudioClip) -> AudioClip:
     """Magnitude spectral subtraction; output has exactly the input's length."""
-    config = config or NoiseReductionConfig()
     x = clip.samples
     if x.ndim != 1:
         raise ValueError("reduce_noise expects a mono clip")
     n = x.shape[0]
-    if n < config.frame_len:
-        raise ClipTooShort(f"{clip.source_id}: {n} samples < frame_len {config.frame_len}")
+    if n < NR_FRAME_LEN:
+        raise ClipTooShort(f"{clip.source_id}: {n} samples < frame length {NR_FRAME_LEN}")
 
-    frame_len, hop = config.frame_len, config.hop
+    frame_len, hop = NR_FRAME_LEN, NR_HOP
     window = _periodic_hann(frame_len)
 
     # pad by one hop at the front and at least one frame at the back so every
@@ -137,13 +112,12 @@ def reduce_noise(clip: AudioClip, config: NoiseReductionConfig | None = None) ->
 
     # frames are not needed after the FFT, so square them in place
     energies = np.sum(np.square(frames, out=frames), axis=1)
-    k = min(config.noise_frames, n_frames)
+    k = min(NOISE_FRAMES, n_frames)
     quietest = np.argsort(energies, kind="stable")[:k]
     noise_profile = mag[quietest].mean(axis=0)
 
     # gain = out_mag / mag, computed in place; out_mag is 0 wherever mag is 0
-    gain = np.maximum(mag - config.oversubtraction * noise_profile,
-                      config.spectral_floor * mag)
+    gain = np.maximum(mag - OVERSUBTRACTION * noise_profile, SPECTRAL_FLOOR * mag)
     np.divide(gain, mag, out=gain, where=mag > 0)
     spectra *= gain
     rebuilt = np.fft.irfft(spectra, frame_len, axis=1)

@@ -4,7 +4,9 @@ The split is a seeded shuffle followed by stratified slicing: global sizes
 are exact (80/10/10 of N) and every class lands within one sample of its
 proportional share in each of the three parts. Adam uses the standard
 bias-corrected moment updates; the learning rate halves after three epochs
-without validation-loss improvement (reduce-on-plateau), floored at min_lr.
+without a validation-loss improvement of at least 1e-4 (reduce-on-plateau),
+floored at 1e-6. These recipe values are module constants; only the learning
+rate, batch size, epoch count and seed are settable.
 
 Per-epoch metrics are recomputed over the full train and validation sets in
 inference mode at epoch end, so reported accuracies are exactly (correct
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, EmptyClass, EmptySet, NonFiniteGradient
+from .errors import DataError, EmptyClass, NonFiniteGradient
 from .features import AggregatedFeature
 from .network import (
     NUM_CLASSES,
@@ -29,55 +31,48 @@ from .network import (
 )
 
 
+# the training set takes the remaining 80%
+TEST_FRACTION = 0.10
+VAL_FRACTION = 0.10
+
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
+PLATEAU_FACTOR = 0.5
+PLATEAU_PATIENCE = 3
+PLATEAU_MIN_DELTA = 1e-4
+MIN_LR = 1e-6
+
+
 @dataclass
 class TrainingConfig:
     learning_rate: float = 0.001
     batch_size: int = 128
     epochs: int = 35
-    train_fraction: float = 0.80
-    test_fraction: float = 0.10
-    val_fraction: float = 0.10
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    plateau_factor: float = 0.5
-    plateau_patience: int = 3
-    plateau_min_delta: float = 1e-4
-    min_lr: float = 1e-6
 
     def __post_init__(self) -> None:
-        fractions = (self.train_fraction, self.test_fraction, self.val_fraction)
-        if not all(0 <= f <= 1 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
-            raise ValueError(
-                f"train_fraction, test_fraction and val_fraction must lie in [0, 1] "
-                f"and sum to 1, got {fractions}"
-            )
+        if not 0 < self.learning_rate <= 1:
+            raise ValueError(f"learning_rate must lie in (0, 1], got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        for name in ("learning_rate", "beta1", "beta2", "plateau_factor"):
-            rate = getattr(self, name)
-            if not 0 < rate <= 1:
-                raise ValueError(f"{name} must lie in (0, 1], got {rate}")
 
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moments plus the step counter and live rate."""
+    """Per-parameter first/second moments plus the live rate and step counter."""
 
     m_weights: list[np.ndarray]
     m_biases: list[np.ndarray]
     v_weights: list[np.ndarray]
     v_biases: list[np.ndarray]
+    lr: float
     t: int = 0
-    lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
 
 @dataclass
@@ -97,9 +92,6 @@ def init_adam_state(params: NetworkParams, config: TrainingConfig) -> AdamState:
         v_weights=[np.zeros_like(w) for w in params.weights],
         v_biases=[np.zeros_like(b) for b in params.biases],
         lr=config.learning_rate,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        epsilon=config.epsilon,
     )
 
 
@@ -112,18 +104,18 @@ def adam_step(
             raise NonFiniteGradient("gradient contains NaN or infinity")
 
     state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
+    bc1 = 1.0 - BETA1**state.t
+    bc2 = 1.0 - BETA2**state.t
     for tensors, moments_m, moments_v, gs in (
         (params.weights, state.m_weights, state.v_weights, grads.weights),
         (params.biases, state.m_biases, state.v_biases, grads.biases),
     ):
         for theta, m, v, g in zip(tensors, moments_m, moments_v, gs):
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * g * g
-            theta -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            theta -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
     return params, state
 
 
@@ -153,7 +145,7 @@ def _largest_remainder(quotas: np.ndarray, target: int) -> np.ndarray:
     return base
 
 
-def _stratified_counts(class_sizes: np.ndarray, config: TrainingConfig) -> np.ndarray:
+def _stratified_counts(class_sizes: np.ndarray) -> np.ndarray:
     """Per-class (train, test, val) counts: exact global totals, +-1 per class.
 
     Test and val counts start from largest-remainder apportionment; a repair
@@ -161,13 +153,13 @@ def _stratified_counts(class_sizes: np.ndarray, config: TrainingConfig) -> np.nd
     train share also sits within one sample of its quota.
     """
     n_total = int(class_sizes.sum())
-    n_test = int(round(n_total * config.test_fraction))
-    n_val = int(round(n_total * config.val_fraction))
+    n_test = int(round(n_total * TEST_FRACTION))
+    n_val = int(round(n_total * VAL_FRACTION))
 
-    test = _largest_remainder(class_sizes * config.test_fraction, n_test)
-    val = _largest_remainder(class_sizes * config.val_fraction, n_val)
-    q_test = class_sizes * config.test_fraction
-    q_val = class_sizes * config.val_fraction
+    test = _largest_remainder(class_sizes * TEST_FRACTION, n_test)
+    val = _largest_remainder(class_sizes * VAL_FRACTION, n_val)
+    q_test = class_sizes * TEST_FRACTION
+    q_val = class_sizes * VAL_FRACTION
 
     # combined test+val deviation beyond one sample means the train share of
     # that class is off by more than one; shift single slots between classes
@@ -218,7 +210,7 @@ def split_dataset(
         by_label[labels[idx]].append(int(idx))
 
     class_sizes = np.array([len(by_label[lab]) for lab in present], dtype=np.int64)
-    counts = _stratified_counts(class_sizes, config)
+    counts = _stratified_counts(class_sizes)
 
     train, test, val = [], [], []
     for lab, (n_tr, n_te, n_va) in zip(present, counts):
@@ -235,24 +227,20 @@ def split_dataset(
 
 @dataclass
 class PlateauScheduler:
-    """Halve the rate after ``patience`` epochs without val-loss improvement."""
+    """Halve the rate after PLATEAU_PATIENCE epochs without val-loss improvement."""
 
     lr: float
-    factor: float = 0.5
-    patience: int = 3
-    min_delta: float = 1e-4
-    min_lr: float = 1e-6
     best: float = float("inf")
     bad_epochs: int = 0
 
     def update(self, val_loss: float) -> float:
-        if val_loss < self.best - self.min_delta:
+        if val_loss < self.best - PLATEAU_MIN_DELTA:
             self.best = val_loss
             self.bad_epochs = 0
         else:
             self.bad_epochs += 1
-            if self.bad_epochs >= self.patience:
-                self.lr = max(self.min_lr, self.lr * self.factor)
+            if self.bad_epochs >= PLATEAU_PATIENCE:
+                self.lr = max(MIN_LR, self.lr * PLATEAU_FACTOR)
                 self.bad_epochs = 0
         return self.lr
 
@@ -282,21 +270,13 @@ def train(
 
     config = config or TrainingConfig()
     train_set, _, val_set = split_dataset(features, config, require_all_labels)
-    if not train_set or not val_set:
-        raise EmptySet("the split leaves the training or the validation set empty")
     x_train, y_train = _dataset_arrays(train_set)
     x_val, y_val = _dataset_arrays(val_set)
     t_train = one_hot(y_train)
 
     params = init_params(config.seed)
     state = init_adam_state(params, config)
-    sched = PlateauScheduler(
-        lr=config.learning_rate,
-        factor=config.plateau_factor,
-        patience=config.plateau_patience,
-        min_delta=config.plateau_min_delta,
-        min_lr=config.min_lr,
-    )
+    sched = PlateauScheduler(lr=config.learning_rate)
     shuffle_rng = np.random.default_rng([config.seed, 1])
     dropout_rng = np.random.default_rng([config.seed, 2])
 

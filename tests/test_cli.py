@@ -30,7 +30,7 @@ SR = 16000
 @pytest.fixture(scope="session")
 def workspace(tmp_path_factory):
     """Small end-to-end corpus shared by the CLI tests: 160 segments, trained
-    to convergence with a config-file learning-rate override."""
+    to convergence with a raised learning rate."""
     root = tmp_path_factory.mktemp("cli_workspace")
     assert main(["make-fixture", "--out", str(root / "corpus"), "--seed", "11",
                  "--speakers-per-class", "2", "--files-per-speaker", "2",
@@ -42,12 +42,10 @@ def workspace(tmp_path_factory):
     assert main(["extract", str(root / "segments.csv"),
                  "--out", str(root / "cache.feat"),
                  "--csv", str(root / "cache.csv")]) == 0
-    config = root / "overrides.cfg"
-    config.write_text("learning_rate = 0.01  # desk-scale corpus\nepochs = 40\n")
     assert main(["train", str(root / "cache.feat"),
                  "--model-out", str(root / "model.bin"),
                  "--metrics-out", str(root / "metrics.csv"),
-                 "--seed", "7", "--config", str(config)]) == 0
+                 "--seed", "7", "--lr", "0.01", "--epochs", "40"]) == 0
     return root
 
 
@@ -137,6 +135,28 @@ def test_preprocess_lists_zero_sample_rate_file_and_continues(tmp_path, capsys):
     assert len(rows) == 1 and rows[0].audio_path.endswith("good_seg000.wav")
 
 
+def _manifest_with_missing_file(tmp_path) -> tuple[Path, Path]:
+    """A two-row manifest: one good 10 s WAV, then a path with no file."""
+    good = tmp_path / "good.wav"
+    write_wav(sine_clip(seconds=10.0), good)
+    missing = tmp_path / "missing.wav"
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("audio_path,division,speaker_id,gender\n"
+                        f"{good},Dhaka,spk1,\n{missing},Dhaka,spk1,\n")
+    return manifest, missing
+
+
+def test_preprocess_logs_missing_file_and_continues(tmp_path, capsys):
+    manifest, missing = _manifest_with_missing_file(tmp_path)
+    rc = main(["preprocess", str(manifest),
+               "--out-dir", str(tmp_path / "seg"), "--out", str(tmp_path / "s.csv")])
+    out, err = capsys.readouterr()
+    assert rc == 0
+    assert "(1/2 input files failed)" in out
+    assert str(missing) in err
+    assert len(read_manifest(tmp_path / "s.csv")) == 1
+
+
 def test_preprocess_non_utf8_manifest_is_data_error(tmp_path, capsys):
     manifest = tmp_path / "latin1.csv"
     manifest.write_bytes(b"audio_path,division,speaker_id,gender\ncaf\xe9.wav,Dhaka,spk1,\n")
@@ -197,6 +217,16 @@ def test_extract_agrees_with_in_process_pipeline(workspace):
     np.testing.assert_array_equal(rec.vector, expected)
 
 
+def test_extract_logs_missing_file_and_continues(tmp_path, capsys):
+    manifest, missing = _manifest_with_missing_file(tmp_path)
+    rc = main(["extract", str(manifest), "--out", str(tmp_path / "c.feat")])
+    out, err = capsys.readouterr()
+    assert rc == 0
+    assert "(1/2 segments failed)" in out
+    assert str(missing) in err
+    assert len(read_feature_cache(tmp_path / "c.feat")) == 1
+
+
 def test_extract_worker_count_does_not_change_output(workspace, tmp_path):
     # the worker pool merges results in manifest order, so the cache bytes
     # are independent of parallelism
@@ -237,17 +267,6 @@ def test_train_converges_on_fixture_corpus(workspace):
     assert float(final[4]) >= 0.95  # val_acc column
 
 
-def test_train_unknown_config_key_is_usage_error(workspace, tmp_path, capsys):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("warp_speed = 9\n")
-    rc = main(["train", str(workspace / "cache.feat"),
-               "--model-out", str(tmp_path / "m.bin"),
-               "--metrics-out", str(tmp_path / "m.csv"),
-               "--config", str(bad)])
-    assert rc == 1
-    assert "warp_speed" in capsys.readouterr().err
-
-
 def _corrupt_cache(path, label: int = 0, source_id: bytes = b"ab", first_value: float = 0.0,
                    trailing: bytes = b""):
     """An 80-record cache, enough to split and train on, whose first record's
@@ -280,15 +299,6 @@ def test_train_corrupt_cache_is_data_error(tmp_path, capsys, corruption):
                "--metrics-out", str(tmp_path / "m.csv")])
     assert rc == 2
     assert "bad.feat" in capsys.readouterr().err
-
-
-def test_train_non_utf8_config_is_usage_error(tmp_path, capsys):
-    config = tmp_path / "latin1.cfg"
-    config.write_bytes(b"epochs = 3  # caf\xe9\n")
-    rc = main(["train", str(tmp_path / "c.feat"), "--model-out", str(tmp_path / "m.bin"),
-               "--metrics-out", str(tmp_path / "m.csv"), "--config", str(config)])
-    assert rc == 1
-    assert "latin1.cfg" in capsys.readouterr().err
 
 
 def test_train_missing_cache_is_data_error(tmp_path):
@@ -363,6 +373,22 @@ def test_evaluate_incompatible_model_is_data_error(workspace, tmp_path, capsys):
     assert "10" in capsys.readouterr().err
 
 
+def _model_with_unchained_layer(path):
+    """A CRC-valid model file whose third layer takes 200 inputs, not 256."""
+    from divrec.network import ARCHITECTURE, LayerSpec, init_params, save_model
+
+    layers = list(ARCHITECTURE)
+    layers[2] = LayerSpec(200, 256, "relu", dropout_after=0.2)
+    save_model(init_params(0, layers=tuple(layers)), path)
+    return path
+
+
+def test_evaluate_unchained_model_is_data_error(workspace, tmp_path, capsys):
+    model = _model_with_unchained_layer(tmp_path / "unchained.bin")
+    assert main(["evaluate", str(model), str(workspace / "cache.feat")]) == 2
+    assert "unchained.bin" in capsys.readouterr().err
+
+
 def test_numeric_error_exits_three(workspace, tmp_path, monkeypatch, capsys):
     from divrec import cli
     from divrec.errors import NonFiniteGradient
@@ -427,6 +453,13 @@ def test_predict_zero_sample_rate_is_data_error(workspace, tmp_path, capsys):
     assert "sample rate 0" in capsys.readouterr().err
 
 
+def test_predict_unchained_model_is_data_error(tmp_path, capsys):
+    model = _model_with_unchained_layer(tmp_path / "unchained.bin")
+    write_wav(sine_clip(seconds=10.0), tmp_path / "clip.wav")
+    assert main(["predict", str(model), str(tmp_path / "clip.wav")]) == 2
+    assert "unchained.bin" in capsys.readouterr().err
+
+
 def test_predict_majority_vote_two_against_one(workspace, tmp_path, capsys):
     rng = np.random.default_rng(99)
     parts = [synthesize_utterance(0, rng, 10.0), synthesize_utterance(0, rng, 10.0),
@@ -463,28 +496,27 @@ def test_make_fixture_deterministic(tmp_path):
 
 # --- exit codes ---
 
-@pytest.mark.parametrize("command, flags, config, named", [
-    ("train", [], "epochs = abc", "epochs"),
-    ("train", [], "train_fraction = 0.5", "train_fraction"),
-    ("train", [], "hop = 160", "hop"),
-    ("evaluate", [], "hop = 160", "hop"),
-    ("train", ["--epochs", "0"], None, "epochs"),
-    ("train", ["--lr", "5"], None, "learning_rate"),
-    ("train", ["--seed", "-1"], None, "seed"),
-    ("evaluate", ["--split", "val", "--seed", "-1"], None, "seed"),
-    ("train", [], "seed = -1", "seed"),
-    ("preprocess", ["--workers", "0"], None, "--workers"),
-    ("make-fixture", ["--seed", "-1"], None, "seed"),
-    ("make-fixture", ["--file-seconds", "-1"], None, "file_seconds"),
-    ("make-fixture", ["--file-seconds", "nan"], None, "file_seconds"),
-    ("make-fixture", ["--file-seconds", "1e300"], None, "file_seconds"),
-    ("make-fixture", ["--noise-level", "-1"], None, "noise_level"),
-], ids=["config-epochs-abc", "config-train-fraction", "config-feature-key",
-        "evaluate-config-feature-key", "epochs-0", "lr-5", "seed-negative",
-        "evaluate-seed-negative", "config-seed-negative", "workers-0", "fixture-seed-negative",
+@pytest.mark.parametrize("command, flags, named", [
+    ("train", ["--epochs", "0"], "epochs"),
+    ("train", ["--lr", "5"], "learning_rate"),
+    ("train", ["--seed", "-1"], "seed"),
+    ("evaluate", ["--split", "val", "--seed", "-1"], "seed"),
+    ("train", ["--checkpoint-every", "0", "--checkpoint-dir", "ck"], "--checkpoint-every"),
+    ("train", ["--checkpoint-every", "-1", "--checkpoint-dir", "ck"], "--checkpoint-every"),
+    ("train", ["--checkpoint-every", "2"], "--checkpoint-dir"),
+    ("train", ["--checkpoint-dir", "ck"], "--checkpoint-every"),
+    ("preprocess", ["--workers", "0"], "--workers"),
+    ("make-fixture", ["--seed", "-1"], "seed"),
+    ("make-fixture", ["--file-seconds", "-1"], "file_seconds"),
+    ("make-fixture", ["--file-seconds", "nan"], "file_seconds"),
+    ("make-fixture", ["--file-seconds", "1e300"], "file_seconds"),
+    ("make-fixture", ["--noise-level", "-1"], "noise_level"),
+], ids=["epochs-0", "lr-5", "seed-negative", "evaluate-seed-negative",
+        "checkpoint-every-0", "checkpoint-every-negative", "checkpoint-every-without-dir",
+        "checkpoint-dir-without-every", "workers-0", "fixture-seed-negative",
         "fixture-seconds-negative", "fixture-seconds-nan", "fixture-seconds-huge",
         "fixture-noise-negative"])
-def test_invalid_value_is_usage_error(tmp_path, capsys, command, flags, config, named):
+def test_invalid_value_is_usage_error(tmp_path, capsys, command, flags, named):
     manifest = tmp_path / "m.csv"
     manifest.write_text("audio_path,division,speaker_id,gender\n")
     positional = {
@@ -496,13 +528,20 @@ def test_invalid_value_is_usage_error(tmp_path, capsys, command, flags, config, 
         "make-fixture": ["--out", str(tmp_path / "fx"), "--speakers-per-class", "1",
                          "--files-per-speaker", "1", "--file-seconds", "1"],
     }[command]
-    if config is not None:
-        (tmp_path / "bad.cfg").write_text(config + "\n")
-        flags = [*flags, "--config", str(tmp_path / "bad.cfg")]
     assert main([command, *positional, *flags]) == 1
     err = capsys.readouterr().err
     assert named in err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "c.feat", "--model-out", "m.bin", "--metrics-out", "m.csv", "--config", "x"],
+    ["evaluate", "m.bin", "c.feat", "--config", "x"],
+], ids=["train", "evaluate"])
+def test_config_flag_is_gone(argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 1
 
 
 def test_usage_error_exits_one():

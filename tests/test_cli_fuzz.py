@@ -11,7 +11,6 @@ cases of ``test_invalid_value_is_usage_error``.
 """
 
 import contextlib
-import dataclasses
 import io
 import tempfile
 from pathlib import Path
@@ -26,10 +25,8 @@ from divrec.cli import main
 from divrec.features import AggregatedFeature, write_feature_cache
 from divrec.fixture import synthesize_utterance
 from divrec.network import init_params, save_model
-from divrec.training import TrainingConfig
 
 VALUES = ["-1", "0", "1", "2", "nan", "inf", "abc"]
-CONFIG_KEYS = [f.name for f in dataclasses.fields(TrainingConfig)] + ["hop", "bogus"]
 COMMANDS = ["scan", "preprocess", "extract", "train", "evaluate", "predict"]
 
 
@@ -65,15 +62,12 @@ def _inputs(draw, originals: dict, d: Path) -> None:
     """Write each input kind into ``d``; at most one of them is damaged."""
     wav = d / "corpus" / "Dhaka" / "spk1" / "a.wav"
     wav.parent.mkdir(parents=True)
-    lines = draw(st.lists(st.tuples(st.sampled_from(CONFIG_KEYS), st.sampled_from(VALUES)),
-                          max_size=3))
     manifest = f"audio_path,division,speaker_id,gender\n{wav},Dhaka,spk1,\n"
     files = {
         wav: originals["clip.wav"],
         d / "manifest.csv": manifest.encode(),
         d / "cache.feat": originals["cache.feat"],
         d / "model.bin": originals["model.bin"],
-        d / "train.cfg": "".join(f"{key} = {value}\n" for key, value in lines).encode(),
     }
     damaged = draw(st.sampled_from([None, *files]))
     for path, data in files.items():
@@ -87,7 +81,6 @@ def _argv(draw, command: str, d: Path) -> list[str]:
     def switch(*flags: str) -> list[str]:
         return list(flags) if draw(st.booleans()) else []
 
-    config = switch("--config", str(d / "train.cfg"))
     if command == "scan":
         return ["scan", str(d / "corpus"), "--out", str(d / "scanned.csv")]
     if command == "preprocess":
@@ -99,13 +92,13 @@ def _argv(draw, command: str, d: Path) -> list[str]:
     if command == "train":
         return ["train", str(d / "cache.feat"), "--model-out", str(d / "out.bin"),
                 "--metrics-out", str(d / "metrics.csv"),
-                "--epochs", _value(draw), *config, *maybe("--seed"),
+                "--epochs", _value(draw), *maybe("--seed"),
                 *maybe("--batch-size"), *maybe("--lr"), *switch("--allow-missing-classes"),
-                *maybe("--checkpoint-every"), "--checkpoint-dir", str(d)]
+                *maybe("--checkpoint-every"), *switch("--checkpoint-dir", str(d))]
     if command == "evaluate":
         return ["evaluate", str(d / "model.bin"), str(d / "cache.feat"),
                 "--split", draw(st.sampled_from(["full", "train", "test", "val"])),
-                *config, *maybe("--seed"), *switch("--allow-missing-classes")]
+                *maybe("--seed"), *switch("--allow-missing-classes")]
     return ["predict", str(d / "model.bin"), str(d / "corpus" / "Dhaka" / "spk1" / "a.wav")]
 
 

@@ -316,3 +316,20 @@ def test_model_rejects_activation_tag_zero(tmp_path):
     path.write_bytes(b"DIVMODL1" + payload + struct.pack("<I", zlib.crc32(payload)))
     with pytest.raises(ModelIncompatible, match="unknown activation tag 0"):
         load_model(path)
+
+
+def test_model_rejects_layer_table_that_does_not_chain(tmp_path):
+    layers = list(ARCHITECTURE)
+    layers[2] = LayerSpec(200, 256, "relu", dropout_after=0.2)  # layer 1 emits 256
+    path = tmp_path / "unchained.model"
+    save_model(init_params(1, layers=tuple(layers)), path)
+    with pytest.raises(ModelIncompatible, match="layer 1 out_dim 256 does not match layer 2"):
+        load_model(path)
+
+
+def test_model_rejects_empty_layer_table(tmp_path):
+    path = tmp_path / "empty.model"
+    payload = struct.pack("<BB", 1, 0)  # version 1, no layers
+    path.write_bytes(b"DIVMODL1" + payload + struct.pack("<I", zlib.crc32(payload)))
+    with pytest.raises(ModelIncompatible, match="empty layer table"):
+        load_model(path)

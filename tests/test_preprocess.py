@@ -9,8 +9,11 @@ from divrec.audio_io import AudioClip, encode_pcm16
 from divrec.errors import ClipTooShort
 from divrec.fixture import synthesize_utterance
 from divrec.preprocess import (
-    NoiseReductionConfig,
-    SegmentationPolicy,
+    NOISE_FRAMES,
+    NR_FRAME_LEN,
+    NR_HOP,
+    OVERSUBTRACTION,
+    SPECTRAL_FLOOR,
     _overlap_add,
     _periodic_hann,
     reduce_noise,
@@ -65,11 +68,6 @@ def test_segments_are_prefix_partition(n_samples):
         assert n_samples - covered < 8 * SR
 
 
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        SegmentationPolicy(chunk_seconds=5.0, min_tail_seconds=8.0)
-
-
 def test_noise_reduction_zero_in_zero_out():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the zero-magnitude gain must not divide 0 by 0
@@ -119,13 +117,12 @@ def test_snr_improves_on_gated_sine_plus_noise():
 
 
 def test_pure_sine_deviation_bounded_by_spectral_floor():
-    config = NoiseReductionConfig()
     amplitude = 0.5
     clip = sine_clip(freq=440.0, amplitude=amplitude, seconds=2.0)
-    out = reduce_noise(clip, config)
+    out = reduce_noise(clip)
     # per-bin magnitudes end between beta*|X| and |X|, so the output cannot
     # stray from the input by more than the fully-attenuated amplitude
-    bound = (1.0 - config.spectral_floor) * amplitude
+    bound = (1.0 - SPECTRAL_FLOOR) * amplitude
     assert np.max(np.abs(out.samples - clip.samples)) <= bound * 1.05
 
 
@@ -146,10 +143,10 @@ def _reference_overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
     return out
 
 
-def _reference_reduce_noise(clip: AudioClip, config: NoiseReductionConfig) -> np.ndarray:
+def _reference_reduce_noise(clip: AudioClip) -> np.ndarray:
     x = clip.samples
     n = x.shape[0]
-    frame_len, hop = config.frame_len, config.hop
+    frame_len, hop = NR_FRAME_LEN, NR_HOP
     window = _periodic_hann(frame_len)
     n_frames = int(np.ceil((n + frame_len) / hop)) + 1
     padded = np.zeros((n_frames - 1) * hop + frame_len)
@@ -161,10 +158,9 @@ def _reference_reduce_noise(clip: AudioClip, config: NoiseReductionConfig) -> np
     mag = np.abs(spectra)
     phase = np.angle(spectra)
     energies = np.sum(frames**2, axis=1)
-    quietest = np.argsort(energies, kind="stable")[: min(config.noise_frames, n_frames)]
+    quietest = np.argsort(energies, kind="stable")[: min(NOISE_FRAMES, n_frames)]
     noise_profile = mag[quietest].mean(axis=0)
-    out_mag = np.maximum(mag - config.oversubtraction * noise_profile,
-                         config.spectral_floor * mag)
+    out_mag = np.maximum(mag - OVERSUBTRACTION * noise_profile, SPECTRAL_FLOOR * mag)
     rebuilt = np.fft.irfft(out_mag * np.exp(1j * phase), frame_len, axis=1)
     out = _reference_overlap_add(rebuilt, hop)
     return np.clip(out[hop : hop + n], -1.0, 1.0)
@@ -189,20 +185,10 @@ def test_blocked_overlap_add_bit_equal_to_frame_loop(frame_len, hop):
 @pytest.mark.parametrize("class_index", range(8))
 def test_reduce_noise_matches_reference_on_fixture_segments(class_index):
     clip = _fixture_segment(class_index)
-    config = NoiseReductionConfig()
-    expected = _reference_reduce_noise(clip, config)
-    got = reduce_noise(clip, config).samples
+    expected = _reference_reduce_noise(clip)
+    got = reduce_noise(clip).samples
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
     assert encode_pcm16(got).tobytes() == encode_pcm16(expected).tobytes()
-
-
-@pytest.mark.parametrize("frame_len,hop", [(512, 170), (512, 512), (400, 160)])
-def test_reduce_noise_matches_reference_off_default_grid(frame_len, hop):
-    clip = _fixture_segment(3, seconds=2.3)
-    config = NoiseReductionConfig(frame_len=frame_len, hop=hop)
-    expected = _reference_reduce_noise(clip, config)
-    np.testing.assert_allclose(reduce_noise(clip, config).samples, expected,
-                               rtol=0, atol=1e-12)
 
 
 def test_reduce_noise_silent_stretch_raises_no_warning():
@@ -212,5 +198,5 @@ def test_reduce_noise_silent_stretch_raises_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = reduce_noise(clip).samples
-    np.testing.assert_allclose(out, _reference_reduce_noise(clip, NoiseReductionConfig()),
+    np.testing.assert_allclose(out, _reference_reduce_noise(clip),
                                rtol=0, atol=1e-12)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divrec.errors import DataError, EmptyClass, EmptySet, NonFiniteGradient
+from divrec.errors import DataError, EmptyClass, NonFiniteGradient
 from divrec.features import AggregatedFeature
 from divrec.network import LayerSpec, NetworkParams, backward, forward, init_params
 from divrec.training import (
@@ -88,20 +89,19 @@ def test_split_too_few_samples_raises():
         split_dataset(records, TrainingConfig(seed=0))
 
 
+def test_config_has_only_the_settable_fields():
+    names = [f.name for f in dataclasses.fields(TrainingConfig)]
+    assert names == ["learning_rate", "batch_size", "epochs", "seed"]
+
+
 @pytest.mark.parametrize("kwargs", [
     {"seed": -1},
-    {"train_fraction": 2.0, "test_fraction": -1.0, "val_fraction": 0.0},
-    {"train_fraction": math.nan},
-], ids=["seed", "negative-fraction", "nan-fraction"])
-def test_config_rejects_invalid_seed_and_fractions(kwargs):
+    {"learning_rate": math.nan},
+    {"batch_size": 0},
+], ids=["seed", "nan-learning-rate", "batch-size-0"])
+def test_config_rejects_invalid_values(kwargs):
     with pytest.raises(ValueError):
         TrainingConfig(**kwargs)
-
-
-def test_train_rejects_split_with_empty_validation_set():
-    config = TrainingConfig(epochs=1, train_fraction=1.0, test_fraction=0.0, val_fraction=0.0)
-    with pytest.raises(EmptySet):
-        train(make_records([5] * 8), config)
 
 
 @settings(max_examples=40, deadline=None)
@@ -237,14 +237,7 @@ def test_non_finite_gradient_raises():
 
 def _rate_after(val_losses: list[float]) -> float:
     """Feed a validation-loss history to the scheduler, configured as ``train`` does."""
-    config = TrainingConfig()
-    sched = PlateauScheduler(
-        lr=config.learning_rate,
-        factor=config.plateau_factor,
-        patience=config.plateau_patience,
-        min_delta=config.plateau_min_delta,
-        min_lr=config.min_lr,
-    )
+    sched = PlateauScheduler(lr=TrainingConfig().learning_rate)
     for loss in val_losses:
         sched.update(loss)
     return sched.lr
