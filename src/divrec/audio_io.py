@@ -1,4 +1,4 @@
-"""WAV decoding, channel/rate normalization, and encoding.
+"""WAV decoding, channel mixing, and encoding.
 
 Only uncompressed 16-bit PCM little-endian RIFF/WAVE files are accepted;
 anything else is rejected loudly. Raw int16 samples are normalized by
@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IoFailure, MalformedHeader, TruncatedData, UnsupportedEncoding
+from .errors import MalformedHeader, TruncatedData, UnsupportedEncoding
 
 TARGET_SAMPLE_RATE = 16000
-MIN_SAMPLE_RATE = 8000
 
 
 @dataclass
@@ -114,31 +113,14 @@ def to_mono(clip: AudioClip) -> AudioClip:
     return AudioClip(samples=mono, sample_rate=clip.sample_rate, source_id=clip.source_id)
 
 
-def resample_linear(clip: AudioClip, target_rate: int) -> AudioClip:
-    """Resample onto a uniform grid by linear interpolation.
-
-    This is a guard path for stray inputs, not a quality path: no band
-    limiting is applied, so content above target_rate/2 will alias.
-    """
-    if target_rate <= 0:
-        raise ValueError(f"target_rate must be positive, got {target_rate}")
-    if target_rate == clip.sample_rate:
-        return clip
-    n_in = clip.num_samples
-    n_out = int(round(n_in * target_rate / clip.sample_rate))
-    t_out = np.arange(n_out) / target_rate
-    t_in = np.arange(n_in) / clip.sample_rate
-    resampled = np.interp(t_out, t_in, clip.samples)
-    return AudioClip(samples=resampled, sample_rate=target_rate, source_id=clip.source_id)
-
-
 def ingest(path) -> AudioClip:
-    """read_wav + to_mono + resample onto the pipeline's 16 kHz grid; rates
-    below 8 kHz are refused, since upsampling them multiplies memory."""
+    """read_wav + to_mono; any sample rate other than 16 kHz is refused."""
     clip = read_wav(path)
-    if clip.sample_rate < MIN_SAMPLE_RATE:
-        raise UnsupportedEncoding(f"{path}: sample rate {clip.sample_rate} Hz, below {MIN_SAMPLE_RATE}")
-    return resample_linear(to_mono(clip), TARGET_SAMPLE_RATE)
+    if clip.sample_rate != TARGET_SAMPLE_RATE:
+        raise UnsupportedEncoding(
+            f"{path}: sample rate {clip.sample_rate} Hz, only {TARGET_SAMPLE_RATE} supported"
+        )
+    return to_mono(clip)
 
 
 def encode_pcm16(samples: np.ndarray) -> np.ndarray:
@@ -179,9 +161,6 @@ def write_wav(clip: AudioClip, path) -> None:
         + b"data"
         + struct.pack("<I", len(pcm))
     )
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(pcm)
-    except OSError as exc:
-        raise IoFailure(f"{path}: {exc}") from exc
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(pcm)

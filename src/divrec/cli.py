@@ -34,7 +34,6 @@ from .features import (
     extract,
     read_feature_cache,
     write_feature_cache,
-    write_feature_csv,
 )
 from .fixture import make_fixture
 from .manifest import ManifestRow, read_manifest, scan_corpus, write_manifest
@@ -125,6 +124,12 @@ def _preprocess_one(row: ManifestRow, out_dir: Path) -> list[ManifestRow]:
 
 def cmd_preprocess(args) -> int:
     rows = read_manifest(args.manifest)
+    # segment files are named by division, speaker and stem, not by the full path
+    owners = {}
+    for row in rows:
+        name = Path(row.division, row.speaker_id, Path(row.audio_path).stem)
+        if (first := owners.setdefault(name, row.audio_path)) != row.audio_path:
+            raise DataError(f"{first} and {row.audio_path} would both write {name}_segNNN.wav")
     out_dir = Path(args.out_dir)
     per_file, failures = _map_rows(rows, lambda row: _preprocess_one(row, out_dir), args.workers)
     if failures == len(rows):
@@ -153,25 +158,14 @@ def cmd_extract(args) -> int:
     write_feature_cache(records, args.out)
     print(f"wrote {len(records)} records to {args.out} "
           f"({failures}/{len(rows)} segments failed)")
-    if args.csv:
-        write_feature_csv(records, args.csv)
-        print(f"wrote CSV mirror to {args.csv}")
     return 0
 
 
 def cmd_train(args) -> int:
     training_config = _training_config(args)
-    if (args.checkpoint_every is None) != (args.checkpoint_dir is None):
-        raise UsageError("--checkpoint-every and --checkpoint-dir must be given together")
-    if args.checkpoint_every is not None and args.checkpoint_every < 1:
-        raise UsageError(f"--checkpoint-every must be at least 1, got {args.checkpoint_every}")
     records = read_feature_cache(args.cache)
     params, history = train(
-        records,
-        training_config,
-        require_all_labels=not args.allow_missing_classes,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_dir=args.checkpoint_dir,
+        records, training_config, require_all_labels=not args.allow_missing_classes
     )
     for m in history:
         print(
@@ -267,7 +261,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("extract", help="compute 26-dim segment features into a cache")
     p.add_argument("manifest")
     p.add_argument("--out", required=True, help="feature cache path")
-    p.add_argument("--csv", help="also write a CSV mirror here")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_extract)
 
@@ -280,8 +273,6 @@ def build_parser() -> _Parser:
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--lr", dest="learning_rate", type=float)
     p.add_argument("--allow-missing-classes", action="store_true")
-    p.add_argument("--checkpoint-every", type=int)
-    p.add_argument("--checkpoint-dir")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a model against a feature cache")
@@ -324,9 +315,6 @@ def main(argv=None) -> int:
         return 2
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
-    except DivrecError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -30,10 +30,6 @@ class TruncatedData(DataError):
     """WAV data chunk is shorter than its declared size."""
 
 
-class IoFailure(DataError):
-    """Underlying file write failed."""
-
-
 # preprocess / features
 class ClipTooShort(DataError):
     """Clip shorter than one noise-reduction frame."""
@@ -46,10 +42,6 @@ class SignalTooShort(DataError):
 # network
 class ShapeMismatch(DataError):
     """Input shape does not match the network architecture."""
-
-
-class CacheMissing(DivrecError):
-    """Backward pass invoked without a training-mode forward cache."""
 
 
 class ModelIncompatible(DataError):
@@ -67,8 +59,3 @@ class NonFiniteGradient(NumericError):
 
 class EmptySet(DataError):
     """Evaluation requested on an empty sample set."""
-
-
-# cli
-class NoAudioFound(DataError):
-    """Corpus scan found no WAV files."""

@@ -14,7 +14,6 @@ samples, and there is no pre-emphasis.
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 
@@ -245,13 +244,3 @@ def read_feature_cache(path) -> list[AggregatedFeature]:
     if non_finite.size:
         raise DataError(f"{path}: record {non_finite[0]} has a NaN or infinite value")
     return records
-
-
-def write_feature_csv(records: list[AggregatedFeature], path) -> None:
-    """Plain-text mirror of the cache: header label,source_id,f0..f25."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "source_id"] + [f"f{i}" for i in range(FEATURE_DIM)])
-        for rec in records:
-            writer.writerow([rec.label, rec.source_id] + [f"{v:.17g}" for v in rec.vector])
-

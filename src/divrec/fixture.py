@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import AudioClip, write_wav
+from .audio_io import TARGET_SAMPLE_RATE, AudioClip, write_wav
 from .evaluation import DIVISION_NAMES
 
 # one (f1, f2, f3) tone set per division, pairwise distinct in mel space
@@ -35,13 +35,12 @@ def synthesize_utterance(
     class_index: int,
     rng: np.random.Generator,
     seconds: float,
-    sample_rate: int = 16000,
     speaker_jitter: np.ndarray | None = None,
     noise_level: float = 0.01,
 ) -> np.ndarray:
     """One pseudo-utterance: jittered class tones + pauses + noise floor."""
-    n = int(round(seconds * sample_rate))
-    t = np.arange(n) / sample_rate
+    n = int(round(seconds * TARGET_SAMPLE_RATE))
+    t = np.arange(n) / TARGET_SAMPLE_RATE
     jitter = speaker_jitter if speaker_jitter is not None else np.ones(3)
 
     voiced = np.zeros(n)
@@ -52,11 +51,11 @@ def synthesize_utterance(
 
     # gate with speech-like pauses: ~0.3 s of silence roughly every 4 s
     envelope = np.ones(n)
-    pause_len = int(0.3 * sample_rate)
-    pos = int(rng.uniform(1.0, 4.0) * sample_rate)
+    pause_len = int(0.3 * TARGET_SAMPLE_RATE)
+    pos = int(rng.uniform(1.0, 4.0) * TARGET_SAMPLE_RATE)
     while pos + pause_len < n:
         envelope[pos : pos + pause_len] = 0.0
-        pos += int(rng.uniform(3.0, 5.0) * sample_rate)
+        pos += int(rng.uniform(3.0, 5.0) * TARGET_SAMPLE_RATE)
 
     signal = voiced * envelope + rng.normal(0.0, noise_level, n)
     return np.clip(signal, -1.0, 1.0)
@@ -68,12 +67,11 @@ def make_fixture(
     speakers_per_class: int = 5,
     files_per_speaker: int = 5,
     file_seconds: float = 100.0,
-    sample_rate: int = 16000,
     noise_level: float = 0.01,
 ) -> list[Path]:
     """Write the corpus tree root/<Division>/<speaker>/<speaker>_NNN.wav."""
     # the RIFF size field, 36 + data bytes, is a u32; samples are 2 bytes
-    max_seconds = (2**32 - 37) // 2 / sample_rate
+    max_seconds = (2**32 - 37) // 2 / TARGET_SAMPLE_RATE
     if seed < 0 or speakers_per_class < 1 or files_per_speaker < 1:
         raise ValueError("need seed >= 0, speakers_per_class >= 1 and files_per_speaker >= 1")
     if not 0 < file_seconds <= max_seconds:
@@ -90,10 +88,8 @@ def make_fixture(
             speaker_dir.mkdir(parents=True, exist_ok=True)
             speaker_jitter = 1.0 + rng.uniform(-0.015, 0.015, size=3)
             for k in range(files_per_speaker):
-                samples = synthesize_utterance(
-                    c, rng, file_seconds, sample_rate, speaker_jitter, noise_level
-                )
+                samples = synthesize_utterance(c, rng, file_seconds, speaker_jitter, noise_level)
                 path = speaker_dir / f"{speaker_id}_{k:03d}.wav"
-                write_wav(AudioClip(samples, sample_rate, str(path)), path)
+                write_wav(AudioClip(samples, TARGET_SAMPLE_RATE, str(path)), path)
                 written.append(path)
     return written

@@ -13,7 +13,7 @@ import io
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DataError, NoAudioFound
+from .errors import DataError
 from .evaluation import DIVISION_NAMES
 
 MANIFEST_FIELDS = ("audio_path", "division", "speaker_id", "gender")
@@ -55,7 +55,7 @@ def scan_corpus(root) -> tuple[list[ManifestRow], list[str]]:
                         )
                     )
     if not rows:
-        raise NoAudioFound(f"no WAV files found under {root}")
+        raise DataError(f"no WAV files found under {root}")
     rows.sort(key=lambda r: r.audio_path)
     return rows, skipped
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CacheMissing, ModelIncompatible, ShapeMismatch
+from .errors import ModelIncompatible, ShapeMismatch
 
 MODEL_MAGIC = b"DIVMODL1"
 MODEL_VERSION = 1
@@ -180,7 +180,7 @@ def backward(params: NetworkParams, cache: ForwardCache, targets: np.ndarray) ->
     softmax output the pre-activation gradient is probabilities - one-hot.
     """
     if cache.mode != "train":
-        raise CacheMissing("backward requires a cache from a training-mode forward")
+        raise ValueError("backward requires a cache from a training-mode forward")
     targets = np.asarray(targets, dtype=np.float64)
     if targets.ndim == 1:
         targets = targets[None, :]

@@ -15,7 +15,6 @@ predictions) / (set size).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,12 +261,8 @@ def train(
     features: list[AggregatedFeature],
     config: TrainingConfig | None = None,
     require_all_labels: bool = True,
-    checkpoint_every: int | None = None,
-    checkpoint_dir=None,
 ) -> tuple[NetworkParams, list[EpochMetrics]]:
     """Full training run; returns final parameters and the per-epoch history."""
-    from .network import save_model  # local to keep module import light
-
     config = config or TrainingConfig()
     train_set, _, val_set = split_dataset(features, config, require_all_labels)
     x_train, y_train = _dataset_arrays(train_set)
@@ -297,10 +292,6 @@ def train(
             EpochMetrics(epoch, train_loss, train_acc, val_loss, val_acc, lr_in_effect)
         )
         state.lr = sched.update(val_loss)
-
-        if checkpoint_every and checkpoint_dir is not None and epoch % checkpoint_every == 0:
-            name = f"checkpoint_epoch{epoch:03d}.model"
-            save_model(params, os.path.join(str(checkpoint_dir), name))
     return params, history
 
 

@@ -88,13 +88,12 @@ def _argv(draw, command: str, d: Path) -> list[str]:
                 "--out", str(d / "segments.csv"), *maybe("--workers")]
     if command == "extract":
         return ["extract", str(d / "manifest.csv"), "--out", str(d / "out.feat"),
-                *switch("--csv", str(d / "out.csv")), *maybe("--workers")]
+                *maybe("--workers")]
     if command == "train":
         return ["train", str(d / "cache.feat"), "--model-out", str(d / "out.bin"),
                 "--metrics-out", str(d / "metrics.csv"),
                 "--epochs", _value(draw), *maybe("--seed"),
-                *maybe("--batch-size"), *maybe("--lr"), *switch("--allow-missing-classes"),
-                *maybe("--checkpoint-every"), *switch("--checkpoint-dir", str(d))]
+                *maybe("--batch-size"), *maybe("--lr"), *switch("--allow-missing-classes")]
     if command == "evaluate":
         return ["evaluate", str(d / "model.bin"), str(d / "cache.feat"),
                 "--split", draw(st.sampled_from(["full", "train", "test", "val"])),

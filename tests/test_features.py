@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +20,6 @@ from divrec.features import (
     power_spectrum,
     read_feature_cache,
     write_feature_cache,
-    write_feature_csv,
 )
 
 SR = 16000
@@ -345,20 +342,6 @@ def test_binary_cache_round_trip(tmp_path, rng):
         assert a.label == b.label
         assert a.source_id == b.source_id
         np.testing.assert_array_equal(a.vector, b.vector)
-
-
-def test_csv_mirror_round_trip(tmp_path, rng):
-    records = _records(rng)
-    path = tmp_path / "cache.csv"
-    write_feature_csv(records, path)
-    with open(path, newline="") as fh:
-        header, *rows = csv.reader(fh)
-    assert header == ["label", "source_id"] + [f"f{i}" for i in range(26)]
-    assert len(rows) == len(records)
-    for rec, row in zip(records, rows):
-        assert row[0] == str(rec.label)
-        assert row[1] == rec.source_id
-        np.testing.assert_allclose(rec.vector, np.array(row[2:], dtype=float), rtol=0, atol=1e-15)
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,7 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
-from divrec.errors import CacheMissing, ModelIncompatible, ShapeMismatch
+from divrec.errors import ModelIncompatible, ShapeMismatch
 from divrec.network import (
     ARCHITECTURE,
     LayerSpec,
@@ -206,7 +206,7 @@ def test_zero_input_zeroes_first_layer_weight_grads(rng):
 def test_backward_requires_training_cache(rng):
     params = init_params(0)
     _, cache = forward(rng.normal(0, 1, 26), params, mode="infer")
-    with pytest.raises(CacheMissing):
+    with pytest.raises(ValueError, match="training-mode"):
         backward(params, cache, one_hot(np.array([0]))[0])
 
 

@@ -342,21 +342,3 @@ def test_epoch_metrics_fields_sane():
         assert m.train_loss >= 0 and m.val_loss >= 0
         assert 0 <= m.train_acc <= 1 and 0 <= m.val_acc <= 1
         assert m.learning_rate == 0.001  # no plateau in 3 epochs
-
-
-def test_checkpoints_written(tmp_path):
-    rng = np.random.default_rng(13)
-    records = make_records([20] * 8, rng=rng)
-    train(
-        records,
-        TrainingConfig(seed=2, epochs=4),
-        checkpoint_every=2,
-        checkpoint_dir=tmp_path,
-    )
-    from divrec.network import load_model
-
-    for epoch in (2, 4):
-        model_path = tmp_path / f"checkpoint_epoch{epoch:03d}.model"
-        assert model_path.exists()
-        load_model(model_path)  # parses cleanly
-    assert not list(tmp_path.glob("*.adam"))  # models only, no optimizer sidecar
