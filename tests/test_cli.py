@@ -561,10 +561,15 @@ def test_invalid_value_is_usage_error(tmp_path, capsys, command, flags, named):
     ["evaluate", "m.bin", "c.feat", "--config", "x"],
     ["extract", "s.csv", "--out", "c.feat", "--csv", "x"],
     ["train", "c.feat", "--model-out", "m.bin", "--metrics-out", "m.csv",
+     "--checkpoint-every", "0", "--checkpoint-dir", "d"],
+    ["train", "c.feat", "--model-out", "m.bin", "--metrics-out", "m.csv",
+     "--checkpoint-every", "-1", "--checkpoint-dir", "d"],
+    ["train", "c.feat", "--model-out", "m.bin", "--metrics-out", "m.csv",
      "--checkpoint-every", "2"],
     ["train", "c.feat", "--model-out", "m.bin", "--metrics-out", "m.csv",
      "--checkpoint-dir", "d"],
-], ids=["train", "evaluate", "extract-csv", "train-checkpoint-every", "train-checkpoint-dir"])
+], ids=["train", "evaluate", "extract-csv", "train-checkpoint-every-0",
+        "train-checkpoint-every-negative", "train-checkpoint-every", "train-checkpoint-dir"])
 def test_config_flag_is_gone(argv):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
