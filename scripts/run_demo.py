@@ -43,7 +43,7 @@ def main() -> None:
     run(["scan", out / "corpus", "--out", out / "manifest.csv"])
     run(["preprocess", out / "manifest.csv", "--out-dir", out / "segments",
          "--out", out / "segments.csv", "--workers", 2])
-    run(["extract", out / "segments.csv", "--out", out / "cache.feat"])
+    run(["extract", out / "segments.csv", "--out", out / "cache.feat", "--workers", 2])
     run(["train", out / "cache.feat", "--model-out", out / "model.bin",
          "--metrics-out", out / "metrics.csv", "--seed", args.seed,
          "--epochs", args.epochs])

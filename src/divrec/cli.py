@@ -9,8 +9,10 @@ Exit codes are a stable contract: 0 success, 1 usage error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -65,10 +67,52 @@ def _training_config(args) -> TrainingConfig:
         raise UsageError(str(exc)) from exc
 
 
+def _openblas():
+    """numpy's bundled OpenBLAS as its (get, set) thread-count functions, or
+    None when numpy bundles no library with those symbols."""
+    libs_dir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib_path in sorted(libs_dir.glob("*openblas*.so*")):
+        try:
+            lib = ctypes.CDLL(str(lib_path))
+        except OSError:
+            continue
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextmanager
+def _single_threaded_blas():
+    """Hold OpenBLAS at one thread inside the block and restore the previous
+    count on the way out; does nothing when the library is not found."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def _map_rows(rows: list[ManifestRow], fn, workers: int) -> tuple[list, int]:
     """Run ``fn`` over ``rows`` on ``workers`` threads; returns the results in
     manifest order and the count of rows that raised DivrecError or OSError
-    (a missing or unreadable file), each logged on stderr."""
+    (a missing or unreadable file), each logged on stderr as one line that
+    starts with the row's path.
+
+    With two or more workers, OpenBLAS is held at one thread until the last
+    worker has finished, so the pool's threads do not each start BLAS threads
+    that compete for the same cores; the previous count is restored afterwards,
+    also when a row raised. The count is process-wide, so two concurrent calls
+    (from library code; the CLI makes one at a time) are not supported."""
     if workers < 1:
         raise UsageError(f"--workers must be at least 1, got {workers}")
 
@@ -76,11 +120,16 @@ def _map_rows(rows: list[ManifestRow], fn, workers: int) -> tuple[list, int]:
         try:
             return fn(row), None
         except (DivrecError, OSError) as exc:
-            return None, f"{row.audio_path}: {exc}"
+            # audio_io errors already name the file; OSError text starts with [Errno n]
+            message = str(exc)
+            if not message.startswith(row.audio_path):
+                message = f"{row.audio_path}: {message}"
+            return None, message
 
     results = []
     failures = 0
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    blas = _single_threaded_blas() if workers > 1 else nullcontext()
+    with blas, ThreadPoolExecutor(max_workers=workers) as pool:
         for result, err in pool.map(attempt, rows):
             if err is not None:
                 failures += 1

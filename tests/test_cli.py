@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from divrec.audio_io import AudioClip, ingest, read_wav, write_wav
-from divrec.cli import _training_config, build_parser, main
+from divrec import cli
+from divrec.cli import _map_rows, _training_config, build_parser, main
+from divrec.errors import DataError
 from divrec.evaluation import predict
 from divrec.features import (
     AggregatedFeature,
@@ -19,7 +21,7 @@ from divrec.features import (
     write_feature_cache,
 )
 from divrec.fixture import synthesize_utterance
-from divrec.manifest import read_manifest
+from divrec.manifest import ManifestRow, read_manifest
 from divrec.training import TrainingConfig
 
 from conftest import build_wav_bytes, sine_clip
@@ -148,6 +150,22 @@ def test_preprocess_logs_44k_file_and_continues(tmp_path, capsys):
     assert len(rows) == 1 and rows[0].audio_path.endswith("good_seg000.wav")
 
 
+@pytest.mark.parametrize("command", ["preprocess", "extract"])
+def test_44k_failure_line_names_the_path_once(tmp_path, capsys, command):
+    good, cd = tmp_path / "good.wav", tmp_path / "cd.wav"
+    write_wav(sine_clip(seconds=10.0), good)
+    cd.write_bytes(build_wav_bytes(np.zeros(10 * 44100), sample_rate=44100))
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("audio_path,division,speaker_id,gender\n"
+                        f"{good},Dhaka,spk1,\n{cd},Dhaka,spk1,\n")
+    outputs = {"preprocess": ["--out-dir", str(tmp_path / "seg"), "--out", str(tmp_path / "s.csv")],
+               "extract": ["--out", str(tmp_path / "c.feat")]}[command]
+    assert main([command, str(manifest), *outputs]) == 0
+    err = capsys.readouterr().err
+    assert err.count(str(cd)) == 1
+    assert f"{cd}: sample rate 44100 Hz, only 16000 supported" in err.splitlines()
+
+
 def test_preprocess_refuses_rows_that_share_segment_names(tmp_path, capsys):
     # both rows would write seg/Dhaka/s1/x_seg000.wav, one over the other
     paths = [tmp_path / d / "x.wav" for d in ("a", "b")]
@@ -185,6 +203,19 @@ def test_preprocess_logs_missing_file_and_continues(tmp_path, capsys):
     assert "(1/2 input files failed)" in out
     assert str(missing) in err
     assert len(read_manifest(tmp_path / "s.csv")) == 1
+
+
+def test_preprocess_worker_count_does_not_change_output(workspace, tmp_path):
+    seg_dir = tmp_path / "segments"
+    assert main(["preprocess", str(workspace / "manifest.csv"), "--out-dir", str(seg_dir),
+                 "--out", str(tmp_path / "segments.csv"), "--workers", "2"]) == 0
+    serial_dir = workspace / "segments"
+    assert ((tmp_path / "segments.csv").read_text().replace(str(seg_dir), str(serial_dir))
+            == (workspace / "segments.csv").read_text())
+    written = sorted(path.relative_to(seg_dir) for path in seg_dir.rglob("*.wav"))
+    assert written == sorted(path.relative_to(serial_dir) for path in serial_dir.rglob("*.wav"))
+    for name in written:
+        assert (seg_dir / name).read_bytes() == (serial_dir / name).read_bytes()
 
 
 def test_preprocess_non_utf8_manifest_is_data_error(tmp_path, capsys):
@@ -254,6 +285,70 @@ def test_extract_worker_count_does_not_change_output(workspace, tmp_path):
     assert main(["extract", str(workspace / "segments.csv"),
                  "--out", str(out), "--workers", "4"]) == 0
     assert out.read_bytes() == (workspace / "cache.feat").read_bytes()
+
+
+def test_extract_without_blas_library_writes_same_cache(workspace, tmp_path, monkeypatch):
+    # a library without the thread-count symbols: the pool runs with BLAS untouched
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: object())
+    assert cli._openblas() is None
+    out = tmp_path / "unpinned.feat"
+    assert main(["extract", str(workspace / "segments.csv"),
+                 "--out", str(out), "--workers", "2"]) == 0
+    assert out.read_bytes() == (workspace / "cache.feat").read_bytes()
+
+
+# --- BLAS threads under the worker pool ---
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS's thread-count getter, with the count at 2 during the test so
+    that a pin left at 1 shows; skips when numpy bundles no such library."""
+    blas = cli._openblas()
+    if blas is None:
+        pytest.skip("numpy bundles no OpenBLAS with a thread-count getter")
+    get, set_ = blas
+    original = get()
+    set_(2)
+    yield get
+    set_(original)
+
+
+def _rows(count: int) -> list[ManifestRow]:
+    return [ManifestRow(audio_path=f"r{i}.wav", division="Dhaka", speaker_id="s1", gender="")
+            for i in range(count)]
+
+
+def test_map_rows_holds_blas_at_one_thread_while_workers_run(blas_threads):
+    before = blas_threads()
+    results, failures = _map_rows(_rows(4), lambda row: blas_threads(), workers=2)
+    assert results == [1, 1, 1, 1] and failures == 0
+    assert blas_threads() == before
+
+
+def test_map_rows_restores_blas_threads_after_a_row_raises(blas_threads, capsys):
+    before = blas_threads()
+
+    def refuse_r1(row):
+        if row.audio_path == "r1.wav":
+            raise DataError("r1.wav: refused")
+        return blas_threads()
+
+    assert _map_rows(_rows(3), refuse_r1, workers=2) == ([1, 1], 1)
+    assert blas_threads() == before
+    assert capsys.readouterr().err == "r1.wav: refused\n"
+
+    def crash(row):
+        raise ValueError("not a row failure")
+
+    with pytest.raises(ValueError):
+        _map_rows(_rows(3), crash, workers=2)
+    assert blas_threads() == before
+
+
+def test_map_rows_one_worker_leaves_blas_threads_alone(blas_threads):
+    before = blas_threads()
+    assert _map_rows(_rows(2), lambda row: blas_threads(), workers=1) == ([before, before], 0)
+    assert blas_threads() == before
 
 
 # --- train ---
