@@ -3,8 +3,9 @@
 
 Generates a small 8-class fixture corpus, runs scan -> preprocess -> extract
 -> train -> evaluate, and leaves every artifact in the output directory for
-inspection. Roughly 30 s at the default scale; pass --segments 2000 to run
-the full desk-scale experiment (about a minute and ~1.5 GB of scratch).
+inspection. On a 2-vCPU host the default 480 segments take about 7 s;
+--segments 2000 runs the full desk-scale experiment in about 36 s and leaves
+1.3 GB of artifacts.
 """
 
 import argparse

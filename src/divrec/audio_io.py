@@ -125,7 +125,10 @@ def ingest(path) -> AudioClip:
 
 def encode_pcm16(samples: np.ndarray) -> np.ndarray:
     """Quantize amplitudes to int16: round(a * 32767) clamped to the int16 range."""
-    return np.clip(np.round(samples * 32767.0), -32768, 32767).astype("<i2")
+    scaled = samples * 32767.0
+    np.round(scaled, out=scaled)
+    np.clip(scaled, -32768, 32767, out=scaled)
+    return scaled.astype("<i2")
 
 
 def decode_pcm16(ints: np.ndarray) -> np.ndarray:

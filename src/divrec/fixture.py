@@ -5,11 +5,32 @@ jitter those frequencies slightly and every file adds random phases, small
 amplitude wobble, speech-like pauses, and a white noise floor. The classes
 are well separated in mel-spectral shape, so the full pipeline can be
 exercised end to end without any real recordings.
+
+The bytes of every file follow from the seed alone, through the order in
+which ``make_fixture`` draws from its one generator:
+
+- per speaker, before the speaker's files: three jitter factors,
+  ``uniform(-0.015, 0.015, size=3)``;
+- per file, in ``draw_utterance``:
+  1. for each of the three tones: a frequency jitter ``uniform(-0.005,
+     0.005)``, an amplitude jitter ``uniform(-0.1, 0.1)`` and a phase
+     ``uniform(0, 2 pi)``;
+  2. the start of the first pause, ``uniform(1, 4)`` s, then after each
+     pause that fits in the file the gap to the next, ``uniform(3, 5)`` s
+     (the last gap drawn is the one that runs past the end);
+  3. the noise floor, ``normal(0, noise_level, n)``.
+
+``render_utterance`` builds the samples from those values alone, so the
+draws run on the calling thread in that order while the rendering and WAV
+writing of earlier files run on a pool of ``POOL_SIZE`` threads. Which
+thread renders a file does not change its bytes.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +51,76 @@ CLASS_TONES = (
 
 TONE_AMPLITUDES = (0.30, 0.20, 0.12)
 
+PAUSE_SAMPLES = int(0.3 * TARGET_SAMPLE_RATE)
+
+# render+write threads; np.sin, rng.normal and the PCM16 encode release the
+# GIL, so they overlap the next file's draw on the calling thread
+POOL_SIZE = 2
+# files drawn but not yet written, each holding one full-length array: one
+# waits ready for the next free thread, and more would only hold memory
+MAX_IN_FLIGHT = POOL_SIZE + 1
+RENDER_BLOCK = 1 << 16  # samples; small enough to keep a block's temporaries in cache
+
+
+class Utterance(NamedTuple):
+    """What one file takes from the generator, in draw order."""
+
+    tones: tuple[tuple[float, float, float], ...]  # (frequency Hz, amplitude, phase)
+    pauses: tuple[int, ...]  # first sample of each silent stretch
+    noise: np.ndarray
+
+
+def draw_utterance(
+    class_index: int,
+    rng: np.random.Generator,
+    n: int,
+    speaker_jitter: np.ndarray | None,
+    noise_level: float,
+) -> Utterance:
+    """Draw one n-sample utterance's random values from ``rng``."""
+    jitter = speaker_jitter if speaker_jitter is not None else np.ones(3)
+    tones = []
+    for (freq, amp, j) in zip(CLASS_TONES[class_index], TONE_AMPLITUDES, jitter):
+        f = freq * j * (1.0 + rng.uniform(-0.005, 0.005))
+        a = amp * (1.0 + rng.uniform(-0.1, 0.1))
+        tones.append((f, a, rng.uniform(0, 2 * np.pi)))
+
+    # speech-like pauses: ~0.3 s of silence roughly every 4 s
+    pauses = []
+    pos = int(rng.uniform(1.0, 4.0) * TARGET_SAMPLE_RATE)
+    while pos + PAUSE_SAMPLES < n:
+        pauses.append(pos)
+        pos += int(rng.uniform(3.0, 5.0) * TARGET_SAMPLE_RATE)
+
+    return Utterance(tuple(tones), tuple(pauses), rng.normal(0.0, noise_level, n))
+
+
+def render_utterance(utterance: Utterance, t: np.ndarray) -> np.ndarray:
+    """The samples of ``utterance`` on the time axis ``t`` (seconds, one per sample).
+
+    The samples are built in the utterance's noise array, which is returned.
+    Every step is elementwise, so rendering ``RENDER_BLOCK`` samples at a time
+    gives the same bits as whole-array arithmetic with only block-sized
+    temporaries."""
+    signal = utterance.noise
+    for lo in range(0, len(t), RENDER_BLOCK):
+        tb = t[lo : lo + RENDER_BLOCK]
+        voiced = np.zeros(len(tb))
+        for f, a, phase in utterance.tones:
+            voiced += a * np.sin(2.0 * np.pi * f * tb + phase)
+        for pos in utterance.pauses:
+            start, stop = max(pos, lo), min(pos + PAUSE_SAMPLES, lo + len(tb))
+            if start < stop:
+                voiced[start - lo : stop - lo] *= 0.0  # the same bits as a 0/1 envelope
+        block = signal[lo : lo + RENDER_BLOCK]
+        block += voiced
+        np.clip(block, -1.0, 1.0, out=block)
+    return signal
+
+
+def _time_axis(seconds: float) -> np.ndarray:
+    return np.arange(int(round(seconds * TARGET_SAMPLE_RATE))) / TARGET_SAMPLE_RATE
+
 
 def synthesize_utterance(
     class_index: int,
@@ -39,26 +130,12 @@ def synthesize_utterance(
     noise_level: float = 0.01,
 ) -> np.ndarray:
     """One pseudo-utterance: jittered class tones + pauses + noise floor."""
-    n = int(round(seconds * TARGET_SAMPLE_RATE))
-    t = np.arange(n) / TARGET_SAMPLE_RATE
-    jitter = speaker_jitter if speaker_jitter is not None else np.ones(3)
+    t = _time_axis(seconds)
+    return render_utterance(draw_utterance(class_index, rng, len(t), speaker_jitter, noise_level), t)
 
-    voiced = np.zeros(n)
-    for (freq, amp, j) in zip(CLASS_TONES[class_index], TONE_AMPLITUDES, jitter):
-        f = freq * j * (1.0 + rng.uniform(-0.005, 0.005))
-        a = amp * (1.0 + rng.uniform(-0.1, 0.1))
-        voiced += a * np.sin(2.0 * np.pi * f * t + rng.uniform(0, 2 * np.pi))
 
-    # gate with speech-like pauses: ~0.3 s of silence roughly every 4 s
-    envelope = np.ones(n)
-    pause_len = int(0.3 * TARGET_SAMPLE_RATE)
-    pos = int(rng.uniform(1.0, 4.0) * TARGET_SAMPLE_RATE)
-    while pos + pause_len < n:
-        envelope[pos : pos + pause_len] = 0.0
-        pos += int(rng.uniform(3.0, 5.0) * TARGET_SAMPLE_RATE)
-
-    signal = voiced * envelope + rng.normal(0.0, noise_level, n)
-    return np.clip(signal, -1.0, 1.0)
+def _render_and_write(utterance: Utterance, t: np.ndarray, path: Path) -> None:
+    write_wav(AudioClip(render_utterance(utterance, t), TARGET_SAMPLE_RATE, str(path)), path)
 
 
 def make_fixture(
@@ -69,7 +146,11 @@ def make_fixture(
     file_seconds: float = 100.0,
     noise_level: float = 0.01,
 ) -> list[Path]:
-    """Write the corpus tree root/<Division>/<speaker>/<speaker>_NNN.wav."""
+    """Write the corpus tree root/<Division>/<speaker>/<speaker>_NNN.wav.
+
+    The first error, from this thread or from a render or write on the pool,
+    stops the run: no further file is started, the writes already running
+    finish, and the error is raised."""
     # the RIFF size field, 36 + data bytes, is a u32; samples are 2 bytes
     max_seconds = (2**32 - 37) // 2 / TARGET_SAMPLE_RATE
     if seed < 0 or speakers_per_class < 1 or files_per_speaker < 1:
@@ -80,16 +161,31 @@ def make_fixture(
         raise ValueError(f"noise_level must be finite and >= 0, got {noise_level}")
     root = Path(root)
     rng = np.random.default_rng(seed)
+    t = _time_axis(file_seconds)  # every file has the same length
     written: list[Path] = []
-    for c, division in enumerate(DIVISION_NAMES):
-        for s in range(speakers_per_class):
-            speaker_id = f"{division.lower()}_spk{s:03d}"
-            speaker_dir = root / division / speaker_id
-            speaker_dir.mkdir(parents=True, exist_ok=True)
-            speaker_jitter = 1.0 + rng.uniform(-0.015, 0.015, size=3)
-            for k in range(files_per_speaker):
-                samples = synthesize_utterance(c, rng, file_seconds, speaker_jitter, noise_level)
-                path = speaker_dir / f"{speaker_id}_{k:03d}.wav"
-                write_wav(AudioClip(samples, TARGET_SAMPLE_RATE, str(path)), path)
-                written.append(path)
+    in_flight: set[Future] = set()
+    pool = ThreadPoolExecutor(max_workers=POOL_SIZE)
+    try:
+        for c, division in enumerate(DIVISION_NAMES):
+            for s in range(speakers_per_class):
+                speaker_id = f"{division.lower()}_spk{s:03d}"
+                speaker_dir = root / division / speaker_id
+                speaker_dir.mkdir(parents=True, exist_ok=True)
+                speaker_jitter = 1.0 + rng.uniform(-0.015, 0.015, size=3)
+                for k in range(files_per_speaker):
+                    # collect the finished files, waiting for one when too many are drawn
+                    full = len(in_flight) >= MAX_IN_FLIGHT
+                    done, in_flight = wait(in_flight, timeout=None if full else 0,
+                                           return_when=FIRST_COMPLETED)
+                    for future in done:
+                        future.result()  # raises the error of a failed render or write
+                    utterance = draw_utterance(c, rng, len(t), speaker_jitter, noise_level)
+                    path = speaker_dir / f"{speaker_id}_{k:03d}.wav"
+                    in_flight.add(pool.submit(_render_and_write, utterance, t, path))
+                    written.append(path)
+        for future in in_flight:
+            future.result()
+    finally:
+        # after an error: drop the files not yet started, let running writes finish
+        pool.shutdown(cancel_futures=True)
     return written

@@ -1,7 +1,9 @@
 import argparse
+import hashlib
 import json
 import re
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -614,6 +616,53 @@ def test_make_fixture_deterministic(tmp_path):
     a = sorted((tmp_path / "a").rglob("*.wav"))
     b = sorted((tmp_path / "b").rglob("*.wav"))
     assert [p.read_bytes() for p in a] == [p.read_bytes() for p in b]
+
+
+def test_make_fixture_golden_bytes(tmp_path):
+    """The fixture's bytes for a seed are fixed across code versions: every
+    corpus, cache digest and acceptance gate downstream rests on them."""
+    out = tmp_path / "c"
+    assert main(["make-fixture", "--out", str(out), "--seed", "3",
+                 "--speakers-per-class", "1", "--files-per-speaker", "2",
+                 "--file-seconds", "10"]) == 0
+    digest = hashlib.sha256()
+    for path in sorted(out.rglob("*.wav")):
+        digest.update(path.relative_to(out).as_posix().encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == "94fdfff97f1de989190385aa4e5c2337492edaee42b0d9b4416e05ad183d40c9"
+
+
+def _make_fixture_within(out: Path, seconds: float = 60.0) -> int:
+    """Exit code of a one-second-per-file make-fixture run, failing the test
+    if it raises or has not returned within ``seconds``."""
+    codes = []
+    argv = ["make-fixture", "--out", str(out), "--speakers-per-class", "1",
+            "--files-per-speaker", "2", "--file-seconds", "1"]
+    runner = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
+    runner.start()
+    runner.join(seconds)
+    assert not runner.is_alive(), "make-fixture did not return"
+    assert len(codes) == 1, "make-fixture raised instead of returning an exit code"
+    # the writes running at the error finished: no file is left cut short
+    assert all(p.stat().st_size == 44 + 2 * SR for p in out.rglob("*.wav") if p.is_file())
+    return codes[0]
+
+
+@pytest.mark.parametrize("blocker, kind", [
+    ("Dhaka/dhaka_spk000/dhaka_spk000_001.wav", "directory"),  # fails the WAV write
+    ("Khulna", "file"),  # fails the speaker directory's mkdir
+], ids=["pool-write", "calling-thread-mkdir"])
+def test_make_fixture_write_failure_is_exit_2(tmp_path, capsys, blocker, kind):
+    out = tmp_path / "c"
+    blocker = out / blocker
+    if kind == "directory":
+        blocker.mkdir(parents=True)
+    else:
+        blocker.parent.mkdir(parents=True)
+        blocker.write_bytes(b"")
+    assert _make_fixture_within(out) == 2
+    err = capsys.readouterr().err
+    assert str(blocker) in err
+    assert "Traceback" not in err
 
 
 # --- exit codes ---
