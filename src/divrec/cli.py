@@ -22,7 +22,6 @@ from .audio_io import ingest, pcm16_round_trip, write_wav
 from .errors import DataError, DivrecError, NumericError
 from .evaluation import (
     DIVISION_NAMES,
-    check_compatible,
     confusion_csv,
     evaluate,
     label_from_name,
@@ -181,6 +180,8 @@ def cmd_preprocess(args) -> int:
             raise DataError(f"{first} and {row.audio_path} would both write {name}_segNNN.wav")
     out_dir = Path(args.out_dir)
     per_file, failures = _map_rows(rows, lambda row: _preprocess_one(row, out_dir), args.workers)
+    if not rows:
+        raise DataError(f"{args.manifest}: the manifest lists no files")
     if failures == len(rows):
         raise DataError("all input files failed preprocessing")
     out_rows = [seg_row for seg_rows in per_file for seg_row in seg_rows]
@@ -213,9 +214,7 @@ def cmd_extract(args) -> int:
 def cmd_train(args) -> int:
     training_config = _training_config(args)
     records = read_feature_cache(args.cache)
-    params, history = train(
-        records, training_config, require_all_labels=not args.allow_missing_classes
-    )
+    params, history = train(records, training_config)
     for m in history:
         print(
             f"epoch {m.epoch:3d}  train_loss {m.train_loss:.4f}  train_acc {m.train_acc:.4f}  "
@@ -234,12 +233,9 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     training_config = _training_config(args)
     params = load_model(args.model)
-    check_compatible(params)
     records = read_feature_cache(args.cache)
     if args.split != "full":
-        train_set, test_set, val_set = split_dataset(
-            records, training_config, require_all_labels=not args.allow_missing_classes
-        )
+        train_set, test_set, val_set = split_dataset(records, training_config)
         records = {"train": train_set, "test": test_set, "val": val_set}[args.split]
     report = evaluate(params, records)
     text = report_json(report)
@@ -253,7 +249,6 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     params = load_model(args.model)
-    check_compatible(params)
     clip = ingest(args.wav)
     segments = segment(clip)
     if not segments:
@@ -280,7 +275,6 @@ def cmd_make_fixture(args) -> int:
             speakers_per_class=args.speakers_per_class,
             files_per_speaker=args.files_per_speaker,
             file_seconds=args.file_seconds,
-            noise_level=args.noise_level,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -321,7 +315,6 @@ def build_parser() -> _Parser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--lr", dest="learning_rate", type=float)
-    p.add_argument("--allow-missing-classes", action="store_true")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a model against a feature cache")
@@ -329,7 +322,6 @@ def build_parser() -> _Parser:
     p.add_argument("cache")
     p.add_argument("--split", choices=["full", "train", "test", "val"], default="full")
     p.add_argument("--seed", type=int)
-    p.add_argument("--allow-missing-classes", action="store_true")
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--confusion-csv", help="write the confusion matrix CSV here")
     p.set_defaults(func=cmd_evaluate)
@@ -345,7 +337,6 @@ def build_parser() -> _Parser:
     p.add_argument("--speakers-per-class", type=int, default=5)
     p.add_argument("--files-per-speaker", type=int, default=5)
     p.add_argument("--file-seconds", type=float, default=100.0)
-    p.add_argument("--noise-level", type=float, default=0.01)
     p.set_defaults(func=cmd_make_fixture)
 
     return parser

@@ -14,9 +14,9 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import EmptySet, ModelIncompatible
+from .errors import EmptySet
 from .features import AggregatedFeature
-from .network import INPUT_DIM, NUM_CLASSES, NetworkParams, forward
+from .network import NUM_CLASSES, NetworkParams, forward
 
 
 class DivisionLabel(IntEnum):
@@ -57,14 +57,6 @@ class MetricsReport:
     confusion: np.ndarray  # (8, 8) int counts, rows = truth
     per_class: list[ClassMetrics]
     total: int
-
-
-def check_compatible(params: NetworkParams) -> None:
-    if params.layers[0].in_dim != INPUT_DIM or params.layers[-1].out_dim != NUM_CLASSES:
-        raise ModelIncompatible(
-            f"model maps {params.layers[0].in_dim} -> {params.layers[-1].out_dim}, "
-            f"pipeline needs {INPUT_DIM} -> {NUM_CLASSES}"
-        )
 
 
 def predict(params: NetworkParams, feature: np.ndarray) -> tuple[int, np.ndarray]:

@@ -18,7 +18,7 @@ which ``make_fixture`` draws from its one generator:
   2. the start of the first pause, ``uniform(1, 4)`` s, then after each
      pause that fits in the file the gap to the next, ``uniform(3, 5)`` s
      (the last gap drawn is the one that runs past the end);
-  3. the noise floor, ``normal(0, noise_level, n)``.
+  3. the noise floor, ``normal(0, NOISE_LEVEL, n)``.
 
 ``render_utterance`` builds the samples from those values alone, so the
 draws run on the calling thread in that order while the rendering and WAV
@@ -52,6 +52,7 @@ CLASS_TONES = (
 TONE_AMPLITUDES = (0.30, 0.20, 0.12)
 
 PAUSE_SAMPLES = int(0.3 * TARGET_SAMPLE_RATE)
+NOISE_LEVEL = 0.01  # standard deviation of the white noise floor
 
 # render+write threads; np.sin, rng.normal and the PCM16 encode release the
 # GIL, so they overlap the next file's draw on the calling thread
@@ -75,7 +76,6 @@ def draw_utterance(
     rng: np.random.Generator,
     n: int,
     speaker_jitter: np.ndarray | None,
-    noise_level: float,
 ) -> Utterance:
     """Draw one n-sample utterance's random values from ``rng``."""
     jitter = speaker_jitter if speaker_jitter is not None else np.ones(3)
@@ -92,7 +92,7 @@ def draw_utterance(
         pauses.append(pos)
         pos += int(rng.uniform(3.0, 5.0) * TARGET_SAMPLE_RATE)
 
-    return Utterance(tuple(tones), tuple(pauses), rng.normal(0.0, noise_level, n))
+    return Utterance(tuple(tones), tuple(pauses), rng.normal(0.0, NOISE_LEVEL, n))
 
 
 def render_utterance(utterance: Utterance, t: np.ndarray) -> np.ndarray:
@@ -127,11 +127,10 @@ def synthesize_utterance(
     rng: np.random.Generator,
     seconds: float,
     speaker_jitter: np.ndarray | None = None,
-    noise_level: float = 0.01,
 ) -> np.ndarray:
     """One pseudo-utterance: jittered class tones + pauses + noise floor."""
     t = _time_axis(seconds)
-    return render_utterance(draw_utterance(class_index, rng, len(t), speaker_jitter, noise_level), t)
+    return render_utterance(draw_utterance(class_index, rng, len(t), speaker_jitter), t)
 
 
 def _render_and_write(utterance: Utterance, t: np.ndarray, path: Path) -> None:
@@ -144,7 +143,6 @@ def make_fixture(
     speakers_per_class: int = 5,
     files_per_speaker: int = 5,
     file_seconds: float = 100.0,
-    noise_level: float = 0.01,
 ) -> list[Path]:
     """Write the corpus tree root/<Division>/<speaker>/<speaker>_NNN.wav.
 
@@ -157,8 +155,6 @@ def make_fixture(
         raise ValueError("need seed >= 0, speakers_per_class >= 1 and files_per_speaker >= 1")
     if not 0 < file_seconds <= max_seconds:
         raise ValueError(f"file_seconds must lie in (0, {max_seconds:.0f}], got {file_seconds}")
-    if not 0 <= noise_level < float("inf"):
-        raise ValueError(f"noise_level must be finite and >= 0, got {noise_level}")
     root = Path(root)
     rng = np.random.default_rng(seed)
     t = _time_axis(file_seconds)  # every file has the same length
@@ -179,7 +175,7 @@ def make_fixture(
                                            return_when=FIRST_COMPLETED)
                     for future in done:
                         future.result()  # raises the error of a failed render or write
-                    utterance = draw_utterance(c, rng, len(t), speaker_jitter, noise_level)
+                    utterance = draw_utterance(c, rng, len(t), speaker_jitter)
                     path = speaker_dir / f"{speaker_id}_{k:03d}.wav"
                     in_flight.add(pool.submit(_render_and_write, utterance, t, path))
                     written.append(path)

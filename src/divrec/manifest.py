@@ -73,13 +73,15 @@ def read_manifest(path) -> list[ManifestRow]:
         text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: manifest is not UTF-8 text ({exc})") from exc
+    try:
+        table = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise DataError(f"{path}: manifest is not readable CSV ({exc})") from exc
+    if not table or tuple(table[0]) != MANIFEST_FIELDS:
+        raise DataError(f"{path}: not a manifest (expected header {','.join(MANIFEST_FIELDS)})")
     rows = []
     seen = set()
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    if header is None or tuple(header) != MANIFEST_FIELDS:
-        raise DataError(f"{path}: not a manifest (expected header {','.join(MANIFEST_FIELDS)})")
-    for raw in reader:
+    for raw in table[1:]:
         if len(raw) != len(MANIFEST_FIELDS):
             raise DataError(f"{path}: bad row {raw!r}")
         row = ManifestRow(*raw)

@@ -20,7 +20,6 @@ MODEL_MAGIC = b"DIVMODL1"
 MODEL_VERSION = 1
 
 _ACTIVATION_TAGS = {"relu": 1, "softmax": 2}
-_TAG_ACTIVATIONS = {v: k for k, v in _ACTIVATION_TAGS.items()}
 
 
 @dataclass(frozen=True)
@@ -29,12 +28,6 @@ class LayerSpec:
     out_dim: int
     activation: str = "relu"
     dropout_after: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.activation not in _ACTIVATION_TAGS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.dropout_after is not None and not 0 < self.dropout_after < 1:
-            raise ValueError("dropout rate must lie in (0, 1)")
 
 
 ARCHITECTURE: tuple[LayerSpec, ...] = (
@@ -49,6 +42,20 @@ ARCHITECTURE: tuple[LayerSpec, ...] = (
 INPUT_DIM = ARCHITECTURE[0].in_dim
 NUM_CLASSES = ARCHITECTURE[-1].out_dim
 
+# the model file's fixed header: format version, layer count, then per layer
+# in_dim, out_dim, activation tag and dropout rate (NaN for none)
+_HEADER = struct.pack("<BB", MODEL_VERSION, len(ARCHITECTURE)) + b"".join(
+    struct.pack(
+        "<IIBd",
+        spec.in_dim,
+        spec.out_dim,
+        _ACTIVATION_TAGS[spec.activation],
+        float("nan") if spec.dropout_after is None else spec.dropout_after,
+    )
+    for spec in ARCHITECTURE
+)
+_PAYLOAD_SIZE = len(_HEADER) + 8 * sum(s.out_dim * (s.in_dim + 1) for s in ARCHITECTURE)
+
 
 @dataclass
 class NetworkParams:
@@ -59,7 +66,6 @@ class NetworkParams:
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    layers: tuple[LayerSpec, ...] = ARCHITECTURE
 
 
 @dataclass
@@ -73,15 +79,15 @@ class ForwardCache:
     mode: str
 
 
-def init_params(seed: int, layers: tuple[LayerSpec, ...] = ARCHITECTURE) -> NetworkParams:
+def init_params(seed: int) -> NetworkParams:
     """Glorot-uniform weights (bound sqrt(6/(in+out))), zero biases."""
     rng = np.random.default_rng(seed)
     weights, biases = [], []
-    for spec in layers:
+    for spec in ARCHITECTURE:
         bound = np.sqrt(6.0 / (spec.in_dim + spec.out_dim))
         weights.append(rng.uniform(-bound, bound, size=(spec.out_dim, spec.in_dim)))
         biases.append(np.zeros(spec.out_dim))
-    return NetworkParams(weights=weights, biases=biases, layers=layers)
+    return NetworkParams(weights=weights, biases=biases)
 
 
 def param_count(params: NetworkParams) -> int:
@@ -141,16 +147,14 @@ def forward(
     x = np.asarray(x, dtype=np.float64)
     squeeze = x.ndim == 1
     batch = x[None, :] if squeeze else x
-    if batch.ndim != 2 or batch.shape[1] != params.layers[0].in_dim:
-        raise ShapeMismatch(
-            f"expected input dim {params.layers[0].in_dim}, got shape {x.shape}"
-        )
+    if batch.ndim != 2 or batch.shape[1] != INPUT_DIM:
+        raise ShapeMismatch(f"expected input dim {INPUT_DIM}, got shape {x.shape}")
 
     pre_acts: list[np.ndarray] = []
     acts: list[np.ndarray] = []
     masks: list[np.ndarray | None] = []
     a = batch
-    for i, spec in enumerate(params.layers):
+    for i, spec in enumerate(ARCHITECTURE):
         z = a @ params.weights[i].T + params.biases[i]
         pre_acts.append(z)
         a = relu(z) if spec.activation == "relu" else softmax(z)
@@ -190,51 +194,36 @@ def backward(params: NetworkParams, cache: ForwardCache, targets: np.ndarray) ->
             f"targets shape {targets.shape} vs output {cache.activations[-1].shape}"
         )
 
-    grads_w: list[np.ndarray] = [np.empty(0)] * len(params.layers)
-    grads_b: list[np.ndarray] = [np.empty(0)] * len(params.layers)
+    grads_w: list[np.ndarray] = [np.empty(0)] * len(ARCHITECTURE)
+    grads_b: list[np.ndarray] = [np.empty(0)] * len(ARCHITECTURE)
 
     # softmax + cross-entropy collapses to (p - t) at the output pre-activation
     dz = (cache.activations[-1] - targets) / batch_size
-    for i in range(len(params.layers) - 1, -1, -1):
+    for i in range(len(ARCHITECTURE) - 1, -1, -1):
         a_prev = cache.inputs if i == 0 else cache.activations[i - 1]
         grads_w[i] = dz.T @ a_prev
         grads_b[i] = dz.sum(axis=0)
         if i == 0:
             break
         da = dz @ params.weights[i]
-        spec_prev = params.layers[i - 1]
+        spec_prev = ARCHITECTURE[i - 1]
         mask = cache.dropout_masks[i - 1]
         if mask is not None:
             da = da * mask * (1.0 / (1.0 - spec_prev.dropout_after))
         if spec_prev.activation == "relu":
             da = da * (cache.pre_activations[i - 1] > 0)
         dz = da
-    return NetworkParams(weights=grads_w, biases=grads_b, layers=params.layers)
+    return NetworkParams(weights=grads_w, biases=grads_b)
 
 
 # --- model file (see docs/formats.md) ---
 
-def _pack_payload(params: NetworkParams) -> bytes:
-    parts = [struct.pack("<BB", MODEL_VERSION, len(params.layers))]
-    for spec in params.layers:
-        rate = float("nan") if spec.dropout_after is None else spec.dropout_after
-        parts.append(
-            struct.pack(
-                "<IIBd",
-                spec.in_dim,
-                spec.out_dim,
-                _ACTIVATION_TAGS[spec.activation],
-                rate,
-            )
-        )
-    for w, b in zip(params.weights, params.biases):
-        parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    return b"".join(parts)
-
-
 def save_model(params: NetworkParams, path) -> None:
-    payload = _pack_payload(params)
+    payload = b"".join(
+        [_HEADER]
+        + [np.ascontiguousarray(t, dtype="<f8").tobytes()
+           for w, b in zip(params.weights, params.biases) for t in (w, b)]
+    )
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(payload)
@@ -242,6 +231,8 @@ def save_model(params: NetworkParams, path) -> None:
 
 
 def load_model(path) -> NetworkParams:
+    """Read a model file; only the header ``save_model`` writes, followed by
+    exactly the network's weights, is accepted."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:8] != MODEL_MAGIC:
@@ -249,44 +240,15 @@ def load_model(path) -> NetworkParams:
     payload, (checksum,) = raw[8:-4], struct.unpack("<I", raw[-4:])
     if zlib.crc32(payload) != checksum:
         raise ModelIncompatible(f"{path}: checksum mismatch, file corrupt")
-
-    try:
-        version, n_layers = struct.unpack_from("<BB", payload, 0)
-        if version != MODEL_VERSION:
-            raise ModelIncompatible(f"{path}: unsupported format version {version}")
-        pos = 2
-        layers = []
-        for _ in range(n_layers):
-            in_dim, out_dim, tag, rate = struct.unpack_from("<IIBd", payload, pos)
-            pos += 17
-            if tag not in _TAG_ACTIVATIONS:
-                raise ModelIncompatible(f"{path}: unknown activation tag {tag}")
-            layers.append(
-                LayerSpec(
-                    in_dim,
-                    out_dim,
-                    _TAG_ACTIVATIONS[tag],
-                    None if np.isnan(rate) else rate,
-                )
-            )
-        if not layers:
-            raise ModelIncompatible(f"{path}: empty layer table")
-        for i, (spec, after) in enumerate(zip(layers, layers[1:])):
-            if spec.out_dim != after.in_dim:
-                raise ModelIncompatible(
-                    f"{path}: layer {i} out_dim {spec.out_dim} does not match "
-                    f"layer {i + 1} in_dim {after.in_dim}"
-                )
-        weights, biases = [], []
-        for spec in layers:
-            w = np.frombuffer(payload, dtype="<f8", count=spec.out_dim * spec.in_dim, offset=pos)
-            pos += 8 * spec.out_dim * spec.in_dim
-            b = np.frombuffer(payload, dtype="<f8", count=spec.out_dim, offset=pos)
-            pos += 8 * spec.out_dim
-            weights.append(w.reshape(spec.out_dim, spec.in_dim).copy())
-            biases.append(b.copy())
-    except (struct.error, ValueError, OverflowError) as exc:
-        raise ModelIncompatible(f"{path}: malformed payload") from exc
-    if pos != len(payload):
-        raise ModelIncompatible(f"{path}: payload size mismatch")
-    return NetworkParams(weights=weights, biases=biases, layers=tuple(layers))
+    if len(payload) != _PAYLOAD_SIZE or not payload.startswith(_HEADER):
+        raise ModelIncompatible(f"{path}: header or size differs from this network's model")
+    weights, biases = [], []
+    pos = len(_HEADER)
+    for spec in ARCHITECTURE:
+        w = np.frombuffer(payload, dtype="<f8", count=spec.out_dim * spec.in_dim, offset=pos)
+        pos += w.nbytes
+        b = np.frombuffer(payload, dtype="<f8", count=spec.out_dim, offset=pos)
+        pos += b.nbytes
+        weights.append(w.reshape(spec.out_dim, spec.in_dim).copy())
+        biases.append(b.copy())
+    return NetworkParams(weights=weights, biases=biases)

@@ -189,31 +189,27 @@ def _stratified_counts(class_sizes: np.ndarray) -> np.ndarray:
 def split_dataset(
     features: list[AggregatedFeature],
     config: TrainingConfig,
-    require_all_labels: bool = True,
 ) -> tuple[list[AggregatedFeature], list[AggregatedFeature], list[AggregatedFeature]]:
-    """Seeded shuffle + stratified slicing into (train, test, validation)."""
+    """Seeded shuffle + stratified slicing into (train, test, validation);
+    every one of the NUM_CLASSES labels must have samples."""
     if len(features) < 10:
         raise DataError(f"need at least 10 samples to split, got {len(features)}")
     labels = [rec.label for rec in features]
-    present = sorted(set(labels))
-    if require_all_labels:
-        missing = sorted(set(range(NUM_CLASSES)) - set(present))
-        if missing:
-            raise EmptyClass(f"no samples for label(s) {missing}")
+    missing = sorted(set(range(NUM_CLASSES)) - set(labels))
+    if missing:
+        raise EmptyClass(f"no samples for label(s) {missing}")
 
     rng = np.random.default_rng([config.seed, 0])
     order = rng.permutation(len(features))
 
-    by_label: dict[int, list[int]] = {lab: [] for lab in present}
+    by_label: list[list[int]] = [[] for _ in range(NUM_CLASSES)]
     for idx in order:
         by_label[labels[idx]].append(int(idx))
 
-    class_sizes = np.array([len(by_label[lab]) for lab in present], dtype=np.int64)
-    counts = _stratified_counts(class_sizes)
+    counts = _stratified_counts(np.array([len(m) for m in by_label], dtype=np.int64))
 
     train, test, val = [], [], []
-    for lab, (n_tr, n_te, n_va) in zip(present, counts):
-        members = by_label[lab]
+    for members, (n_tr, n_te, n_va) in zip(by_label, counts):
         train.extend(members[:n_tr])
         test.extend(members[n_tr : n_tr + n_te])
         val.extend(members[n_tr + n_te : n_tr + n_te + n_va])
@@ -260,11 +256,10 @@ def _evaluate_arrays(params: NetworkParams, x: np.ndarray, y: np.ndarray) -> tup
 def train(
     features: list[AggregatedFeature],
     config: TrainingConfig | None = None,
-    require_all_labels: bool = True,
 ) -> tuple[NetworkParams, list[EpochMetrics]]:
     """Full training run; returns final parameters and the per-epoch history."""
     config = config or TrainingConfig()
-    train_set, _, val_set = split_dataset(features, config, require_all_labels)
+    train_set, _, val_set = split_dataset(features, config)
     x_train, y_train = _dataset_arrays(train_set)
     x_val, y_val = _dataset_arrays(val_set)
     t_train = one_hot(y_train)

@@ -1,6 +1,7 @@
 """Shared fixtures and independent oracle helpers."""
 
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -42,6 +43,51 @@ def build_wav_bytes(
         + struct.pack("<I", size)
         + data
     )
+
+
+# (in_dim, out_dim, activation tag, dropout rate or None) per layer:
+# 26-128-256-256-64-32-8, ReLU (tag 1) then softmax (tag 2), dropout after 3 and 4
+PAPER_LAYERS = (
+    (26, 128, 1, None),
+    (128, 256, 1, None),
+    (256, 256, 1, 0.2),
+    (256, 64, 1, 0.2),
+    (64, 32, 1, None),
+    (32, 8, 2, None),
+)
+
+
+def build_model_bytes(
+    layers=PAPER_LAYERS, version: int = 1, seed: int = 0, trailing: bytes = b""
+) -> bytes:
+    """Hand-built DIVMODL1 writer, independent of the package encoder.
+
+    Writes ``layers`` as the layer table, random weights and biases sized to
+    that table, any ``trailing`` payload bytes, and a valid CRC-32, so only
+    the table or the size can make a reader refuse the file.
+    """
+    rng = np.random.default_rng(seed)
+    payload = struct.pack("<BB", version, len(layers))
+    for in_dim, out_dim, tag, rate in layers:
+        payload += struct.pack("<IIBd", in_dim, out_dim, tag,
+                               float("nan") if rate is None else rate)
+    for in_dim, out_dim, _, _ in layers:
+        payload += rng.normal(0.0, 0.1, out_dim * (in_dim + 1)).astype("<f8").tobytes()
+    payload += trailing
+    return b"DIVMODL1" + payload + struct.pack("<I", zlib.crc32(payload))
+
+
+# model files a reader must refuse although their checksum is valid
+BAD_MODELS = {
+    "tag-0": dict(layers=PAPER_LAYERS[:-1] + ((32, 8, 0, None),)),
+    "unchained": dict(layers=PAPER_LAYERS[:2] + ((200, 256, 1, 0.2),) + PAPER_LAYERS[3:]),
+    "empty-table": dict(layers=()),
+    "10-8": dict(layers=((10, 8, 2, None),)),
+    "version-2": dict(version=2),
+    "single-26-8": dict(layers=((26, 8, 2, None),)),
+    "relu-output": dict(layers=((26, 5, 1, None), (5, 8, 1, None))),
+    "trailing-bytes": dict(trailing=b"\0" * 8),
+}
 
 
 def sine_clip(

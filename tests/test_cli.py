@@ -26,7 +26,7 @@ from divrec.fixture import synthesize_utterance
 from divrec.manifest import ManifestRow, read_manifest
 from divrec.training import TrainingConfig
 
-from conftest import build_wav_bytes, sine_clip
+from conftest import BAD_MODELS, build_model_bytes, build_wav_bytes, sine_clip
 
 SR = 16000
 
@@ -237,6 +237,30 @@ def test_preprocess_all_failures_is_data_error(tmp_path, capsys):
     rc = main(["preprocess", str(tmp_path / "m.csv"),
                "--out-dir", str(tmp_path / "seg"), "--out", str(tmp_path / "s.csv")])
     assert rc == 2
+
+
+def test_preprocess_header_only_manifest_says_it_lists_no_files(tmp_path, capsys):
+    manifest = tmp_path / "empty.csv"
+    manifest.write_text("audio_path,division,speaker_id,gender\n")
+    rc = main(["preprocess", str(manifest),
+               "--out-dir", str(tmp_path / "seg"), "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "empty.csv: the manifest lists no files" in err
+    assert "failed" not in err
+
+
+@pytest.mark.parametrize("command", ["preprocess", "extract"])
+def test_manifest_field_over_csv_limit_is_data_error(tmp_path, capsys, command):
+    # the csv module refuses a field longer than 131,072 characters
+    manifest = tmp_path / "long.csv"
+    manifest.write_text("audio_path,division,speaker_id,gender\n"
+                        + "a" * 131_073 + ",Dhaka,spk1,\n")
+    outputs = {"preprocess": ["--out-dir", str(tmp_path / "seg"), "--out", str(tmp_path / "s.csv")],
+               "extract": ["--out", str(tmp_path / "c.feat")]}[command]
+    assert main([command, str(manifest), *outputs]) == 2
+    err = capsys.readouterr().err
+    assert "long.csv" in err and "Traceback" not in err
 
 
 def test_preprocess_duration_bounded_by_input(workspace):
@@ -480,23 +504,16 @@ def test_evaluate_all_nan_cache_is_data_error(workspace, tmp_path, capsys):
 
 
 def test_evaluate_incompatible_model_is_data_error(workspace, tmp_path, capsys):
-    from divrec.network import LayerSpec, init_params, save_model
-
-    wrong = init_params(0, layers=(LayerSpec(10, 8, "softmax"),))
     path = tmp_path / "wrong.bin"
-    save_model(wrong, path)
+    path.write_bytes(build_model_bytes(**BAD_MODELS["10-8"]))
     rc = main(["evaluate", str(path), str(workspace / "cache.feat")])
     assert rc == 2
-    assert "10" in capsys.readouterr().err
+    assert "wrong.bin: header or size differs" in capsys.readouterr().err
 
 
 def _model_with_unchained_layer(path):
     """A CRC-valid model file whose third layer takes 200 inputs, not 256."""
-    from divrec.network import ARCHITECTURE, LayerSpec, init_params, save_model
-
-    layers = list(ARCHITECTURE)
-    layers[2] = LayerSpec(200, 256, "relu", dropout_after=0.2)
-    save_model(init_params(0, layers=tuple(layers)), path)
+    path.write_bytes(build_model_bytes(**BAD_MODELS["unchained"]))
     return path
 
 
@@ -582,6 +599,19 @@ def test_predict_unchained_model_is_data_error(tmp_path, capsys):
     write_wav(sine_clip(seconds=10.0), tmp_path / "clip.wav")
     assert main(["predict", str(model), str(tmp_path / "clip.wav")]) == 2
     assert "unchained.bin" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+@pytest.mark.parametrize("name", [n for n in BAD_MODELS if n not in ("10-8", "unchained")])
+def test_other_network_is_data_error(workspace, tmp_path, capsys, command, name):
+    # e.g. a single 26->8 softmax layer, or a net whose output is ReLU, not probabilities
+    model = tmp_path / f"{name}.bin"
+    model.write_bytes(build_model_bytes(**BAD_MODELS[name]))
+    write_wav(sine_clip(seconds=10.0), tmp_path / "clip.wav")
+    data = {"evaluate": workspace / "cache.feat", "predict": tmp_path / "clip.wav"}[command]
+    assert main([command, str(model), str(data)]) == 2
+    err = capsys.readouterr().err
+    assert f"{name}.bin: header or size differs" in err and "Traceback" not in err
 
 
 def test_predict_majority_vote_two_against_one(workspace, tmp_path, capsys):
@@ -677,11 +707,9 @@ def test_make_fixture_write_failure_is_exit_2(tmp_path, capsys, blocker, kind):
     ("make-fixture", ["--file-seconds", "-1"], "file_seconds"),
     ("make-fixture", ["--file-seconds", "nan"], "file_seconds"),
     ("make-fixture", ["--file-seconds", "1e300"], "file_seconds"),
-    ("make-fixture", ["--noise-level", "-1"], "noise_level"),
 ], ids=["epochs-0", "lr-5", "seed-negative", "evaluate-seed-negative",
         "workers-0", "fixture-seed-negative",
-        "fixture-seconds-negative", "fixture-seconds-nan", "fixture-seconds-huge",
-        "fixture-noise-negative"])
+        "fixture-seconds-negative", "fixture-seconds-nan", "fixture-seconds-huge"])
 def test_invalid_value_is_usage_error(tmp_path, capsys, command, flags, named):
     manifest = tmp_path / "m.csv"
     manifest.write_text("audio_path,division,speaker_id,gender\n")
@@ -731,12 +759,11 @@ def test_cli_options_are_pinned():
         "preprocess": {"-h", "--help", "--out-dir", "--out", "--workers"},
         "extract": {"-h", "--help", "--out", "--workers"},
         "train": {"-h", "--help", "--model-out", "--metrics-out", "--seed", "--epochs",
-                  "--batch-size", "--lr", "--allow-missing-classes"},
-        "evaluate": {"-h", "--help", "--split", "--seed", "--allow-missing-classes", "--out",
-                     "--confusion-csv"},
+                  "--batch-size", "--lr"},
+        "evaluate": {"-h", "--help", "--split", "--seed", "--out", "--confusion-csv"},
         "predict": {"-h", "--help"},
         "make-fixture": {"-h", "--help", "--out", "--seed", "--speakers-per-class",
-                         "--files-per-speaker", "--file-seconds", "--noise-level"},
+                         "--files-per-speaker", "--file-seconds"},
     }
 
 

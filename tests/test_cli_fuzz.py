@@ -78,9 +78,6 @@ def _argv(draw, command: str, d: Path) -> list[str]:
     def maybe(flag: str) -> list[str]:
         return [flag, _value(draw)] if draw(st.booleans()) else []
 
-    def switch(*flags: str) -> list[str]:
-        return list(flags) if draw(st.booleans()) else []
-
     if command == "scan":
         return ["scan", str(d / "corpus"), "--out", str(d / "scanned.csv")]
     if command == "preprocess":
@@ -93,11 +90,11 @@ def _argv(draw, command: str, d: Path) -> list[str]:
         return ["train", str(d / "cache.feat"), "--model-out", str(d / "out.bin"),
                 "--metrics-out", str(d / "metrics.csv"),
                 "--epochs", _value(draw), *maybe("--seed"),
-                *maybe("--batch-size"), *maybe("--lr"), *switch("--allow-missing-classes")]
+                *maybe("--batch-size"), *maybe("--lr")]
     if command == "evaluate":
         return ["evaluate", str(d / "model.bin"), str(d / "cache.feat"),
                 "--split", draw(st.sampled_from(["full", "train", "test", "val"])),
-                *maybe("--seed"), *switch("--allow-missing-classes")]
+                *maybe("--seed")]
     return ["predict", str(d / "model.bin"), str(d / "corpus" / "Dhaka" / "spk1" / "a.wav")]
 
 

@@ -121,5 +121,7 @@ def test_load_model_decodes_or_rejects(scratch, data):
     st.binary(max_size=300),
     st.binary(max_size=300).map(lambda body: ",".join(MANIFEST_FIELDS).encode() + b"\n" + body),
 ))
+# a field longer than the csv module's limit of 131,072 characters
+@example(",".join(MANIFEST_FIELDS).encode() + b"\n" + b"a" * 131_073 + b",Dhaka,spk1,\n")
 def test_read_manifest_decodes_or_rejects(scratch, data):
     _decode_or_reject(read_manifest, scratch, data)

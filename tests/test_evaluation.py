@@ -3,11 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from divrec.errors import EmptySet, ModelIncompatible
+from divrec.errors import EmptySet
 from divrec.evaluation import (
     DIVISION_NAMES,
     DivisionLabel,
-    check_compatible,
     confusion_csv,
     evaluate,
     label_from_name,
@@ -15,7 +14,7 @@ from divrec.evaluation import (
     report_json,
 )
 from divrec.features import AggregatedFeature
-from divrec.network import LayerSpec, forward, init_params
+from divrec.network import ARCHITECTURE, forward, init_params
 
 
 def zeroed_params():
@@ -33,7 +32,7 @@ def passthrough_params():
     inert in inference mode.
     """
     params = init_params(0)
-    for spec, w in zip(params.layers, params.weights):
+    for spec, w in zip(ARCHITECTURE, params.weights):
         w[:] = 0.0
         k = min(spec.in_dim, spec.out_dim)
         w[np.arange(k), np.arange(k)] = 1.0
@@ -159,12 +158,6 @@ def test_evaluate_order_independent(rng):
 def test_empty_set_rejected():
     with pytest.raises(EmptySet):
         evaluate(init_params(0), [])
-
-
-def test_incompatible_model_rejected():
-    params = init_params(0, layers=(LayerSpec(10, 8, "softmax"),))
-    with pytest.raises(ModelIncompatible):
-        check_compatible(params)
 
 
 # --- report rendering ---
