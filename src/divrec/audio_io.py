@@ -1,4 +1,4 @@
-"""WAV decoding, channel mixing, and encoding.
+"""WAV decoding and encoding.
 
 Only uncompressed 16-bit PCM little-endian RIFF/WAVE files are accepted;
 anything else is rejected loudly. Raw int16 samples are normalized by
@@ -10,7 +10,6 @@ to 32767). The exact chunk layout is documented in docs/formats.md.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,38 +18,11 @@ from .errors import MalformedHeader, TruncatedData, UnsupportedEncoding
 TARGET_SAMPLE_RATE = 16000
 
 
-@dataclass
-class AudioClip:
-    """Audio samples in [-1.0, 1.0] at a known sample rate.
+def read_wav(path) -> tuple[np.ndarray, int]:
+    """Decode a RIFF/WAVE PCM16 LE file into (samples, sample rate).
 
-    ``samples`` is 1-D for mono audio or (n, channels) straight off a
-    multi-channel file; everything downstream of ``to_mono`` is 1-D.
-    """
-
-    samples: np.ndarray
-    sample_rate: int
-    source_id: str = ""
-
-    def __post_init__(self) -> None:
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-
-    @property
-    def num_samples(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def num_channels(self) -> int:
-        return 1 if self.samples.ndim == 1 else self.samples.shape[1]
-
-    @property
-    def duration(self) -> float:
-        return self.num_samples / self.sample_rate
-
-
-def read_wav(path) -> AudioClip:
-    """Decode a RIFF/WAVE PCM16 LE file.
+    ``samples`` are float64 in [-1.0, 1.0]: 1-D for a mono file, (n, channels)
+    otherwise.
 
     Raises MalformedHeader for non-RIFF/WAVE containers and impossible fmt
     fields (no channels, sample rate 0), UnsupportedEncoding
@@ -102,25 +74,18 @@ def read_wav(path) -> AudioClip:
     samples = decode_pcm16(np.frombuffer(data[:usable], dtype="<i2"))
     if channels > 1:
         samples = samples.reshape(-1, channels)
-    return AudioClip(samples=samples, sample_rate=sample_rate, source_id=str(path))
+    return samples, sample_rate
 
 
-def to_mono(clip: AudioClip) -> AudioClip:
-    """Average all channels into one; mono input is returned unchanged."""
-    if clip.samples.ndim == 1:
-        return clip
-    mono = clip.samples.mean(axis=1)
-    return AudioClip(samples=mono, sample_rate=clip.sample_rate, source_id=clip.source_id)
-
-
-def ingest(path) -> AudioClip:
-    """read_wav + to_mono; any sample rate other than 16 kHz is refused."""
-    clip = read_wav(path)
-    if clip.sample_rate != TARGET_SAMPLE_RATE:
+def ingest(path) -> np.ndarray:
+    """The file's mono samples, channels averaged; any sample rate other than
+    16 kHz is refused."""
+    samples, sample_rate = read_wav(path)
+    if sample_rate != TARGET_SAMPLE_RATE:
         raise UnsupportedEncoding(
-            f"{path}: sample rate {clip.sample_rate} Hz, only {TARGET_SAMPLE_RATE} supported"
+            f"{path}: sample rate {sample_rate} Hz, only {TARGET_SAMPLE_RATE} supported"
         )
-    return to_mono(clip)
+    return samples if samples.ndim == 1 else samples.mean(axis=1)
 
 
 def encode_pcm16(samples: np.ndarray) -> np.ndarray:
@@ -136,16 +101,16 @@ def decode_pcm16(ints: np.ndarray) -> np.ndarray:
     return ints.astype(np.float64) / 32768.0
 
 
-def pcm16_round_trip(clip: AudioClip) -> AudioClip:
-    """The clip ``read_wav`` returns after ``write_wav``, computed in memory."""
-    return AudioClip(decode_pcm16(encode_pcm16(clip.samples)), clip.sample_rate, clip.source_id)
+def pcm16_round_trip(samples: np.ndarray) -> np.ndarray:
+    """The samples ``read_wav`` returns after ``write_wav``, computed in memory."""
+    return decode_pcm16(encode_pcm16(samples))
 
 
-def write_wav(clip: AudioClip, path) -> None:
-    """Encode a mono clip as a PCM16 LE WAV file."""
-    if clip.samples.ndim != 1:
-        raise ValueError("write_wav expects a mono clip")
-    pcm = encode_pcm16(clip.samples).tobytes()
+def write_wav(samples: np.ndarray, path) -> None:
+    """Encode mono samples as a 16 kHz PCM16 LE WAV file."""
+    if samples.ndim != 1:
+        raise ValueError("write_wav expects mono samples")
+    pcm = encode_pcm16(samples).tobytes()
     header = (
         b"RIFF"
         + struct.pack("<I", 36 + len(pcm))
@@ -156,8 +121,8 @@ def write_wav(clip: AudioClip, path) -> None:
             16,  # PCM fmt block size
             1,  # PCM
             1,  # mono
-            clip.sample_rate,
-            clip.sample_rate * 2,
+            TARGET_SAMPLE_RATE,
+            TARGET_SAMPLE_RATE * 2,
             2,  # block align
             16,  # bits per sample
         )

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .audio_io import ingest, pcm16_round_trip, write_wav
+from .audio_io import TARGET_SAMPLE_RATE, ingest, pcm16_round_trip, write_wav
 from .errors import DataError, DivrecError, NumericError
 from .evaluation import (
     DIVISION_NAMES,
@@ -150,12 +150,12 @@ def cmd_scan(args) -> int:
 
 
 def _preprocess_one(row: ManifestRow, out_dir: Path) -> list[ManifestRow]:
-    clip = ingest(row.audio_path)
+    samples = ingest(row.audio_path)
     stem = Path(row.audio_path).stem
     seg_dir = out_dir / row.division / row.speaker_id
     seg_dir.mkdir(parents=True, exist_ok=True)
     out_rows = []
-    for i, chunk in enumerate(segment(clip)):
+    for i, chunk in enumerate(segment(samples)):
         chunk = reduce_noise(chunk)
         seg_path = seg_dir / f"{stem}_seg{i:03d}.wav"
         write_wav(chunk, seg_path)
@@ -249,18 +249,19 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     params = load_model(args.model)
-    clip = ingest(args.wav)
-    segments = segment(clip)
+    samples = ingest(args.wav)
+    segments = segment(samples)
     if not segments:
-        raise DataError(f"{args.wav}: too short ({clip.duration:.2f} s) for one 8-10 s segment")
+        seconds = len(samples) / TARGET_SAMPLE_RATE
+        raise DataError(f"{args.wav}: too short ({seconds:.2f} s) for one 8-10 s segment")
     bank = build_filterbank()
     votes = np.zeros(len(DIVISION_NAMES), dtype=np.int64)
-    for chunk in segments:
+    for i, chunk in enumerate(segments):
         # the PCM16 rounding a segment file goes through between preprocess and extract
         cleaned = pcm16_round_trip(reduce_noise(chunk))
         label, probs = predict(params, aggregate(extract(cleaned, bank=bank)))
         votes[label] += 1
-        print(f"{chunk.source_id}: {DIVISION_NAMES[label]} p={probs[label]:.4f}")
+        print(f"{args.wav}_seg{i:03d}: {DIVISION_NAMES[label]} p={probs[label]:.4f}")
     winner = int(np.argmax(votes))  # ties resolve to the lowest label index
     print(f"prediction: {DIVISION_NAMES[winner]} "
           f"({votes[winner]}/{len(segments)} segments)")

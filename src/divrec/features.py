@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio_io import TARGET_SAMPLE_RATE, AudioClip
+from .audio_io import TARGET_SAMPLE_RATE
 from .errors import DataError, SignalTooShort
 from .network import NUM_CLASSES
 
@@ -166,21 +166,18 @@ def delta(features: np.ndarray) -> np.ndarray:
     return out / denom
 
 
-def extract(clip: AudioClip, bank: FilterBank | None = None) -> np.ndarray:
-    """Full per-frame pipeline: (T, 26) matrix of 13 MFCCs + 13 deltas.
+def extract(samples: np.ndarray, bank: FilterBank | None = None) -> np.ndarray:
+    """Full per-frame pipeline on 16 kHz mono samples: (T, 26) matrix of 13
+    MFCCs + 13 deltas.
 
-    ``bank`` lets a caller build the filterbank once for many clips.
+    ``bank`` lets a caller build the filterbank once for many segments.
     """
-    if clip.samples.ndim != 1:
-        raise ValueError("extract expects a mono clip")
-    if clip.sample_rate != TARGET_SAMPLE_RATE:
-        raise DataError(
-            f"{clip.source_id}: sample rate {clip.sample_rate}, expected {TARGET_SAMPLE_RATE}"
-        )
+    if samples.ndim != 1:
+        raise ValueError("extract expects mono samples")
     if bank is None:
         bank = build_filterbank()
 
-    power = _power_spectra(frame_signal(clip.samples))
+    power = _power_spectra(frame_signal(samples))
     static = dct2_ortho(log_mel_energies(power, bank), NUM_STATIC)
     return np.hstack([static, delta(static)])
 

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .audio_io import TARGET_SAMPLE_RATE, AudioClip, write_wav
+from .audio_io import TARGET_SAMPLE_RATE, write_wav
 from .evaluation import DIVISION_NAMES
 
 # one (f1, f2, f3) tone set per division, pairwise distinct in mel space
@@ -75,12 +75,11 @@ def draw_utterance(
     class_index: int,
     rng: np.random.Generator,
     n: int,
-    speaker_jitter: np.ndarray | None,
+    speaker_jitter: np.ndarray,
 ) -> Utterance:
     """Draw one n-sample utterance's random values from ``rng``."""
-    jitter = speaker_jitter if speaker_jitter is not None else np.ones(3)
     tones = []
-    for (freq, amp, j) in zip(CLASS_TONES[class_index], TONE_AMPLITUDES, jitter):
+    for (freq, amp, j) in zip(CLASS_TONES[class_index], TONE_AMPLITUDES, speaker_jitter):
         f = freq * j * (1.0 + rng.uniform(-0.005, 0.005))
         a = amp * (1.0 + rng.uniform(-0.1, 0.1))
         tones.append((f, a, rng.uniform(0, 2 * np.pi)))
@@ -118,23 +117,8 @@ def render_utterance(utterance: Utterance, t: np.ndarray) -> np.ndarray:
     return signal
 
 
-def _time_axis(seconds: float) -> np.ndarray:
-    return np.arange(int(round(seconds * TARGET_SAMPLE_RATE))) / TARGET_SAMPLE_RATE
-
-
-def synthesize_utterance(
-    class_index: int,
-    rng: np.random.Generator,
-    seconds: float,
-    speaker_jitter: np.ndarray | None = None,
-) -> np.ndarray:
-    """One pseudo-utterance: jittered class tones + pauses + noise floor."""
-    t = _time_axis(seconds)
-    return render_utterance(draw_utterance(class_index, rng, len(t), speaker_jitter), t)
-
-
 def _render_and_write(utterance: Utterance, t: np.ndarray, path: Path) -> None:
-    write_wav(AudioClip(render_utterance(utterance, t), TARGET_SAMPLE_RATE, str(path)), path)
+    write_wav(render_utterance(utterance, t), path)
 
 
 def make_fixture(
@@ -157,7 +141,8 @@ def make_fixture(
         raise ValueError(f"file_seconds must lie in (0, {max_seconds:.0f}], got {file_seconds}")
     root = Path(root)
     rng = np.random.default_rng(seed)
-    t = _time_axis(file_seconds)  # every file has the same length
+    # every file has the same length
+    t = np.arange(int(round(file_seconds * TARGET_SAMPLE_RATE))) / TARGET_SAMPLE_RATE
     written: list[Path] = []
     in_flight: set[Future] = set()
     pool = ThreadPoolExecutor(max_workers=POOL_SIZE)

@@ -29,8 +29,10 @@ class ManifestRow:
     def __post_init__(self) -> None:
         if self.division not in DIVISION_NAMES:
             raise DataError(f"unknown division {self.division!r}")
-        if not self.speaker_id:
-            raise DataError(f"{self.audio_path}: empty speaker_id")
+        # speaker_id names a directory under the segment output root
+        if not self.speaker_id or "/" in self.speaker_id or self.speaker_id in (".", ".."):
+            raise DataError(f"{self.audio_path}: speaker_id {self.speaker_id!r} is not "
+                            "a single path component (empty, '.', '..' or contains '/')")
         if self.gender not in ("", "M", "F"):
             raise DataError(f"{self.audio_path}: gender must be M, F, or empty")
 

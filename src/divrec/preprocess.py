@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio_io import AudioClip
+from .audio_io import TARGET_SAMPLE_RATE
 from .errors import ClipTooShort
 
 
@@ -35,31 +35,18 @@ OVERSUBTRACTION = 1.0  # alpha
 SPECTRAL_FLOOR = 0.02  # beta
 
 
-def segment(clip: AudioClip) -> list[AudioClip]:
-    """Cut consecutive non-overlapping chunks; short input yields an empty list."""
-    chunk = int(round(CHUNK_SECONDS * clip.sample_rate))
-    min_tail = int(round(MIN_TAIL_SECONDS * clip.sample_rate))
-    x = clip.samples
-    out: list[AudioClip] = []
+def segment(samples: np.ndarray) -> list[np.ndarray]:
+    """Cut consecutive non-overlapping chunks (copies, not views) from 16 kHz
+    samples; short input yields an empty list."""
+    chunk = int(round(CHUNK_SECONDS * TARGET_SAMPLE_RATE))
+    min_tail = int(round(MIN_TAIL_SECONDS * TARGET_SAMPLE_RATE))
+    out: list[np.ndarray] = []
     start = 0
-    while start + chunk <= x.shape[0]:
-        out.append(
-            AudioClip(
-                samples=x[start : start + chunk].copy(),
-                sample_rate=clip.sample_rate,
-                source_id=f"{clip.source_id}_seg{len(out):03d}",
-            )
-        )
+    while start + chunk <= samples.shape[0]:
+        out.append(samples[start : start + chunk].copy())
         start += chunk
-    tail = x.shape[0] - start
-    if tail >= min_tail:
-        out.append(
-            AudioClip(
-                samples=x[start:].copy(),
-                sample_rate=clip.sample_rate,
-                source_id=f"{clip.source_id}_seg{len(out):03d}",
-            )
-        )
+    if samples.shape[0] - start >= min_tail:
+        out.append(samples[start:].copy())
     return out
 
 
@@ -86,14 +73,13 @@ def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
     return out.ravel()
 
 
-def reduce_noise(clip: AudioClip) -> AudioClip:
+def reduce_noise(samples: np.ndarray) -> np.ndarray:
     """Magnitude spectral subtraction; output has exactly the input's length."""
-    x = clip.samples
-    if x.ndim != 1:
-        raise ValueError("reduce_noise expects a mono clip")
-    n = x.shape[0]
+    if samples.ndim != 1:
+        raise ValueError("reduce_noise expects mono samples")
+    n = samples.shape[0]
     if n < NR_FRAME_LEN:
-        raise ClipTooShort(f"{clip.source_id}: {n} samples < frame length {NR_FRAME_LEN}")
+        raise ClipTooShort(f"{n} samples < frame length {NR_FRAME_LEN}")
 
     frame_len, hop = NR_FRAME_LEN, NR_HOP
     window = _periodic_hann(frame_len)
@@ -103,7 +89,7 @@ def reduce_noise(clip: AudioClip) -> AudioClip:
     n_frames = int(np.ceil((n + frame_len) / hop)) + 1
     padded_len = (n_frames - 1) * hop + frame_len
     padded = np.zeros(padded_len)
-    padded[hop : hop + n] = x
+    padded[hop : hop + n] = samples
 
     frames = sliding_window_view(padded, frame_len)[::hop] * window
 
@@ -124,5 +110,4 @@ def reduce_noise(clip: AudioClip) -> AudioClip:
 
     out = _overlap_add(rebuilt, hop)
 
-    cleaned = np.clip(out[hop : hop + n], -1.0, 1.0)
-    return AudioClip(samples=cleaned, sample_rate=clip.sample_rate, source_id=clip.source_id)
+    return np.clip(out[hop : hop + n], -1.0, 1.0)

@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from divrec.audio_io import AudioClip
+from divrec.fixture import draw_utterance, render_utterance
 
 
 def build_wav_bytes(
@@ -90,15 +90,15 @@ BAD_MODELS = {
 }
 
 
-def sine_clip(
-    freq: float = 440.0,
-    amplitude: float = 0.5,
-    seconds: float = 1.0,
-    sample_rate: int = 16000,
-    source_id: str = "sine",
-) -> AudioClip:
-    t = np.arange(int(round(seconds * sample_rate))) / sample_rate
-    return AudioClip(amplitude * np.sin(2 * np.pi * freq * t), sample_rate, source_id)
+def sine_clip(freq: float = 440.0, amplitude: float = 0.5, seconds: float = 1.0) -> np.ndarray:
+    t = np.arange(int(round(seconds * 16000))) / 16000
+    return amplitude * np.sin(2 * np.pi * freq * t)
+
+
+def synthesize_utterance(class_index: int, rng: np.random.Generator, seconds: float) -> np.ndarray:
+    """One 16 kHz fixture utterance of class ``class_index`` with no speaker jitter."""
+    t = np.arange(int(round(seconds * 16000))) / 16000
+    return render_utterance(draw_utterance(class_index, rng, len(t), np.ones(3)), t)
 
 
 @pytest.fixture

@@ -3,37 +3,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divrec.audio_io import (
-    AudioClip,
-    encode_pcm16,
-    ingest,
-    pcm16_round_trip,
-    read_wav,
-    to_mono,
-    write_wav,
-)
+from divrec.audio_io import encode_pcm16, ingest, pcm16_round_trip, read_wav, write_wav
 from divrec.errors import MalformedHeader, TruncatedData, UnsupportedEncoding
 
-from conftest import build_wav_bytes, sine_clip
+from conftest import build_wav_bytes
 
 
 def test_one_second_mono_fixture_sample_count(tmp_path):
     path = tmp_path / "one_second.wav"
     path.write_bytes(build_wav_bytes(np.zeros(16000, dtype=np.int16)))
-    clip = read_wav(path)
-    assert clip.num_samples == 16000
-    assert clip.sample_rate == 16000
-    assert clip.num_channels == 1
+    samples, sample_rate = read_wav(path)
+    assert samples.shape == (16000,)
+    assert sample_rate == 16000
 
 
 def test_normalization_divides_by_32768(tmp_path):
     path = tmp_path / "levels.wav"
     path.write_bytes(build_wav_bytes(np.array([-32768, 16384, 0, 32767], dtype=np.int16)))
-    clip = read_wav(path)
-    assert clip.samples[0] == -1.0
-    assert clip.samples[1] == 0.5
-    assert clip.samples[2] == 0.0
-    assert clip.samples[3] == 32767 / 32768
+    samples, _ = read_wav(path)
+    assert samples[0] == -1.0
+    assert samples[1] == 0.5
+    assert samples[2] == 0.0
+    assert samples[3] == 32767 / 32768
 
 
 def test_write_after_read_reproduces_data_chunk(tmp_path):
@@ -45,7 +36,7 @@ def test_write_after_read_reproduces_data_chunk(tmp_path):
     original.write_bytes(build_wav_bytes(raw))
 
     rewritten = tmp_path / "rewritten.wav"
-    write_wav(read_wav(original), rewritten)
+    write_wav(read_wav(original)[0], rewritten)
 
     orig_bytes = original.read_bytes()
     new_bytes = rewritten.read_bytes()
@@ -82,34 +73,9 @@ def test_rejects_truncated_data(tmp_path):
         read_wav(path)
 
 
-def test_to_mono_symmetric_stereo_cancels():
-    stereo = np.stack([np.full(100, 0.5), np.full(100, -0.5)], axis=1)
-    mono = to_mono(AudioClip(stereo, 16000))
-    assert np.all(mono.samples == 0.0)
-    assert mono.num_samples == 100
-
-
-def test_to_mono_duplicated_channels_identity():
-    channel = np.linspace(-0.9, 0.9, 64)
-    mono = to_mono(AudioClip(np.stack([channel, channel], axis=1), 16000))
-    np.testing.assert_array_equal(mono.samples, channel)
-
-
-def test_to_mono_random_matches_elementwise_mean(rng):
-    stereo = rng.uniform(-1, 1, size=(500, 2))
-    mono = to_mono(AudioClip(stereo, 16000))
-    expected = np.array([(l + r) / 2 for l, r in stereo])  # brute-force oracle
-    np.testing.assert_allclose(mono.samples, expected, rtol=0, atol=0)
-
-
-def test_to_mono_passes_mono_through():
-    clip = sine_clip(seconds=0.01)
-    assert to_mono(clip) is clip
-
-
 def test_write_zero_second_clip_data_chunk(tmp_path):
     path = tmp_path / "zero.wav"
-    write_wav(AudioClip(np.zeros(16000), 16000), path)
+    write_wav(np.zeros(16000), path)
     raw = path.read_bytes()
     data = raw[raw.index(b"data") + 8 :]
     assert data == b"\x00" * 32000
@@ -119,9 +85,9 @@ def test_write_full_scale_encodes_32767(tmp_path):
     # the write multiplier is 32767, so +/-1.0 map to +/-32767; -32768 is
     # reachable only on read (the asymmetric edge of the int16 convention)
     path = tmp_path / "full.wav"
-    write_wav(AudioClip(np.array([1.0, -1.0]), 16000), path)
-    clip = read_wav(path)
-    raw = np.round(clip.samples * 32768).astype(int)
+    write_wav(np.array([1.0, -1.0]), path)
+    samples, _ = read_wav(path)
+    raw = np.round(samples * 32768).astype(int)
     assert raw[0] == 32767
     assert raw[1] == -32767
 
@@ -140,9 +106,10 @@ def test_read_write_identity_on_quantized_grid(tmp_path_factory, raws):
     # round trip exactly (round(x * 32767/32768) == x for |x| <= 16384)
     path = tmp_path_factory.mktemp("rt") / "grid.wav"
     amplitudes = np.array(raws) / 32768.0
-    write_wav(AudioClip(amplitudes, 16000), path)
-    back = read_wav(path)
-    np.testing.assert_array_equal(back.samples, amplitudes)
+    write_wav(amplitudes, path)
+    back, sample_rate = read_wav(path)
+    assert sample_rate == 16000
+    np.testing.assert_array_equal(back, amplitudes)
 
 
 @settings(max_examples=50, deadline=None)
@@ -150,9 +117,9 @@ def test_read_write_identity_on_quantized_grid(tmp_path_factory, raws):
 def test_pcm16_round_trip_equals_write_then_read(tmp_path_factory, amplitudes):
     # above half scale too, where a write/read round trip is not the identity
     path = tmp_path_factory.mktemp("q") / "clip.wav"
-    clip = AudioClip(np.array(amplitudes), 16000, "q")
-    write_wav(clip, path)
-    assert pcm16_round_trip(clip).samples.tobytes() == read_wav(path).samples.tobytes()
+    samples = np.array(amplitudes)
+    write_wav(samples, path)
+    assert pcm16_round_trip(samples).tobytes() == read_wav(path)[0].tobytes()
 
 
 @pytest.mark.parametrize("rate", [128, 8000, 44100, 48000])
@@ -162,18 +129,32 @@ def test_ingest_refuses_rates_other_than_16k(tmp_path, rate):
     path.write_bytes(build_wav_bytes(np.zeros(rate), sample_rate=rate))
     with pytest.raises(UnsupportedEncoding, match=f"sample rate {rate} Hz"):
         ingest(path)
-    assert read_wav(path).sample_rate == rate
+    assert read_wav(path)[1] == rate
+
+
+_WAVE = np.sin(2 * np.pi * 300 * np.arange(16000) / 16000)
+_RAMP = np.round(np.linspace(-29000, 29000, 64))
+
+# raw int16 frames, (n, channels), that ingest must mix to mono
+CHANNEL_CASES = {
+    "mono": np.round(np.linspace(-32768, 32767, 300))[:, None],
+    "opposed-sines": np.stack([np.round(10000 * _WAVE), np.round(-5000 * _WAVE)], axis=1),
+    "symmetric-cancel": np.stack([np.full(100, 16384), np.full(100, -16384)], axis=1),
+    "duplicated": np.stack([_RAMP, _RAMP], axis=1),
+    "random": np.random.default_rng(12345).integers(-32768, 32768, size=(500, 2)),
+}
 
 
 def test_ingest_produces_mono_16k(tmp_path):
-    path = tmp_path / "stereo16.wav"
-    n = 16000
-    left = np.round(10000 * np.sin(2 * np.pi * 300 * np.arange(n) / 16000))
-    right = np.round(-5000 * np.sin(2 * np.pi * 300 * np.arange(n) / 16000))
-    frames = np.stack([left, right], axis=1).astype(np.int16).reshape(-1)
-    path.write_bytes(build_wav_bytes(frames, sample_rate=16000, channels=2))
-    clip = ingest(path)
-    assert clip.sample_rate == 16000
-    assert clip.samples.ndim == 1
-    assert clip.num_samples == n
-    np.testing.assert_array_equal(clip.samples, (left + right) / 2 / 32768)
+    for name, frames in CHANNEL_CASES.items():
+        raw = frames.astype(np.int16)
+        path = tmp_path / f"{name}.wav"
+        path.write_bytes(build_wav_bytes(raw.reshape(-1), sample_rate=16000,
+                                         channels=raw.shape[1]))
+        samples = ingest(path)
+        assert samples.ndim == 1, name
+        # brute-force oracle: the exact mean of each frame's decoded channels
+        expected = [sum(v / 32768 for v in frame) / len(frame) for frame in raw.tolist()]
+        np.testing.assert_array_equal(samples, expected, err_msg=name)
+    assert np.all(ingest(tmp_path / "symmetric-cancel.wav") == 0.0)
+    np.testing.assert_array_equal(ingest(tmp_path / "duplicated.wav"), _RAMP / 32768)

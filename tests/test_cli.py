@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from divrec.audio_io import AudioClip, ingest, read_wav, write_wav
+from divrec.audio_io import ingest, read_wav, write_wav
 from divrec import cli
 from divrec.cli import _map_rows, _training_config, build_parser, main
 from divrec.errors import DataError
@@ -22,11 +22,10 @@ from divrec.features import (
     read_feature_cache,
     write_feature_cache,
 )
-from divrec.fixture import synthesize_utterance
 from divrec.manifest import ManifestRow, read_manifest
 from divrec.training import TrainingConfig
 
-from conftest import BAD_MODELS, build_model_bytes, build_wav_bytes, sine_clip
+from conftest import BAD_MODELS, build_model_bytes, build_wav_bytes, sine_clip, synthesize_utterance
 
 SR = 16000
 
@@ -96,8 +95,7 @@ def test_rescan_is_byte_identical(workspace, tmp_path):
 def test_preprocess_25s_file_gives_two_segments(tmp_path, rng):
     speaker = tmp_path / "corpus" / "Khulna" / "spk9"
     speaker.mkdir(parents=True)
-    clip = AudioClip(rng.uniform(-0.4, 0.4, 25 * SR), SR, "x")
-    write_wav(clip, speaker / "long.wav")
+    write_wav(rng.uniform(-0.4, 0.4, 25 * SR), speaker / "long.wav")
     assert main(["scan", str(tmp_path / "corpus"), "--out", str(tmp_path / "m.csv")]) == 0
     assert main(["preprocess", str(tmp_path / "m.csv"),
                  "--out-dir", str(tmp_path / "seg"),
@@ -113,7 +111,7 @@ def test_preprocess_25s_file_gives_two_segments(tmp_path, rng):
 def test_preprocess_logs_bad_file_and_continues(tmp_path, capsys):
     speaker = tmp_path / "corpus" / "Rangpur" / "spk1"
     speaker.mkdir(parents=True)
-    write_wav(AudioClip(np.zeros(10 * SR), SR, "ok"), speaker / "good.wav")
+    write_wav(np.zeros(10 * SR), speaker / "good.wav")
     (speaker / "broken.wav").write_bytes(b"this is not audio at all")
     assert main(["scan", str(tmp_path / "corpus"), "--out", str(tmp_path / "m.csv")]) == 0
     rc = main(["preprocess", str(tmp_path / "m.csv"),
@@ -127,7 +125,7 @@ def test_preprocess_logs_bad_file_and_continues(tmp_path, capsys):
 def test_preprocess_lists_zero_sample_rate_file_and_continues(tmp_path, capsys):
     speaker = tmp_path / "corpus" / "Sylhet" / "spk1"
     speaker.mkdir(parents=True)
-    write_wav(AudioClip(np.zeros(10 * SR), SR, "ok"), speaker / "good.wav")
+    write_wav(np.zeros(10 * SR), speaker / "good.wav")
     (speaker / "rate0.wav").write_bytes(build_wav_bytes(np.zeros(SR), sample_rate=0))
     assert main(["scan", str(tmp_path / "corpus"), "--out", str(tmp_path / "m.csv")]) == 0
     rc = main(["preprocess", str(tmp_path / "m.csv"),
@@ -141,7 +139,7 @@ def test_preprocess_lists_zero_sample_rate_file_and_continues(tmp_path, capsys):
 def test_preprocess_logs_44k_file_and_continues(tmp_path, capsys):
     speaker = tmp_path / "corpus" / "Sylhet" / "spk1"
     speaker.mkdir(parents=True)
-    write_wav(AudioClip(np.zeros(10 * SR), SR, "ok"), speaker / "good.wav")
+    write_wav(np.zeros(10 * SR), speaker / "good.wav")
     (speaker / "cd.wav").write_bytes(build_wav_bytes(np.zeros(10 * 44100), sample_rate=44100))
     assert main(["scan", str(tmp_path / "corpus"), "--out", str(tmp_path / "m.csv")]) == 0
     rc = main(["preprocess", str(tmp_path / "m.csv"),
@@ -183,6 +181,29 @@ def test_preprocess_refuses_rows_that_share_segment_names(tmp_path, capsys):
     assert rc == 2
     assert str(paths[0]) in err and str(paths[1]) in err
     assert not (tmp_path / "seg").exists() and not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("rows", [
+    [("a.wav", "../../escaped")],  # would write out/escaped/a_seg000.wav
+    [("a.wav", "y"), ("sub/a.wav", "x/../y")],  # both would write out/Dhaka/y/a_seg000.wav
+    [("a.wav", ".")],
+], ids=["escapes-out-dir", "dot-dot-collision", "dot"])
+def test_preprocess_refuses_speaker_id_that_is_not_one_path_component(tmp_path, capsys, rows):
+    lines = []
+    for name, speaker_id in rows:
+        path = tmp_path / "in" / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_wav(sine_clip(seconds=10.0), path)
+        lines.append(f"{path},Dhaka,{speaker_id},\n")
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("audio_path,division,speaker_id,gender\n" + "".join(lines))
+    rc = main(["preprocess", str(manifest),
+               "--out-dir", str(tmp_path / "out" / "segs"), "--out", str(tmp_path / "s.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    bad_path, bad_id = tmp_path / "in" / rows[-1][0], rows[-1][1]
+    assert f"{bad_path}: speaker_id {bad_id!r}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "s.csv").exists()
 
 
 def _manifest_with_missing_file(tmp_path) -> tuple[Path, Path]:
@@ -263,19 +284,24 @@ def test_manifest_field_over_csv_limit_is_data_error(tmp_path, capsys, command):
     assert "long.csv" in err and "Traceback" not in err
 
 
+def _seconds(path) -> float:
+    samples, sample_rate = read_wav(path)
+    return len(samples) / sample_rate
+
+
 def test_preprocess_duration_bounded_by_input(workspace):
     total_in = sum(
-        read_wav(r.audio_path).duration for r in read_manifest(workspace / "manifest.csv")
+        _seconds(r.audio_path) for r in read_manifest(workspace / "manifest.csv")
     )
     total_out = sum(
-        read_wav(r.audio_path).duration for r in read_manifest(workspace / "segments.csv")
+        _seconds(r.audio_path) for r in read_manifest(workspace / "segments.csv")
     )
     assert total_out <= total_in
 
 
 def test_preprocess_segment_durations_in_window(workspace):
     for row in read_manifest(workspace / "segments.csv"):
-        assert 8.0 <= read_wav(row.audio_path).duration <= 10.0
+        assert 8.0 <= _seconds(row.audio_path) <= 10.0
 
 
 # --- extract ---
@@ -288,9 +314,8 @@ def test_extract_record_count_matches_segments(workspace):
 def test_extract_agrees_with_in_process_pipeline(workspace):
     records = read_feature_cache(workspace / "cache.feat")
     rec = records[0]
-    clip = ingest(rec.source_id)
     bank = build_filterbank()
-    expected = aggregate(extract(clip, bank=bank))
+    expected = aggregate(extract(ingest(rec.source_id), bank=bank))
     np.testing.assert_array_equal(rec.vector, expected)
 
 
@@ -565,19 +590,21 @@ def test_predict_vectors_equal_cached_vectors(workspace, monkeypatch, capsys):
 
 def test_predict_single_segment_final_equals_segment(workspace, tmp_path, capsys):
     rng = np.random.default_rng(55)
-    write_wav(AudioClip(synthesize_utterance(2, rng, 10.0), SR, "p"), tmp_path / "one.wav")
-    assert main(["predict", str(workspace / "model.bin"), str(tmp_path / "one.wav")]) == 0
+    wav = tmp_path / "one.wav"
+    write_wav(synthesize_utterance(2, rng, 10.0), wav)
+    assert main(["predict", str(workspace / "model.bin"), str(wav)]) == 0
     out = capsys.readouterr().out.strip().split("\n")
+    assert out[0].startswith(f"{wav}_seg000: ")
     seg_label = re.search(r"_seg000: (\w+)", out[0]).group(1)
     final_label = re.search(r"prediction: (\w+)", out[-1]).group(1)
     assert final_label == seg_label
 
 
 def test_predict_short_file_is_data_error(workspace, tmp_path, capsys):
-    write_wav(AudioClip(np.zeros(5 * SR), SR, "s"), tmp_path / "short.wav")
+    write_wav(np.zeros(5 * SR), tmp_path / "short.wav")
     rc = main(["predict", str(workspace / "model.bin"), str(tmp_path / "short.wav")])
     assert rc == 2
-    assert "too short" in capsys.readouterr().err
+    assert "short.wav: too short (5.00 s)" in capsys.readouterr().err
 
 
 def test_predict_zero_sample_rate_is_data_error(workspace, tmp_path, capsys):
@@ -618,7 +645,7 @@ def test_predict_majority_vote_two_against_one(workspace, tmp_path, capsys):
     rng = np.random.default_rng(99)
     parts = [synthesize_utterance(0, rng, 10.0), synthesize_utterance(0, rng, 10.0),
              synthesize_utterance(1, rng, 10.0)]
-    write_wav(AudioClip(np.concatenate(parts), SR, "vote"), tmp_path / "vote.wav")
+    write_wav(np.concatenate(parts), tmp_path / "vote.wav")
     assert main(["predict", str(workspace / "model.bin"), str(tmp_path / "vote.wav")]) == 0
     out = capsys.readouterr().out.strip().split("\n")
     votes = [re.search(r"_seg\d+: (\w+)", line).group(1) for line in out[:3]]

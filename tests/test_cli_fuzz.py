@@ -20,11 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divrec.audio_io import AudioClip, write_wav
+from divrec.audio_io import write_wav
 from divrec.cli import main
 from divrec.features import AggregatedFeature, write_feature_cache
-from divrec.fixture import synthesize_utterance
 from divrec.network import init_params, save_model
+
+from conftest import synthesize_utterance
 
 VALUES = ["-1", "0", "1", "2", "nan", "inf", "abc"]
 COMMANDS = ["scan", "preprocess", "extract", "train", "evaluate", "predict"]
@@ -35,7 +36,7 @@ def originals(tmp_path_factory):
     """A directory holding one small valid WAV (10 s), cache (16 records) and model."""
     root = tmp_path_factory.mktemp("cli_fuzz")
     rng = np.random.default_rng(3)
-    write_wav(AudioClip(synthesize_utterance(2, rng, 10.0), 16000), root / "clip.wav")
+    write_wav(synthesize_utterance(2, rng, 10.0), root / "clip.wav")
     records = [AggregatedFeature(rng.normal(i % 8, 1.0, 26), i % 8, f"r{i:02d}")
                for i in range(16)]
     write_feature_cache(records, root / "cache.feat")

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divrec.audio_io import AudioClip, encode_pcm16
+from divrec.audio_io import encode_pcm16
 from divrec.errors import ClipTooShort
-from divrec.fixture import synthesize_utterance
 from divrec.preprocess import (
     NOISE_FRAMES,
     NR_FRAME_LEN,
@@ -20,49 +19,47 @@ from divrec.preprocess import (
     segment,
 )
 
-from conftest import sine_clip
+from conftest import sine_clip, synthesize_utterance
 
 SR = 16000
 
 
-def _clip(seconds: float) -> AudioClip:
+def _clip(seconds: float) -> np.ndarray:
     rng = np.random.default_rng(7)
-    return AudioClip(rng.uniform(-0.5, 0.5, int(seconds * SR)), SR, "clip")
+    return rng.uniform(-0.5, 0.5, int(seconds * SR))
 
 
 def test_25s_yields_two_chunks_tail_discarded():
     chunks = segment(_clip(25.0))
     assert len(chunks) == 2
-    assert all(c.num_samples == 10 * SR for c in chunks)
+    assert all(len(c) == 10 * SR for c in chunks)
 
 
 def test_18s_yields_10s_plus_8s():
     chunks = segment(_clip(18.0))
-    assert [c.num_samples for c in chunks] == [10 * SR, 8 * SR]
+    assert [len(c) for c in chunks] == [10 * SR, 8 * SR]
 
 
 def test_7s_yields_nothing():
     assert segment(_clip(7.0)) == []
 
 
-def test_segment_ids_are_suffixed():
-    chunks = segment(_clip(20.0))
-    assert [c.source_id for c in chunks] == ["clip_seg000", "clip_seg001"]
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=35 * SR))
 def test_segments_are_prefix_partition(n_samples):
-    clip = AudioClip(np.arange(n_samples, dtype=np.float64) / (40 * SR), SR, "p")
-    chunks = segment(clip)
-    lengths = [c.num_samples for c in chunks]
+    samples = np.arange(n_samples, dtype=np.float64) / (40 * SR)
+    chunks = segment(samples)
+    lengths = [len(c) for c in chunks]
     assert all(8 * SR <= n <= 10 * SR for n in lengths)
     covered = sum(lengths)
     assert covered <= n_samples
     assert n_samples - covered < 10 * SR  # shortfall is a sub-chunk tail
     if chunks:
-        rebuilt = np.concatenate([c.samples for c in chunks])
-        np.testing.assert_array_equal(rebuilt, clip.samples[:covered])
+        rebuilt = np.concatenate(chunks)
+        np.testing.assert_array_equal(rebuilt, samples[:covered])
+        # chunks are copies: writing to one leaves the input alone
+        chunks[0][:] = -1.0
+        assert samples[0] == 0.0
     # any discarded tail is below the keep threshold
     if n_samples % (10 * SR) and covered < n_samples:
         assert n_samples - covered < 8 * SR
@@ -71,27 +68,27 @@ def test_segments_are_prefix_partition(n_samples):
 def test_noise_reduction_zero_in_zero_out():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the zero-magnitude gain must not divide 0 by 0
-        out = reduce_noise(AudioClip(np.zeros(4 * SR), SR, "z"))
-    assert out.num_samples == 4 * SR
-    np.testing.assert_array_equal(out.samples, 0.0)
+        out = reduce_noise(np.zeros(4 * SR))
+    assert len(out) == 4 * SR
+    np.testing.assert_array_equal(out, 0.0)
 
 
 def test_noise_reduction_preserves_length():
     for seconds in (0.05, 1.0, 2.37):
         clip = _clip(seconds)
-        assert reduce_noise(clip).num_samples == clip.num_samples
+        assert len(reduce_noise(clip)) == len(clip)
 
 
 def test_noise_reduction_deterministic():
     clip = _clip(1.5)
     a = reduce_noise(clip)
     b = reduce_noise(clip)
-    np.testing.assert_array_equal(a.samples, b.samples)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_noise_reduction_rejects_short_clip():
     with pytest.raises(ClipTooShort):
-        reduce_noise(AudioClip(np.zeros(511), SR, "s"))
+        reduce_noise(np.zeros(511))
 
 
 def test_snr_improves_on_gated_sine_plus_noise():
@@ -106,14 +103,14 @@ def test_snr_improves_on_gated_sine_plus_noise():
     clean = 0.5 * np.sin(2 * np.pi * 440 * t) * gate
     noise = rng.normal(0.0, 0.05, n)
 
-    noisy = AudioClip(np.clip(clean + noise, -1, 1), SR, "n")
+    noisy = np.clip(clean + noise, -1, 1)
     out = reduce_noise(noisy)
 
     def snr(signal):
         residual = signal - clean
         return 10 * np.log10(np.sum(clean**2) / np.sum(residual**2))
 
-    assert snr(out.samples) > snr(noisy.samples)
+    assert snr(out) > snr(noisy)
 
 
 def test_pure_sine_deviation_bounded_by_spectral_floor():
@@ -123,14 +120,13 @@ def test_pure_sine_deviation_bounded_by_spectral_floor():
     # per-bin magnitudes end between beta*|X| and |X|, so the output cannot
     # stray from the input by more than the fully-attenuated amplitude
     bound = (1.0 - SPECTRAL_FLOOR) * amplitude
-    assert np.max(np.abs(out.samples - clip.samples)) <= bound * 1.05
+    assert np.max(np.abs(out - clip)) <= bound * 1.05
 
 
 def test_output_clamped_to_unit_range():
     rng = np.random.default_rng(3)
-    clip = AudioClip(np.clip(rng.normal(0, 0.5, SR), -1, 1), SR, "c")
-    out = reduce_noise(clip)
-    assert np.max(np.abs(out.samples)) <= 1.0
+    out = reduce_noise(np.clip(rng.normal(0, 0.5, SR), -1, 1))
+    assert np.max(np.abs(out)) <= 1.0
 
 
 # --- reference implementation: per-frame overlap-add, angle/exp resynthesis ---
@@ -143,8 +139,7 @@ def _reference_overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
     return out
 
 
-def _reference_reduce_noise(clip: AudioClip) -> np.ndarray:
-    x = clip.samples
+def _reference_reduce_noise(x: np.ndarray) -> np.ndarray:
     n = x.shape[0]
     frame_len, hop = NR_FRAME_LEN, NR_HOP
     window = _periodic_hann(frame_len)
@@ -166,11 +161,11 @@ def _reference_reduce_noise(clip: AudioClip) -> np.ndarray:
     return np.clip(out[hop : hop + n], -1.0, 1.0)
 
 
-def _fixture_segment(class_index: int, seconds: float = 10.0) -> AudioClip:
+def _fixture_segment(class_index: int, seconds: float = 10.0) -> np.ndarray:
     rng = np.random.default_rng(100 + class_index)
     samples = synthesize_utterance(class_index, rng, seconds)
     # on the PCM16 grid, as segments are after ingest
-    return AudioClip(encode_pcm16(samples) / 32768.0, SR, f"fx{class_index}")
+    return encode_pcm16(samples) / 32768.0
 
 
 @pytest.mark.parametrize("frame_len,hop", [(512, 256), (512, 170), (512, 512), (400, 160)])
@@ -186,17 +181,16 @@ def test_blocked_overlap_add_bit_equal_to_frame_loop(frame_len, hop):
 def test_reduce_noise_matches_reference_on_fixture_segments(class_index):
     clip = _fixture_segment(class_index)
     expected = _reference_reduce_noise(clip)
-    got = reduce_noise(clip).samples
+    got = reduce_noise(clip)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
     assert encode_pcm16(got).tobytes() == encode_pcm16(expected).tobytes()
 
 
 def test_reduce_noise_silent_stretch_raises_no_warning():
-    samples = _fixture_segment(5, seconds=3.0).samples.copy()
+    samples = _fixture_segment(5, seconds=3.0)
     samples[SR : 2 * SR] = 0.0
-    clip = AudioClip(samples, SR, "gap")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = reduce_noise(clip).samples
-    np.testing.assert_allclose(out, _reference_reduce_noise(clip),
+        out = reduce_noise(samples)
+    np.testing.assert_allclose(out, _reference_reduce_noise(samples),
                                rtol=0, atol=1e-12)
