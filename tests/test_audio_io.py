@@ -132,29 +132,49 @@ def test_ingest_refuses_rates_other_than_16k(tmp_path, rate):
     assert read_wav(path)[1] == rate
 
 
-_WAVE = np.sin(2 * np.pi * 300 * np.arange(16000) / 16000)
-_RAMP = np.round(np.linspace(-29000, 29000, 64))
-
-# raw int16 frames, (n, channels), that ingest must mix to mono
-CHANNEL_CASES = {
-    "mono": np.round(np.linspace(-32768, 32767, 300))[:, None],
-    "opposed-sines": np.stack([np.round(10000 * _WAVE), np.round(-5000 * _WAVE)], axis=1),
-    "symmetric-cancel": np.stack([np.full(100, 16384), np.full(100, -16384)], axis=1),
-    "duplicated": np.stack([_RAMP, _RAMP], axis=1),
-    "random": np.random.default_rng(12345).integers(-32768, 32768, size=(500, 2)),
-}
+def _ingest_frames(tmp_path, name, frames):
+    """Write raw int16 frames, shape (n, channels), as a 16 kHz WAV and ingest
+    it; also return the brute-force oracle, the exact mean of each frame's
+    decoded channels."""
+    raw = np.asarray(frames).astype(np.int16)
+    path = tmp_path / f"{name}.wav"
+    path.write_bytes(build_wav_bytes(raw.reshape(-1), sample_rate=16000,
+                                     channels=raw.shape[1]))
+    expected = [sum(v / 32768 for v in frame) / len(frame) for frame in raw.tolist()]
+    return ingest(path), np.array(expected)
 
 
 def test_ingest_produces_mono_16k(tmp_path):
-    for name, frames in CHANNEL_CASES.items():
-        raw = frames.astype(np.int16)
-        path = tmp_path / f"{name}.wav"
-        path.write_bytes(build_wav_bytes(raw.reshape(-1), sample_rate=16000,
-                                         channels=raw.shape[1]))
-        samples = ingest(path)
-        assert samples.ndim == 1, name
-        # brute-force oracle: the exact mean of each frame's decoded channels
-        expected = [sum(v / 32768 for v in frame) / len(frame) for frame in raw.tolist()]
-        np.testing.assert_array_equal(samples, expected, err_msg=name)
-    assert np.all(ingest(tmp_path / "symmetric-cancel.wav") == 0.0)
-    np.testing.assert_array_equal(ingest(tmp_path / "duplicated.wav"), _RAMP / 32768)
+    wave = np.sin(2 * np.pi * 300 * np.arange(16000) / 16000)
+    frames = np.stack([np.round(10000 * wave), np.round(-5000 * wave)], axis=1)
+    samples, expected = _ingest_frames(tmp_path, "opposed-sines", frames)
+    assert samples.ndim == 1
+    assert len(samples) == 16000
+    np.testing.assert_array_equal(samples, expected)
+
+
+def test_to_mono_symmetric_stereo_cancels(tmp_path):
+    frames = np.stack([np.full(100, 16384), np.full(100, -16384)], axis=1)
+    samples, _ = _ingest_frames(tmp_path, "symmetric-cancel", frames)
+    assert np.all(samples == 0.0)
+    assert len(samples) == 100
+
+
+def test_to_mono_duplicated_channels_identity(tmp_path):
+    ramp = np.round(np.linspace(-29000, 29000, 64))
+    samples, _ = _ingest_frames(tmp_path, "duplicated", np.stack([ramp, ramp], axis=1))
+    np.testing.assert_array_equal(samples, ramp / 32768)
+
+
+def test_to_mono_random_matches_elementwise_mean(tmp_path, rng):
+    frames = rng.integers(-32768, 32768, size=(500, 2))
+    samples, expected = _ingest_frames(tmp_path, "random", frames)
+    np.testing.assert_array_equal(samples, expected)
+
+
+def test_to_mono_passes_mono_through(tmp_path):
+    frames = np.round(np.linspace(-32768, 32767, 300))[:, None]
+    samples, expected = _ingest_frames(tmp_path, "mono", frames)
+    assert samples.ndim == 1
+    np.testing.assert_array_equal(samples, read_wav(tmp_path / "mono.wav")[0])
+    np.testing.assert_array_equal(samples, expected)

@@ -1,12 +1,15 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divrec.audio_io import encode_pcm16
+from divrec.audio_io import encode_pcm16, write_wav
+from divrec.cli import _preprocess_one
 from divrec.errors import ClipTooShort
+from divrec.manifest import ManifestRow
 from divrec.preprocess import (
     NOISE_FRAMES,
     NR_FRAME_LEN,
@@ -42,6 +45,14 @@ def test_18s_yields_10s_plus_8s():
 
 def test_7s_yields_nothing():
     assert segment(_clip(7.0)) == []
+
+
+def test_segment_ids_are_suffixed(tmp_path):
+    write_wav(_clip(20.0), tmp_path / "clip.wav")
+    row = ManifestRow(audio_path=str(tmp_path / "clip.wav"), division="Dhaka",
+                      speaker_id="s1", gender="M")
+    rows = _preprocess_one(row, tmp_path / "seg")
+    assert [Path(r.audio_path).name for r in rows] == ["clip_seg000.wav", "clip_seg001.wav"]
 
 
 @settings(max_examples=60, deadline=None)
