@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .errors import MalformedHeader, TruncatedData, UnsupportedEncoding
+from .errors import DataError
 
 TARGET_SAMPLE_RATE = 16000
 
@@ -24,16 +24,15 @@ def read_wav(path) -> tuple[np.ndarray, int]:
     ``samples`` are float64 in [-1.0, 1.0]: 1-D for a mono file, (n, channels)
     otherwise.
 
-    Raises MalformedHeader for non-RIFF/WAVE containers and impossible fmt
-    fields (no channels, sample rate 0), UnsupportedEncoding
-    for anything that is not uncompressed 16-bit PCM, and TruncatedData when
-    the data chunk is shorter than its declared size.
+    Raises DataError for non-RIFF/WAVE containers, impossible fmt fields (no
+    channels, sample rate 0), anything that is not uncompressed 16-bit PCM,
+    and a data chunk shorter than its declared size.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
 
     if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
-        raise MalformedHeader(f"{path}: not a RIFF/WAVE file")
+        raise DataError(f"{path}: not a RIFF/WAVE file")
 
     fmt = None
     data = None
@@ -44,12 +43,12 @@ def read_wav(path) -> tuple[np.ndarray, int]:
         body_start = pos + 8
         if chunk_id == b"fmt ":
             if chunk_size < 16 or body_start + 16 > len(raw):
-                raise MalformedHeader(f"{path}: fmt chunk too small")
+                raise DataError(f"{path}: fmt chunk too small")
             fmt = struct.unpack_from("<HHIIHH", raw, body_start)
         elif chunk_id == b"data":
             avail = len(raw) - body_start
             if avail < chunk_size:
-                raise TruncatedData(
+                raise DataError(
                     f"{path}: data chunk declares {chunk_size} bytes, only {avail} present"
                 )
             data = raw[body_start : body_start + chunk_size]
@@ -57,17 +56,17 @@ def read_wav(path) -> tuple[np.ndarray, int]:
         pos = body_start + chunk_size + (chunk_size & 1)
 
     if fmt is None or data is None:
-        raise MalformedHeader(f"{path}: missing fmt or data chunk")
+        raise DataError(f"{path}: missing fmt or data chunk")
 
     audio_format, channels, sample_rate, _byte_rate, _block_align, bits = fmt
     if audio_format != 1:
-        raise UnsupportedEncoding(f"{path}: audio format {audio_format} is not PCM")
+        raise DataError(f"{path}: audio format {audio_format} is not PCM")
     if bits != 16:
-        raise UnsupportedEncoding(f"{path}: {bits}-bit samples, only 16-bit supported")
+        raise DataError(f"{path}: {bits}-bit samples, only 16-bit supported")
     if channels < 1:
-        raise MalformedHeader(f"{path}: channel count {channels}")
+        raise DataError(f"{path}: channel count {channels}")
     if sample_rate == 0:
-        raise MalformedHeader(f"{path}: sample rate 0")
+        raise DataError(f"{path}: sample rate 0")
 
     frame_bytes = 2 * channels
     usable = len(data) - (len(data) % frame_bytes)
@@ -82,7 +81,7 @@ def ingest(path) -> np.ndarray:
     16 kHz is refused."""
     samples, sample_rate = read_wav(path)
     if sample_rate != TARGET_SAMPLE_RATE:
-        raise UnsupportedEncoding(
+        raise DataError(
             f"{path}: sample rate {sample_rate} Hz, only {TARGET_SAMPLE_RATE} supported"
         )
     return samples if samples.ndim == 1 else samples.mean(axis=1)

@@ -10,33 +10,24 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
-from .errors import EmptySet
+from .errors import DataError
 from .features import AggregatedFeature
 from .network import NUM_CLASSES, NetworkParams, forward
 
 
-class DivisionLabel(IntEnum):
-    Barisal = 0
-    Chittagong = 1
-    Dhaka = 2
-    Khulna = 3
-    Mymensingh = 4
-    Rajshahi = 5
-    Rangpur = 6
-    Sylhet = 7
-
-
-DIVISION_NAMES = tuple(label.name for label in DivisionLabel)
+DIVISION_NAMES = (
+    "Barisal", "Chittagong", "Dhaka", "Khulna",
+    "Mymensingh", "Rajshahi", "Rangpur", "Sylhet",
+)
 
 
 def label_from_name(name: str) -> int:
     try:
-        return DivisionLabel[name].value
-    except KeyError:
+        return DIVISION_NAMES.index(name)
+    except ValueError:
         raise ValueError(f"unknown division {name!r}; expected one of {DIVISION_NAMES}")
 
 
@@ -68,7 +59,7 @@ def predict(params: NetworkParams, feature: np.ndarray) -> tuple[int, np.ndarray
 def evaluate(params: NetworkParams, records: list[AggregatedFeature]) -> MetricsReport:
     """Score a labeled set; order of the input records does not matter."""
     if not records:
-        raise EmptySet("cannot evaluate an empty sample set")
+        raise DataError("cannot evaluate an empty sample set")
     x = np.stack([rec.vector for rec in records])
     y_true = np.array([rec.label for rec in records], dtype=np.int64)
 

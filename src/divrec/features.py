@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import TARGET_SAMPLE_RATE
-from .errors import DataError, SignalTooShort
+from .errors import DataError
 from .network import NUM_CLASSES
 
 FRAME_LEN = 400  # 25 ms at 16 kHz; also the hop
@@ -75,7 +75,7 @@ def frame_signal(samples: np.ndarray) -> np.ndarray:
     samples = np.asarray(samples, dtype=np.float64)
     n = samples.shape[0]
     if n < FRAME_LEN:
-        raise SignalTooShort(f"{n} samples < frame length {FRAME_LEN}")
+        raise DataError(f"{n} samples < frame length {FRAME_LEN}")
     return sliding_window_view(samples, FRAME_LEN)[::FRAME_LEN]
 
 

@@ -29,6 +29,12 @@ class ManifestRow:
     def __post_init__(self) -> None:
         if self.division not in DIVISION_NAMES:
             raise DataError(f"unknown division {self.division!r}")
+        # both name files, and the OS refuses a path with a NUL byte
+        if "\0" in self.audio_path:
+            raise DataError(f"{self.audio_path!r}: audio_path contains a NUL byte")
+        if "\0" in self.speaker_id:
+            raise DataError(f"{self.audio_path}: speaker_id {self.speaker_id!r} "
+                            "contains a NUL byte")
         # speaker_id names a directory under the segment output root
         if not self.speaker_id or "/" in self.speaker_id or self.speaker_id in (".", ".."):
             raise DataError(f"{self.audio_path}: speaker_id {self.speaker_id!r} is not "

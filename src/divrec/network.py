@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelIncompatible, ShapeMismatch
+from .errors import DataError
 
 MODEL_MAGIC = b"DIVMODL1"
 MODEL_VERSION = 1
@@ -114,20 +114,18 @@ def dropout(
     rate: float = 0.2,
     mode: str = "train",
     rng: np.random.Generator | None = None,
-    mask: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Inverted dropout: returns (output, mask).
 
-    Training mode zeroes each unit with probability ``rate`` and scales
-    survivors by 1/(1-rate); inference mode is the identity (mask None).
-    A precomputed mask may be supplied to replay a previous pass.
+    Training mode draws a fresh mask from ``rng``, zeroing each unit with
+    probability ``rate`` and scaling survivors by 1/(1-rate); inference mode
+    is the identity (mask None).
     """
     if mode != "train":
         return x, None
-    if mask is None:
-        if rng is None:
-            raise ValueError("training-mode dropout needs an rng or an explicit mask")
-        mask = (rng.random(x.shape) >= rate).astype(np.float64)
+    if rng is None:
+        raise ValueError("training-mode dropout needs an rng")
+    mask = (rng.random(x.shape) >= rate).astype(np.float64)
     return x * mask * (1.0 / (1.0 - rate)), mask
 
 
@@ -136,19 +134,18 @@ def forward(
     params: NetworkParams,
     mode: str = "infer",
     rng: np.random.Generator | None = None,
-    dropout_masks: list[np.ndarray | None] | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the layer chain; returns (probabilities, cache).
 
     Accepts a single feature vector or a (batch, in_dim) matrix; the output
-    keeps the input's leading shape. ``dropout_masks`` replays recorded masks
-    (used by gradient checking); otherwise training mode samples fresh ones.
+    keeps the input's leading shape. Training mode draws fresh dropout masks
+    from ``rng`` and records them in the cache for ``backward``.
     """
     x = np.asarray(x, dtype=np.float64)
     squeeze = x.ndim == 1
     batch = x[None, :] if squeeze else x
     if batch.ndim != 2 or batch.shape[1] != INPUT_DIM:
-        raise ShapeMismatch(f"expected input dim {INPUT_DIM}, got shape {x.shape}")
+        raise DataError(f"expected input dim {INPUT_DIM}, got shape {x.shape}")
 
     pre_acts: list[np.ndarray] = []
     acts: list[np.ndarray] = []
@@ -158,11 +155,9 @@ def forward(
         z = a @ params.weights[i].T + params.biases[i]
         pre_acts.append(z)
         a = relu(z) if spec.activation == "relu" else softmax(z)
-        if spec.dropout_after is not None and mode == "train":
-            replay = dropout_masks[i] if dropout_masks is not None else None
-            a, mask = dropout(a, spec.dropout_after, mode, rng, mask=replay)
-        else:
-            mask = None
+        mask = None
+        if spec.dropout_after is not None:
+            a, mask = dropout(a, spec.dropout_after, mode, rng)
         masks.append(mask)
         acts.append(a)
 
@@ -190,7 +185,7 @@ def backward(params: NetworkParams, cache: ForwardCache, targets: np.ndarray) ->
         targets = targets[None, :]
     batch_size = cache.inputs.shape[0]
     if targets.shape != cache.activations[-1].shape:
-        raise ShapeMismatch(
+        raise DataError(
             f"targets shape {targets.shape} vs output {cache.activations[-1].shape}"
         )
 
@@ -236,12 +231,12 @@ def load_model(path) -> NetworkParams:
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:8] != MODEL_MAGIC:
-        raise ModelIncompatible(f"{path}: not a model file (bad magic)")
+        raise DataError(f"{path}: not a model file (bad magic)")
     payload, (checksum,) = raw[8:-4], struct.unpack("<I", raw[-4:])
     if zlib.crc32(payload) != checksum:
-        raise ModelIncompatible(f"{path}: checksum mismatch, file corrupt")
+        raise DataError(f"{path}: checksum mismatch, file corrupt")
     if len(payload) != _PAYLOAD_SIZE or not payload.startswith(_HEADER):
-        raise ModelIncompatible(f"{path}: header or size differs from this network's model")
+        raise DataError(f"{path}: header or size differs from this network's model")
     weights, biases = [], []
     pos = len(_HEADER)
     for spec in ARCHITECTURE:

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import TARGET_SAMPLE_RATE
-from .errors import ClipTooShort
+from .errors import DataError
 
 
 CHUNK_SECONDS = 10.0
@@ -79,7 +79,7 @@ def reduce_noise(samples: np.ndarray) -> np.ndarray:
         raise ValueError("reduce_noise expects mono samples")
     n = samples.shape[0]
     if n < NR_FRAME_LEN:
-        raise ClipTooShort(f"{n} samples < frame length {NR_FRAME_LEN}")
+        raise DataError(f"{n} samples < frame length {NR_FRAME_LEN}")
 
     frame_len, hop = NR_FRAME_LEN, NR_HOP
     window = _periodic_hann(frame_len)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, EmptyClass, NonFiniteGradient
+from .errors import DataError, NumericError
 from .features import AggregatedFeature
 from .network import (
     NUM_CLASSES,
@@ -100,7 +100,7 @@ def adam_step(
     """One Adam update, in place: theta <- theta - lr * m_hat / (sqrt(v_hat) + eps)."""
     for g in grads.weights + grads.biases:
         if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient("gradient contains NaN or infinity")
+            raise NumericError("gradient contains NaN or infinity")
 
     state.t += 1
     bc1 = 1.0 - BETA1**state.t
@@ -197,7 +197,7 @@ def split_dataset(
     labels = [rec.label for rec in features]
     missing = sorted(set(range(NUM_CLASSES)) - set(labels))
     if missing:
-        raise EmptyClass(f"no samples for label(s) {missing}")
+        raise DataError(f"no samples for label(s) {missing}")
 
     rng = np.random.default_rng([config.seed, 0])
     order = rng.permutation(len(features))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divrec.audio_io import encode_pcm16, ingest, pcm16_round_trip, read_wav, write_wav
-from divrec.errors import MalformedHeader, TruncatedData, UnsupportedEncoding
+from divrec.errors import DataError
 
 from conftest import build_wav_bytes
 
@@ -46,7 +46,7 @@ def test_write_after_read_reproduces_data_chunk(tmp_path):
 def test_rejects_non_riff(tmp_path):
     path = tmp_path / "bad.wav"
     path.write_bytes(b"OggS" + b"\x00" * 40)
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(DataError, match="bad.wav: not a RIFF/WAVE file"):
         read_wav(path)
 
 
@@ -54,7 +54,7 @@ def test_rejects_non_wave_riff(tmp_path):
     path = tmp_path / "bad.wav"
     good = build_wav_bytes(np.zeros(4, dtype=np.int16))
     path.write_bytes(good[:8] + b"AVI " + good[12:])
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(DataError, match="bad.wav: not a RIFF/WAVE file"):
         read_wav(path)
 
 
@@ -62,14 +62,16 @@ def test_rejects_non_wave_riff(tmp_path):
 def test_rejects_non_pcm16(tmp_path, kwargs):
     path = tmp_path / "bad.wav"
     path.write_bytes(build_wav_bytes(np.zeros(4, dtype=np.int16), **kwargs))
-    with pytest.raises(UnsupportedEncoding):
+    message = ("audio format 3 is not PCM" if "audio_format" in kwargs
+               else f"{kwargs['bits']}-bit samples, only 16-bit supported")
+    with pytest.raises(DataError, match=f"bad.wav: {message}"):
         read_wav(path)
 
 
 def test_rejects_truncated_data(tmp_path):
     path = tmp_path / "trunc.wav"
     path.write_bytes(build_wav_bytes(np.zeros(4, dtype=np.int16), declared_data_size=1000))
-    with pytest.raises(TruncatedData):
+    with pytest.raises(DataError, match="trunc.wav: data chunk declares 1000 bytes, only 8 present"):
         read_wav(path)
 
 
@@ -127,7 +129,7 @@ def test_ingest_refuses_rates_other_than_16k(tmp_path, rate):
     # no resampling: any other rate is refused rather than aliased into the MFCC band
     path = tmp_path / "other.wav"
     path.write_bytes(build_wav_bytes(np.zeros(rate), sample_rate=rate))
-    with pytest.raises(UnsupportedEncoding, match=f"sample rate {rate} Hz"):
+    with pytest.raises(DataError, match=f"sample rate {rate} Hz, only 16000 supported"):
         ingest(path)
     assert read_wav(path)[1] == rate
 

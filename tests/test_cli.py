@@ -187,7 +187,8 @@ def test_preprocess_refuses_rows_that_share_segment_names(tmp_path, capsys):
     [("a.wav", "../../escaped")],  # would write out/escaped/a_seg000.wav
     [("a.wav", "y"), ("sub/a.wav", "x/../y")],  # both would write out/Dhaka/y/a_seg000.wav
     [("a.wav", ".")],
-], ids=["escapes-out-dir", "dot-dot-collision", "dot"])
+    [("a.wav", "s\0p")],  # would reach mkdir as a ValueError
+], ids=["escapes-out-dir", "dot-dot-collision", "dot", "nul"])
 def test_preprocess_refuses_speaker_id_that_is_not_one_path_component(tmp_path, capsys, rows):
     lines = []
     for name, speaker_id in rows:
@@ -204,6 +205,20 @@ def test_preprocess_refuses_speaker_id_that_is_not_one_path_component(tmp_path, 
     bad_path, bad_id = tmp_path / "in" / rows[-1][0], rows[-1][1]
     assert f"{bad_path}: speaker_id {bad_id!r}" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists() and not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["preprocess", "extract"])
+def test_nul_in_audio_path_is_data_error(tmp_path, capsys, command):
+    # the NUL would reach open() in a pool worker as a ValueError
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("audio_path,division,speaker_id,gender\na\0b.wav,Dhaka,spk1,\n")
+    outputs = {"preprocess": ["--out-dir", str(tmp_path / "seg"), "--out", str(tmp_path / "s.csv")],
+               "extract": ["--out", str(tmp_path / "c.feat")]}[command]
+    rc = main([command, str(manifest), *outputs])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "error: 'a\\x00b.wav': audio_path contains a NUL byte\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
 
 
 def _manifest_with_missing_file(tmp_path) -> tuple[Path, Path]:
@@ -550,10 +565,10 @@ def test_evaluate_unchained_model_is_data_error(workspace, tmp_path, capsys):
 
 def test_numeric_error_exits_three(workspace, tmp_path, monkeypatch, capsys):
     from divrec import cli
-    from divrec.errors import NonFiniteGradient
+    from divrec.errors import NumericError
 
     def explode(*args, **kwargs):
-        raise NonFiniteGradient("gradient contains NaN")
+        raise NumericError("gradient contains NaN")
 
     monkeypatch.setattr(cli, "train", explode)
     rc = main(["train", str(workspace / "cache.feat"),

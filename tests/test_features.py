@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divrec.errors import SignalTooShort
+from divrec.errors import DataError
 from divrec.features import (
     AggregatedFeature,
     aggregate,
@@ -40,7 +40,7 @@ def test_partial_tail_discarded():
 
 
 def test_too_short_raises():
-    with pytest.raises(SignalTooShort):
+    with pytest.raises(DataError, match="399 samples < frame length 400"):
         frame_signal(np.zeros(399))
 
 

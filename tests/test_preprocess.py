@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from divrec.audio_io import encode_pcm16, write_wav
 from divrec.cli import _preprocess_one
-from divrec.errors import ClipTooShort
+from divrec.errors import DataError
 from divrec.manifest import ManifestRow
 from divrec.preprocess import (
     NOISE_FRAMES,
@@ -98,7 +98,7 @@ def test_noise_reduction_deterministic():
 
 
 def test_noise_reduction_rejects_short_clip():
-    with pytest.raises(ClipTooShort):
+    with pytest.raises(DataError, match="511 samples < frame length 512"):
         reduce_noise(np.zeros(511))
 
 
