@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
@@ -26,7 +27,6 @@ from .evaluation import (
     evaluate,
     label_from_name,
     predict,
-    report_json,
 )
 from .features import (
     AggregatedFeature,
@@ -238,7 +238,7 @@ def cmd_evaluate(args) -> int:
         train_set, test_set, val_set = split_dataset(records, training_config)
         records = {"train": train_set, "test": test_set, "val": val_set}[args.split]
     report = evaluate(params, records)
-    text = report_json(report)
+    text = json.dumps(report, indent=2)
     print(text)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -255,13 +255,13 @@ def cmd_predict(args) -> int:
         seconds = len(samples) / TARGET_SAMPLE_RATE
         raise DataError(f"{args.wav}: too short ({seconds:.2f} s) for one 8-10 s segment")
     bank = build_filterbank()
-    votes = np.zeros(len(DIVISION_NAMES), dtype=np.int64)
-    for i, chunk in enumerate(segments):
-        # the PCM16 rounding a segment file goes through between preprocess and extract
-        cleaned = pcm16_round_trip(reduce_noise(chunk))
-        label, probs = predict(params, aggregate(extract(cleaned, bank=bank)))
-        votes[label] += 1
-        print(f"{args.wav}_seg{i:03d}: {DIVISION_NAMES[label]} p={probs[label]:.4f}")
+    # the PCM16 rounding a segment file goes through between preprocess and extract
+    x = np.stack([aggregate(extract(pcm16_round_trip(reduce_noise(chunk)), bank=bank))
+                  for chunk in segments])
+    labels, probs = predict(params, x)
+    for i, (label, p) in enumerate(zip(labels, probs)):
+        print(f"{args.wav}_seg{i:03d}: {DIVISION_NAMES[label]} p={p[label]:.4f}")
+    votes = np.bincount(labels, minlength=len(DIVISION_NAMES))
     winner = int(np.argmax(votes))  # ties resolve to the lowest label index
     print(f"prediction: {DIVISION_NAMES[winner]} "
           f"({votes[winner]}/{len(segments)} segments)")

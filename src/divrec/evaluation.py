@@ -8,9 +8,6 @@ total is the accuracy. Argmax ties break toward the lowest label index.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DataError
@@ -31,95 +28,54 @@ def label_from_name(name: str) -> int:
         raise ValueError(f"unknown division {name!r}; expected one of {DIVISION_NAMES}")
 
 
-@dataclass
-class ClassMetrics:
-    label: int
-    support: int
-    precision: float
-    recall: float
-    f1: float
-    precision_defined: bool  # False when no predictions for the class (0/0 -> 0.0)
-    recall_defined: bool  # False when the class has no true samples
+def predict(params: NetworkParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inference-mode forward + argmax over an (n, 26) matrix of segment
+    vectors; returns (n,) labels and (n, 8) probabilities. Ties resolve to the
+    lowest index."""
+    probs, _ = forward(x, params, mode="infer")
+    return np.argmax(probs, axis=1), probs
 
 
-@dataclass
-class MetricsReport:
-    accuracy: float
-    confusion: np.ndarray  # (8, 8) int counts, rows = truth
-    per_class: list[ClassMetrics]
-    total: int
-
-
-def predict(params: NetworkParams, feature: np.ndarray) -> tuple[int, np.ndarray]:
-    """Inference-mode forward + argmax; ties resolve to the lowest index."""
-    probs, _ = forward(np.asarray(feature, dtype=np.float64), params, mode="infer")
-    return int(np.argmax(probs)), probs
-
-
-def evaluate(params: NetworkParams, records: list[AggregatedFeature]) -> MetricsReport:
-    """Score a labeled set; order of the input records does not matter."""
+def evaluate(params: NetworkParams, records: list[AggregatedFeature]) -> dict:
+    """Score a labeled set; returns the report as a JSON-ready dict: accuracy,
+    total, labels, confusion and per_class (see docs/formats.md). The order
+    of the input records does not matter."""
     if not records:
         raise DataError("cannot evaluate an empty sample set")
-    x = np.stack([rec.vector for rec in records])
     y_true = np.array([rec.label for rec in records], dtype=np.int64)
-
-    probs, _ = forward(x, params, mode="infer")
-    y_pred = np.argmax(probs, axis=1)
+    y_pred, _ = predict(params, np.stack([rec.vector for rec in records]))
 
     confusion = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
     np.add.at(confusion, (y_true, y_pred), 1)
 
     per_class = []
-    for c in range(NUM_CLASSES):
+    for c, name in enumerate(DIVISION_NAMES):
         tp = int(confusion[c, c])
         pred_c = int(confusion[:, c].sum())
         true_c = int(confusion[c, :].sum())
         precision = tp / pred_c if pred_c else 0.0
         recall = tp / true_c if true_c else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        per_class.append(
-            ClassMetrics(
-                label=c,
-                support=true_c,
-                precision=precision,
-                recall=recall,
-                f1=f1,
-                precision_defined=pred_c > 0,
-                recall_defined=true_c > 0,
-            )
-        )
-    accuracy = int(np.trace(confusion)) / int(confusion.sum())
-    return MetricsReport(
-        accuracy=accuracy, confusion=confusion, per_class=per_class, total=len(records)
-    )
-
-
-def report_json(report: MetricsReport) -> str:
-    """Structured text rendering of a report."""
-    body = {
-        "accuracy": report.accuracy,
-        "total": report.total,
+        per_class.append({
+            "label": name,
+            "support": true_c,
+            "precision": precision,
+            "recall": recall,
+            "f1": f1,
+            "precision_defined": pred_c > 0,  # False: no predictions for the class (0/0 -> 0.0)
+            "recall_defined": true_c > 0,  # False: the class has no true samples
+        })
+    return {
+        "accuracy": int(np.trace(confusion)) / int(confusion.sum()),
+        "total": len(records),
         "labels": list(DIVISION_NAMES),
-        "confusion": report.confusion.tolist(),
-        "per_class": [
-            {
-                "label": DIVISION_NAMES[m.label],
-                "support": m.support,
-                "precision": m.precision,
-                "recall": m.recall,
-                "f1": m.f1,
-                "precision_defined": m.precision_defined,
-                "recall_defined": m.recall_defined,
-            }
-            for m in report.per_class
-        ],
+        "confusion": confusion.tolist(),
+        "per_class": per_class,
     }
-    return json.dumps(body, indent=2)
 
 
-def confusion_csv(report: MetricsReport) -> str:
+def confusion_csv(report: dict) -> str:
     """Header of canonical label names, then 8 rows of 8 integer counts."""
-    lines = [",".join(DIVISION_NAMES)]
-    for row in report.confusion:
-        lines.append(",".join(str(int(v)) for v in row))
+    lines = [",".join(report["labels"])]
+    lines += [",".join(str(v) for v in row) for row in report["confusion"]]
     return "\n".join(lines) + "\n"

@@ -27,11 +27,11 @@ class ManifestRow:
     gender: str = ""
 
     def __post_init__(self) -> None:
-        if self.division not in DIVISION_NAMES:
-            raise DataError(f"unknown division {self.division!r}")
         # both name files, and the OS refuses a path with a NUL byte
         if "\0" in self.audio_path:
             raise DataError(f"{self.audio_path!r}: audio_path contains a NUL byte")
+        if self.division not in DIVISION_NAMES:
+            raise DataError(f"{self.audio_path}: unknown division {self.division!r}")
         if "\0" in self.speaker_id:
             raise DataError(f"{self.audio_path}: speaker_id {self.speaker_id!r} "
                             "contains a NUL byte")

@@ -135,22 +135,19 @@ def forward(
     mode: str = "infer",
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Run the layer chain; returns (probabilities, cache).
-
-    Accepts a single feature vector or a (batch, in_dim) matrix; the output
-    keeps the input's leading shape. Training mode draws fresh dropout masks
-    from ``rng`` and records them in the cache for ``backward``.
+    """Run the layer chain over a (batch, 26) matrix; returns the (batch, 8)
+    probabilities and the cache. Any other shape, a single 1-D vector
+    included, is a DataError. Training mode draws fresh dropout masks from
+    ``rng`` and records them in the cache for ``backward``.
     """
     x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    batch = x[None, :] if squeeze else x
-    if batch.ndim != 2 or batch.shape[1] != INPUT_DIM:
-        raise DataError(f"expected input dim {INPUT_DIM}, got shape {x.shape}")
+    if x.ndim != 2 or x.shape[1] != INPUT_DIM:
+        raise DataError(f"expected a (batch, {INPUT_DIM}) matrix, got shape {x.shape}")
 
     pre_acts: list[np.ndarray] = []
     acts: list[np.ndarray] = []
     masks: list[np.ndarray | None] = []
-    a = batch
+    a = x
     for i, spec in enumerate(ARCHITECTURE):
         z = a @ params.weights[i].T + params.biases[i]
         pre_acts.append(z)
@@ -162,18 +159,18 @@ def forward(
         acts.append(a)
 
     cache = ForwardCache(
-        inputs=batch,
+        inputs=x,
         pre_activations=pre_acts,
         activations=acts,
         dropout_masks=masks,
         mode=mode,
     )
-    probs = acts[-1][0] if squeeze else acts[-1]
-    return probs, cache
+    return acts[-1], cache
 
 
 def backward(params: NetworkParams, cache: ForwardCache, targets: np.ndarray) -> NetworkParams:
-    """Exact gradients of the mean categorical cross-entropy over the batch.
+    """Exact gradients of the mean categorical cross-entropy over the batch,
+    for (batch, 8) one-hot ``targets`` matching the cached output.
 
     Dropout masks recorded in the cache are treated as constants. For a
     softmax output the pre-activation gradient is probabilities - one-hot.
@@ -181,8 +178,6 @@ def backward(params: NetworkParams, cache: ForwardCache, targets: np.ndarray) ->
     if cache.mode != "train":
         raise ValueError("backward requires a cache from a training-mode forward")
     targets = np.asarray(targets, dtype=np.float64)
-    if targets.ndim == 1:
-        targets = targets[None, :]
     batch_size = cache.inputs.shape[0]
     if targets.shape != cache.activations[-1].shape:
         raise DataError(

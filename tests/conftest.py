@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from divrec.fixture import draw_utterance, render_utterance
+from divrec.network import ARCHITECTURE, init_params
 
 
 def build_wav_bytes(
@@ -88,6 +89,23 @@ BAD_MODELS = {
     "relu-output": dict(layers=((26, 5, 1, None), (5, 8, 1, None))),
     "trailing-bytes": dict(trailing=b"\0" * 8),
 }
+
+
+def passthrough_params():
+    """Identity sub-blocks on every layer: logit c equals input feature c.
+
+    With non-negative inputs the ReLU chain forwards the first 8 features
+    unchanged, so argmax(output) == argmax(input[:8]); dropout layers are
+    inert in inference mode.
+    """
+    params = init_params(0)
+    for spec, w in zip(ARCHITECTURE, params.weights):
+        w[:] = 0.0
+        k = min(spec.in_dim, spec.out_dim)
+        w[np.arange(k), np.arange(k)] = 1.0
+    for b in params.biases:
+        b[:] = 0.0
+    return params
 
 
 def sine_clip(freq: float = 440.0, amplitude: float = 0.5, seconds: float = 1.0) -> np.ndarray:

@@ -23,9 +23,11 @@ from divrec.features import (
     write_feature_cache,
 )
 from divrec.manifest import ManifestRow, read_manifest
+from divrec.network import save_model
 from divrec.training import TrainingConfig
 
-from conftest import BAD_MODELS, build_model_bytes, build_wav_bytes, sine_clip, synthesize_utterance
+from conftest import (BAD_MODELS, build_model_bytes, build_wav_bytes, passthrough_params,
+                      sine_clip, synthesize_utterance)
 
 SR = 16000
 
@@ -219,6 +221,17 @@ def test_nul_in_audio_path_is_data_error(tmp_path, capsys, command):
     assert rc == 2
     assert err == "error: 'a\\x00b.wav': audio_path contains a NUL byte\n"
     assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
+
+
+@pytest.mark.parametrize("command", ["preprocess", "extract"])
+def test_unknown_division_names_its_row(tmp_path, capsys, command):
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("audio_path,division,speaker_id,gender\n"
+                        "a.wav,Dhaka,s,\nx.wav,Nowhere,s,\n")
+    outputs = {"preprocess": ["--out-dir", str(tmp_path / "seg"), "--out", str(tmp_path / "s.csv")],
+               "extract": ["--out", str(tmp_path / "c.feat")]}[command]
+    assert main([command, str(manifest), *outputs]) == 2
+    assert capsys.readouterr().err == "error: x.wav: unknown division 'Nowhere'\n"
 
 
 def _manifest_with_missing_file(tmp_path) -> tuple[Path, Path]:
@@ -518,6 +531,214 @@ def test_evaluate_confusion_rows_match_cache_counts(workspace, tmp_path):
     np.testing.assert_array_equal(np.array(report["confusion"]).sum(axis=1), expected)
 
 
+# passthrough model: a record scores as the class of its one nonzero feature;
+# (true, scored) pairs 3 x (0, 0), (0, 1), 2 x (1, 1), (2, 0), (7, 7)
+GOLDEN_PAIRS = [(0, 0)] * 3 + [(0, 1), (1, 1), (1, 1), (2, 0), (7, 7)]
+
+GOLDEN_REPORT = """\
+{
+  "accuracy": 0.75,
+  "total": 8,
+  "labels": [
+    "Barisal",
+    "Chittagong",
+    "Dhaka",
+    "Khulna",
+    "Mymensingh",
+    "Rajshahi",
+    "Rangpur",
+    "Sylhet"
+  ],
+  "confusion": [
+    [
+      3,
+      1,
+      0,
+      0,
+      0,
+      0,
+      0,
+      0
+    ],
+    [
+      0,
+      2,
+      0,
+      0,
+      0,
+      0,
+      0,
+      0
+    ],
+    [
+      1,
+      0,
+      0,
+      0,
+      0,
+      0,
+      0,
+      0
+    ],
+    [
+      0,
+      0,
+      0,
+      0,
+      0,
+      0,
+      0,
+      0
+    ],
+    [
+      0,
+      0,
+      0,
+      0,
+      0,
+      0,
+      0,
+      0
+    ],
+    [
+      0,
+      0,
+      0,
+      0,
+      0,
+      0,
+      0,
+      0
+    ],
+    [
+      0,
+      0,
+      0,
+      0,
+      0,
+      0,
+      0,
+      0
+    ],
+    [
+      0,
+      0,
+      0,
+      0,
+      0,
+      0,
+      0,
+      1
+    ]
+  ],
+  "per_class": [
+    {
+      "label": "Barisal",
+      "support": 4,
+      "precision": 0.75,
+      "recall": 0.75,
+      "f1": 0.75,
+      "precision_defined": true,
+      "recall_defined": true
+    },
+    {
+      "label": "Chittagong",
+      "support": 2,
+      "precision": 0.6666666666666666,
+      "recall": 1.0,
+      "f1": 0.8,
+      "precision_defined": true,
+      "recall_defined": true
+    },
+    {
+      "label": "Dhaka",
+      "support": 1,
+      "precision": 0.0,
+      "recall": 0.0,
+      "f1": 0.0,
+      "precision_defined": false,
+      "recall_defined": true
+    },
+    {
+      "label": "Khulna",
+      "support": 0,
+      "precision": 0.0,
+      "recall": 0.0,
+      "f1": 0.0,
+      "precision_defined": false,
+      "recall_defined": false
+    },
+    {
+      "label": "Mymensingh",
+      "support": 0,
+      "precision": 0.0,
+      "recall": 0.0,
+      "f1": 0.0,
+      "precision_defined": false,
+      "recall_defined": false
+    },
+    {
+      "label": "Rajshahi",
+      "support": 0,
+      "precision": 0.0,
+      "recall": 0.0,
+      "f1": 0.0,
+      "precision_defined": false,
+      "recall_defined": false
+    },
+    {
+      "label": "Rangpur",
+      "support": 0,
+      "precision": 0.0,
+      "recall": 0.0,
+      "f1": 0.0,
+      "precision_defined": false,
+      "recall_defined": false
+    },
+    {
+      "label": "Sylhet",
+      "support": 1,
+      "precision": 1.0,
+      "recall": 1.0,
+      "f1": 1.0,
+      "precision_defined": true,
+      "recall_defined": true
+    }
+  ]
+}
+"""
+
+GOLDEN_CONFUSION_CSV = """\
+Barisal,Chittagong,Dhaka,Khulna,Mymensingh,Rajshahi,Rangpur,Sylhet
+3,1,0,0,0,0,0,0
+0,2,0,0,0,0,0,0
+1,0,0,0,0,0,0,0
+0,0,0,0,0,0,0,0
+0,0,0,0,0,0,0,0
+0,0,0,0,0,0,0,0
+0,0,0,0,0,0,0,0
+0,0,0,0,0,0,0,1
+"""
+
+
+def test_evaluate_report_text_is_pinned(tmp_path, capsys):
+    # key order, float formatting and the three outputs' bytes
+    save_model(passthrough_params(), tmp_path / "model.bin")
+    records = []
+    for i, (label, scored) in enumerate(GOLDEN_PAIRS):
+        vector = np.zeros(26)
+        vector[scored] = 5.0
+        records.append(AggregatedFeature(vector, label, f"r{i}"))
+    write_feature_cache(records, tmp_path / "cache.feat")
+    assert main(["evaluate", str(tmp_path / "model.bin"), str(tmp_path / "cache.feat"),
+                 "--out", str(tmp_path / "report.json"),
+                 "--confusion-csv", str(tmp_path / "confusion.csv")]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == (GOLDEN_REPORT, "")
+    assert (tmp_path / "report.json").read_text() == GOLDEN_REPORT
+    assert (tmp_path / "confusion.csv").read_text() == GOLDEN_CONFUSION_CSV
+
+
 def test_evaluate_empty_cache_is_data_error(workspace, tmp_path, capsys):
     empty = tmp_path / "empty.feat"
     write_feature_cache([], empty)
@@ -587,9 +808,9 @@ def test_predict_vectors_equal_cached_vectors(workspace, monkeypatch, capsys):
 
     seen = []
 
-    def spy(params, vector):
-        seen.append(vector.copy())
-        return predict(params, vector)
+    def spy(params, x):
+        seen.append(x.copy())
+        return predict(params, x)
 
     monkeypatch.setattr(cli, "predict", spy)
     cached = {Path(rec.source_id).name: rec.vector
@@ -598,8 +819,9 @@ def test_predict_vectors_equal_cached_vectors(workspace, monkeypatch, capsys):
         seen.clear()
         assert main(["predict", str(workspace / "model.bin"), row.audio_path]) == 0
         stem = Path(row.audio_path).stem
-        assert len(seen) == sum(name.startswith(f"{stem}_seg") for name in cached) > 0
-        for i, vector in enumerate(seen):
+        assert len(seen) == 1  # one batch call per clip
+        assert len(seen[0]) == sum(name.startswith(f"{stem}_seg") for name in cached) > 0
+        for i, vector in enumerate(seen[0]):
             assert vector.tobytes() == cached[f"{stem}_seg{i:03d}.wav"].tobytes()
 
 

@@ -10,33 +10,17 @@ from divrec.evaluation import (
     evaluate,
     label_from_name,
     predict,
-    report_json,
 )
 from divrec.features import AggregatedFeature
-from divrec.network import ARCHITECTURE, forward, init_params
+from divrec.network import forward, init_params
+
+from conftest import passthrough_params
 
 
 def zeroed_params():
     params = init_params(0)
     for w in params.weights:
         w[:] = 0.0
-    return params
-
-
-def passthrough_params():
-    """Identity sub-blocks on every layer: logit c equals input feature c.
-
-    With non-negative inputs the ReLU chain forwards the first 8 features
-    unchanged, so argmax(output) == argmax(input[:8]); dropout layers are
-    inert in inference mode.
-    """
-    params = init_params(0)
-    for spec, w in zip(ARCHITECTURE, params.weights):
-        w[:] = 0.0
-        k = min(spec.in_dim, spec.out_dim)
-        w[np.arange(k), np.arange(k)] = 1.0
-    for b in params.biases:
-        b[:] = 0.0
     return params
 
 
@@ -66,30 +50,31 @@ def test_unknown_label_name_rejected():
 # --- predict ---
 
 def test_zeroed_params_predict_barisal_by_tie_rule(rng):
-    label, probs = predict(zeroed_params(), rng.normal(0, 1, 26))
-    assert label == 0
+    labels, probs = predict(zeroed_params(), rng.normal(0, 1, (5, 26)))
+    np.testing.assert_array_equal(labels, 0)
     np.testing.assert_allclose(probs, 0.125, rtol=0, atol=1e-15)
 
 
 def test_scaling_final_layer_preserves_argmax(rng):
     params = init_params(13)
-    x = rng.normal(0, 1, 26)
-    label_before, probs_before = predict(params, x)
+    x = rng.normal(0, 1, (20, 26))
+    labels_before, probs_before = predict(params, x)
     params.weights[-1] *= 2.0
     params.biases[-1] *= 2.0
-    label_after, probs_after = predict(params, x)
-    assert label_before == label_after
+    labels_after, probs_after = predict(params, x)
+    np.testing.assert_array_equal(labels_before, labels_after)
     assert not np.allclose(probs_before, probs_after)
 
 
 def test_predict_agrees_with_forward_argmax(rng):
     params = init_params(21)
-    for _ in range(100):
-        x = rng.normal(0, 1, 26)
-        label, probs = predict(params, x)
-        oracle_probs, _ = forward(x, params, mode="infer")
-        assert label == int(np.argmax(oracle_probs))
-        np.testing.assert_array_equal(probs, oracle_probs)
+    x = rng.normal(0, 1, (100, 26))
+    labels, probs = predict(params, x)
+    oracle_probs, _ = forward(x, params, mode="infer")
+    np.testing.assert_array_equal(probs, oracle_probs)
+    assert labels.shape == (100,) and probs.shape == (100, 8)
+    for label, row in zip(labels, oracle_probs):
+        assert label == min(j for j in range(8) if row[j] == row.max())
 
 
 # --- evaluate ---
@@ -97,22 +82,23 @@ def test_predict_agrees_with_forward_argmax(rng):
 def test_all_correct_gives_diagonal_matrix():
     records = [class_record(label) for label in range(8) for _ in range(3)]
     report = evaluate(passthrough_params(), records)
-    assert report.accuracy == 1.0
-    np.testing.assert_array_equal(report.confusion, np.eye(8, dtype=int) * 3)
-    for m in report.per_class:
-        assert m.recall == 1.0 and m.precision == 1.0 and m.f1 == 1.0
+    assert report["accuracy"] == 1.0
+    np.testing.assert_array_equal(report["confusion"], np.eye(8, dtype=int) * 3)
+    for m in report["per_class"]:
+        assert m["recall"] == 1.0 and m["precision"] == 1.0 and m["f1"] == 1.0
 
 
 def test_all_predicted_class_zero():
     records = [class_record(label) for label in range(8)]
     report = evaluate(zeroed_params(), records)
-    assert report.confusion[:, 0].sum() == 8
-    assert report.confusion[:, 1:].sum() == 0
-    assert report.per_class[0].recall == 1.0
-    for m in report.per_class[1:]:
-        assert m.recall == 0.0
-        assert not m.precision_defined  # no predictions for these classes
-    assert report.accuracy == 1 / 8
+    confusion = np.array(report["confusion"])
+    assert confusion[:, 0].sum() == 8
+    assert confusion[:, 1:].sum() == 0
+    assert report["per_class"][0]["recall"] == 1.0
+    for m in report["per_class"][1:]:
+        assert m["recall"] == 0.0
+        assert not m["precision_defined"]  # no predictions for these classes
+    assert report["accuracy"] == 1 / 8
 
 
 def test_accuracy_is_trace_over_total(rng):
@@ -128,18 +114,20 @@ def test_accuracy_is_trace_over_total(rng):
     report = evaluate(params, records)
 
     correct = sum(
-        1 for rec in records if predict(params, rec.vector)[0] == rec.label
-    )  # independent counting pass
-    assert report.accuracy == correct / len(records)
-    assert report.accuracy == np.trace(report.confusion) / report.confusion.sum()
+        1 for rec in records if predict(params, rec.vector[None])[0][0] == rec.label
+    )  # independent counting pass, one record at a time
+    assert report["accuracy"] == correct / len(records)
+    confusion = np.array(report["confusion"])
+    assert report["accuracy"] == np.trace(confusion) / confusion.sum()
 
 
 def test_row_sums_equal_true_class_counts(rng):
     records = [class_record(int(rng.integers(0, 8))) for _ in range(57)]
     report = evaluate(init_params(4), records)
     expected = np.bincount([r.label for r in records], minlength=8)
-    np.testing.assert_array_equal(report.confusion.sum(axis=1), expected)
-    assert report.confusion.sum() == 57
+    confusion = np.array(report["confusion"])
+    np.testing.assert_array_equal(confusion.sum(axis=1), expected)
+    assert confusion.sum() == 57 == report["total"]
 
 
 def test_evaluate_order_independent(rng):
@@ -149,9 +137,7 @@ def test_evaluate_order_independent(rng):
     shuffled = list(records)
     rng.shuffle(shuffled)
     again = evaluate(params, shuffled)
-    assert base.accuracy == again.accuracy
-    np.testing.assert_array_equal(base.confusion, again.confusion)
-    assert base.per_class == again.per_class
+    assert base == again
 
 
 def test_empty_set_rejected():
@@ -164,7 +150,11 @@ def test_empty_set_rejected():
 def test_report_json_parses_back():
     records = [class_record(label) for label in range(8)]
     report = evaluate(passthrough_params(), records)
-    body = json.loads(report_json(report))
+    body = json.loads(json.dumps(report, indent=2))
+    assert body == report
+    assert list(body) == ["accuracy", "total", "labels", "confusion", "per_class"]
+    assert list(body["per_class"][0]) == ["label", "support", "precision", "recall", "f1",
+                                          "precision_defined", "recall_defined"]
     assert body["accuracy"] == 1.0
     assert body["labels"] == list(DIVISION_NAMES)
     assert len(body["confusion"]) == 8

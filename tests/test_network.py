@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 import struct
 import zlib
 
@@ -135,8 +136,8 @@ def test_dropout_preserves_mean_in_expectation():
 
 def test_forward_output_sums_to_one(rng):
     params = init_params(11)
-    probs, _ = forward(rng.normal(0, 1, 26), params)
-    assert probs.shape == (8,)
+    probs, _ = forward(rng.normal(0, 1, (1, 26)), params)
+    assert probs.shape == (1, 8)
     assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -144,7 +145,7 @@ def test_forward_zero_params_uniform(rng):
     params = init_params(0)
     for w in params.weights:
         w[:] = 0.0
-    probs, _ = forward(rng.normal(0, 5, 26), params)
+    probs, _ = forward(rng.normal(0, 5, (1, 26)), params)
     np.testing.assert_allclose(probs, 0.125, rtol=0, atol=1e-15)
 
 
@@ -152,13 +153,16 @@ def test_batch_forward_matches_per_row_loop(rng):
     params = init_params(4)
     batch = rng.normal(0, 1, (12, 26))
     batch_probs, _ = forward(batch, params)
-    loop_probs = np.stack([forward(row, params)[0] for row in batch])
+    loop_probs = np.concatenate([forward(row[None], params)[0] for row in batch])
     np.testing.assert_allclose(batch_probs, loop_probs, rtol=0, atol=1e-12)
 
 
 def test_forward_rejects_wrong_input_dim(rng):
-    with pytest.raises(DataError, match=r"expected input dim 26, got shape \(25,\)"):
-        forward(rng.normal(0, 1, 25), init_params(0))
+    # a single vector is refused too: a batch of one is x[None]
+    for shape in [(25,), (3, 25), (26,), (2, 26, 1)]:
+        with pytest.raises(DataError, match=rf"expected a \(batch, 26\) matrix, "
+                                            rf"got shape {re.escape(str(shape))}"):
+            forward(rng.normal(0, 1, shape), init_params(0))
 
 
 def test_network_signatures_are_pinned():
@@ -178,12 +182,14 @@ def test_network_signatures_are_pinned():
 
 def test_output_preactivation_gradient_is_p_minus_t(rng):
     params = init_params(2)
-    x = rng.normal(0, 1, 26)
+    x = rng.normal(0, 1, (1, 26))
     probs, cache = forward(x, params, mode="train", rng=rng)
-    target = one_hot(np.array([3]))[0]
+    target = one_hot(np.array([3]))
     grads = backward(params, cache, target)
     # for a single sample the output bias gradient IS the pre-activation gradient
-    np.testing.assert_allclose(grads.biases[-1], probs - target, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grads.biases[-1], probs[0] - target[0], rtol=0, atol=1e-12)
+    with pytest.raises(DataError, match=r"targets shape \(8,\) vs output \(1, 8\)"):
+        backward(params, cache, target[0])
 
 
 def test_zero_input_zeroes_first_layer_weight_grads(rng):
@@ -192,17 +198,17 @@ def test_zero_input_zeroes_first_layer_weight_grads(rng):
     params = init_params(6)
     for b in params.biases:
         b[:] = rng.uniform(0.1, 0.5, b.shape)
-    probs, cache = forward(np.zeros(26), params, mode="train", rng=rng)
-    grads = backward(params, cache, one_hot(np.array([0]))[0])
+    probs, cache = forward(np.zeros((1, 26)), params, mode="train", rng=rng)
+    grads = backward(params, cache, one_hot(np.array([0])))
     np.testing.assert_array_equal(grads.weights[0], 0.0)
     assert np.any(grads.biases[0] != 0.0)
 
 
 def test_backward_requires_training_cache(rng):
     params = init_params(0)
-    _, cache = forward(rng.normal(0, 1, 26), params, mode="infer")
+    _, cache = forward(rng.normal(0, 1, (1, 26)), params, mode="infer")
     with pytest.raises(ValueError, match="training-mode"):
-        backward(params, cache, one_hot(np.array([0]))[0])
+        backward(params, cache, one_hot(np.array([0])))
 
 
 # --- finite-difference oracle: its own layer loop, with the dropout masks

@@ -310,13 +310,13 @@ def test_training_deterministic_and_metrics_counted_independently(tmp_path):
     train_set, _, val_set = split_dataset(records, config)
     correct = 0
     for rec in val_set:
-        probs, _ = forward(rec.vector, params_a)
-        correct += int(np.argmax(probs) == rec.label)
+        probs, _ = forward(rec.vector[None], params_a)  # one record at a time
+        correct += int(np.argmax(probs[0]) == rec.label)
     assert hist_a[-1].val_acc == correct / len(val_set)
     correct = 0
     for rec in train_set:
-        probs, _ = forward(rec.vector, params_a)
-        correct += int(np.argmax(probs) == rec.label)
+        probs, _ = forward(rec.vector[None], params_a)  # one record at a time
+        correct += int(np.argmax(probs[0]) == rec.label)
     assert hist_a[-1].train_acc == correct / len(train_set)
 
 
