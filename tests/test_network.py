@@ -204,6 +204,42 @@ def test_zero_input_zeroes_first_layer_weight_grads(rng):
     assert np.any(grads.biases[0] != 0.0)
 
 
+def _preactivation_gated_backward(params, cache, targets):
+    """Reference backward: recompute each layer's pre-activation from the
+    cached inputs and params, then gate the ReLU derivative on z > 0."""
+    layer_inputs = [cache.inputs] + cache.activations[:-1]
+    zs = [a @ w.T + b for a, w, b in zip(layer_inputs, params.weights, params.biases)]
+    grads_w, grads_b = [None] * len(ARCHITECTURE), [None] * len(ARCHITECTURE)
+    dz = (cache.activations[-1] - targets) / len(targets)
+    for i in reversed(range(len(ARCHITECTURE))):
+        grads_w[i] = dz.T @ layer_inputs[i]
+        grads_b[i] = dz.sum(axis=0)
+        if i == 0:
+            break
+        da = dz @ params.weights[i]
+        spec = ARCHITECTURE[i - 1]
+        if spec.dropout_after is not None:
+            da = da * cache.dropout_masks[i - 1] * (1.0 / (1.0 - spec.dropout_after))
+        dz = da * (zs[i - 1] > 0)
+    return NetworkParams(weights=grads_w, biases=grads_b)
+
+
+@pytest.mark.parametrize("batch, seed", [(1, 3), (4, 7), (37, 11), (128, 61)])
+def test_backward_bytes_equal_preactivation_gated_reference(batch, seed):
+    rng = np.random.default_rng(seed)
+    params = init_params(seed)
+    for b in params.biases:
+        b[:] = rng.normal(0, 0.1, b.shape)
+    x = rng.normal(0, 1, (batch, 26))
+    targets = one_hot(rng.integers(0, 8, batch))
+    _, cache = forward(x, params, mode="train", rng=rng)
+    assert all(np.any(m == 0.0) and np.any(m == 1.0) for m in cache.dropout_masks[2:4])
+    got = backward(params, cache, targets)
+    want = _preactivation_gated_backward(params, cache, targets)
+    for g, w in zip(got.weights + got.biases, want.weights + want.biases):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
 def test_backward_requires_training_cache(rng):
     params = init_params(0)
     _, cache = forward(rng.normal(0, 1, (1, 26)), params, mode="infer")
