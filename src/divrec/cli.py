@@ -39,7 +39,7 @@ from .features import (
 from .fixture import make_fixture
 from .manifest import ManifestRow, read_manifest, scan_corpus, write_manifest
 from .network import load_model, save_model
-from .preprocess import reduce_noise, segment
+from .preprocess import CHUNK_SECONDS, MIN_TAIL_SECONDS, reduce_noise, segment
 from .training import TrainingConfig, split_dataset, train, write_metrics_csv
 
 
@@ -196,8 +196,13 @@ def cmd_extract(args) -> int:
     bank = build_filterbank()
 
     def featurize(row: ManifestRow) -> AggregatedFeature:
+        samples = ingest(row.audio_path)
+        seconds = len(samples) / TARGET_SAMPLE_RATE
+        if not MIN_TAIL_SECONDS <= seconds <= CHUNK_SECONDS:
+            raise DataError(f"{row.audio_path}: {seconds:g} s long, "
+                            "not an 8-10 s segment from preprocess")
         return AggregatedFeature(
-            vector=aggregate(extract(ingest(row.audio_path), bank=bank)),
+            vector=aggregate(extract(samples, bank=bank)),
             label=label_from_name(row.division),
             source_id=row.audio_path,
         )
@@ -302,7 +307,7 @@ def build_parser() -> _Parser:
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("extract", help="compute 26-dim segment features into a cache")
+    p = sub.add_parser("extract", help="compute 26-dim features of 8-10 s segments into a cache")
     p.add_argument("manifest")
     p.add_argument("--out", required=True, help="feature cache path")
     p.add_argument("--workers", type=int, default=1)

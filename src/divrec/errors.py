@@ -19,4 +19,4 @@ class DataError(DivrecError):
 
 class NumericError(DivrecError):
     """A numerical invariant was violated during computation, e.g. a gradient
-    containing NaN or infinity."""
+    or a network output containing NaN or infinity."""

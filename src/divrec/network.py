@@ -3,7 +3,8 @@
 ReLU on every hidden layer, softmax at the output, inverted dropout (rate
 0.2) after the third and fourth dense layers. 121,064 trainable scalars.
 Forward, backward, and initialization are written directly against numpy in
-float64; the model is small enough that precision beats speed.
+float64; the model is small enough that precision beats speed. Only a
+training-mode forward keeps per-layer arrays, and only those backward reads.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericError
 
 MODEL_MAGIC = b"DIVMODL1"
 MODEL_VERSION = 1
@@ -70,13 +71,13 @@ class NetworkParams:
 
 @dataclass
 class ForwardCache:
-    """Everything backward needs: inputs, pre-activations, activations, masks."""
+    """What ``backward`` reads of a training-mode forward: the (batch, 26)
+    inputs, each layer's output (after dropout, where the layer has it) and
+    each layer's dropout mask (None where it has none)."""
 
     inputs: np.ndarray
-    pre_activations: list[np.ndarray]
     activations: list[np.ndarray]
     dropout_masks: list[np.ndarray | None]
-    mode: str
 
 
 def init_params(seed: int) -> NetworkParams:
@@ -134,38 +135,32 @@ def forward(
     params: NetworkParams,
     mode: str = "infer",
     rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, ForwardCache]:
+) -> tuple[np.ndarray, ForwardCache | None]:
     """Run the layer chain over a (batch, 26) matrix; returns the (batch, 8)
-    probabilities and the cache. Any other shape, a single 1-D vector
-    included, is a DataError. Training mode draws fresh dropout masks from
-    ``rng`` and records them in the cache for ``backward``.
+    probabilities and, in training mode, the cache for ``backward`` (None in
+    inference mode, which keeps no per-layer arrays). Training mode draws
+    fresh dropout masks from ``rng``. Any input shape other than (batch, 26),
+    a single 1-D vector included, is a DataError; an output holding NaN or
+    infinity is a NumericError.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != INPUT_DIM:
         raise DataError(f"expected a (batch, {INPUT_DIM}) matrix, got shape {x.shape}")
 
-    pre_acts: list[np.ndarray] = []
-    acts: list[np.ndarray] = []
-    masks: list[np.ndarray | None] = []
+    cache = ForwardCache(inputs=x, activations=[], dropout_masks=[]) if mode == "train" else None
     a = x
     for i, spec in enumerate(ARCHITECTURE):
         z = a @ params.weights[i].T + params.biases[i]
-        pre_acts.append(z)
         a = relu(z) if spec.activation == "relu" else softmax(z)
         mask = None
         if spec.dropout_after is not None:
             a, mask = dropout(a, spec.dropout_after, mode, rng)
-        masks.append(mask)
-        acts.append(a)
-
-    cache = ForwardCache(
-        inputs=x,
-        pre_activations=pre_acts,
-        activations=acts,
-        dropout_masks=masks,
-        mode=mode,
-    )
-    return acts[-1], cache
+        if cache is not None:
+            cache.activations.append(a)
+            cache.dropout_masks.append(mask)
+    if not np.all(np.isfinite(a)):
+        raise NumericError("network output contains NaN or infinity")
+    return a, cache
 
 
 def backward(params: NetworkParams, cache: ForwardCache, targets: np.ndarray) -> NetworkParams:
@@ -174,8 +169,11 @@ def backward(params: NetworkParams, cache: ForwardCache, targets: np.ndarray) ->
 
     Dropout masks recorded in the cache are treated as constants. For a
     softmax output the pre-activation gradient is probabilities - one-hot.
+    The ReLU derivative is gated on the cached output: a kept unit's
+    relu(z) * 1.25 is positive exactly where z > 0, and a dropped unit's
+    gradient is already zero.
     """
-    if cache.mode != "train":
+    if cache is None:
         raise ValueError("backward requires a cache from a training-mode forward")
     targets = np.asarray(targets, dtype=np.float64)
     batch_size = cache.inputs.shape[0]
@@ -201,7 +199,7 @@ def backward(params: NetworkParams, cache: ForwardCache, targets: np.ndarray) ->
         if mask is not None:
             da = da * mask * (1.0 / (1.0 - spec_prev.dropout_after))
         if spec_prev.activation == "relu":
-            da = da * (cache.pre_activations[i - 1] > 0)
+            da = da * (a_prev > 0)
         dz = da
     return NetworkParams(weights=grads_w, biases=grads_b)
 

@@ -64,12 +64,11 @@ class TrainingConfig:
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moments plus the live rate and step counter."""
+    """First and second moments, each shaped like the parameters, plus the
+    live learning rate and the step counter."""
 
-    m_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    v_biases: list[np.ndarray]
+    m: NetworkParams
+    v: NetworkParams
     lr: float
     t: int = 0
 
@@ -85,19 +84,16 @@ class EpochMetrics:
 
 
 def init_adam_state(params: NetworkParams, config: TrainingConfig) -> AdamState:
-    return AdamState(
-        m_weights=[np.zeros_like(w) for w in params.weights],
-        m_biases=[np.zeros_like(b) for b in params.biases],
-        v_weights=[np.zeros_like(w) for w in params.weights],
-        v_biases=[np.zeros_like(b) for b in params.biases],
-        lr=config.learning_rate,
-    )
+    def zeros() -> NetworkParams:
+        return NetworkParams(weights=[np.zeros_like(w) for w in params.weights],
+                             biases=[np.zeros_like(b) for b in params.biases])
+
+    return AdamState(m=zeros(), v=zeros(), lr=config.learning_rate)
 
 
-def adam_step(
-    params: NetworkParams, grads: NetworkParams, state: AdamState
-) -> tuple[NetworkParams, AdamState]:
-    """One Adam update, in place: theta <- theta - lr * m_hat / (sqrt(v_hat) + eps)."""
+def adam_step(params: NetworkParams, grads: NetworkParams, state: AdamState) -> None:
+    """One Adam update of ``params`` and ``state``, in place, weights then
+    biases: theta <- theta - lr * m_hat / (sqrt(v_hat) + eps)."""
     for g in grads.weights + grads.biases:
         if not np.all(np.isfinite(g)):
             raise NumericError("gradient contains NaN or infinity")
@@ -105,17 +101,15 @@ def adam_step(
     state.t += 1
     bc1 = 1.0 - BETA1**state.t
     bc2 = 1.0 - BETA2**state.t
-    for tensors, moments_m, moments_v, gs in (
-        (params.weights, state.m_weights, state.v_weights, grads.weights),
-        (params.biases, state.m_biases, state.v_biases, grads.biases),
-    ):
-        for theta, m, v, g in zip(tensors, moments_m, moments_v, gs):
-            m *= BETA1
-            m += (1.0 - BETA1) * g
-            v *= BETA2
-            v += (1.0 - BETA2) * g * g
-            theta -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
-    return params, state
+    for theta, m, v, g in zip(params.weights + params.biases,
+                              state.m.weights + state.m.biases,
+                              state.v.weights + state.v.biases,
+                              grads.weights + grads.biases):
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        theta -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
 
 
 def one_hot(labels: np.ndarray, num_classes: int = NUM_CLASSES) -> np.ndarray:

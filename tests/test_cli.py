@@ -22,8 +22,8 @@ from divrec.features import (
     read_feature_cache,
     write_feature_cache,
 )
-from divrec.manifest import ManifestRow, read_manifest
-from divrec.network import save_model
+from divrec.manifest import ManifestRow, read_manifest, write_manifest
+from divrec.network import load_model, save_model
 from divrec.training import TrainingConfig
 
 from conftest import (BAD_MODELS, build_model_bytes, build_wav_bytes, passthrough_params,
@@ -355,6 +355,40 @@ def test_extract_logs_missing_file_and_continues(tmp_path, capsys):
     assert "(1/2 segments failed)" in out
     assert str(missing) in err
     assert len(read_feature_cache(tmp_path / "c.feat")) == 1
+
+
+def test_extract_refuses_audio_that_skipped_preprocess(tmp_path, capsys):
+    # 30 s clips straight from scan: unsegmented and not noise-reduced
+    assert main(["make-fixture", "--out", str(tmp_path / "corpus"), "--seed", "3",
+                 "--speakers-per-class", "1", "--files-per-speaker", "1",
+                 "--file-seconds", "30"]) == 0
+    assert main(["scan", str(tmp_path / "corpus"), "--out", str(tmp_path / "m.csv")]) == 0
+    capsys.readouterr()
+    assert main(["extract", str(tmp_path / "m.csv"), "--out", str(tmp_path / "c.feat")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    rows = read_manifest(tmp_path / "m.csv")
+    assert err == [f"{row.audio_path}: 30 s long, not an 8-10 s segment from preprocess"
+                   for row in rows] + ["error: no segments could be extracted"]
+    assert not (tmp_path / "c.feat").exists()
+
+
+def test_extract_takes_exactly_8_to_10_second_segments(tmp_path, capsys):
+    lengths = [127_999, 128_000, 160_000, 160_001]  # samples at 16 kHz
+    rows = []
+    for n in lengths:
+        path = tmp_path / f"n{n}.wav"
+        path.write_bytes(build_wav_bytes(np.full(n, 100)))
+        rows.append(ManifestRow(audio_path=str(path), division="Dhaka", speaker_id="s"))
+    write_manifest(rows, tmp_path / "m.csv")
+    assert main(["extract", str(tmp_path / "m.csv"), "--out", str(tmp_path / "c.feat")]) == 0
+    out, err = capsys.readouterr()
+    assert "(2/4 segments failed)" in out
+    assert err.splitlines() == [
+        f"{tmp_path / 'n127999.wav'}: 7.99994 s long, not an 8-10 s segment from preprocess",
+        f"{tmp_path / 'n160001.wav'}: 10.0001 s long, not an 8-10 s segment from preprocess",
+    ]
+    assert [rec.source_id for rec in read_feature_cache(tmp_path / "c.feat")] == [
+        str(tmp_path / "n128000.wav"), str(tmp_path / "n160000.wav")]
 
 
 def test_extract_worker_count_does_not_change_output(workspace, tmp_path):
@@ -764,6 +798,19 @@ def test_evaluate_all_nan_cache_is_data_error(workspace, tmp_path, capsys):
     assert "nan.feat" in capsys.readouterr().err
 
 
+def test_evaluate_non_finite_network_output_exits_three(workspace, tmp_path, capsys):
+    # 1e308 is finite, so the cache reader accepts it; the network's output is
+    # NaN, and unchecked every record would score as Barisal
+    cache = tmp_path / "huge.feat"
+    write_feature_cache(
+        [AggregatedFeature(np.full(26, 1e308), i % 8, f"h{i}") for i in range(16)], cache
+    )
+    assert main(["evaluate", str(workspace / "model.bin"), str(cache)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numeric error: network output contains NaN or infinity\n"
+
+
 def test_evaluate_incompatible_model_is_data_error(workspace, tmp_path, capsys):
     path = tmp_path / "wrong.bin"
     path.write_bytes(build_model_bytes(**BAD_MODELS["10-8"]))
@@ -863,6 +910,22 @@ def test_predict_unchained_model_is_data_error(tmp_path, capsys):
     write_wav(sine_clip(seconds=10.0), tmp_path / "clip.wav")
     assert main(["predict", str(model), str(tmp_path / "clip.wav")]) == 2
     assert "unchained.bin" in capsys.readouterr().err
+
+
+def test_predict_non_finite_network_output_exits_three(workspace, tmp_path, capsys):
+    # weights scaled by 1e100 overflow to NaN probabilities; unchecked, every
+    # segment would print "Barisal p=nan" and the vote would exit 0
+    params = load_model(workspace / "model.bin")
+    for w in params.weights:
+        w *= 1e100
+    save_model(params, tmp_path / "huge.bin")
+    rng = np.random.default_rng(5)
+    write_wav(np.concatenate([synthesize_utterance(c, rng, 10.0) for c in (0, 3, 6)]),
+              tmp_path / "clip.wav")
+    assert main(["predict", str(tmp_path / "huge.bin"), str(tmp_path / "clip.wav")]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numeric error: network output contains NaN or infinity\n"
 
 
 @pytest.mark.parametrize("command", ["evaluate", "predict"])

@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from divrec.errors import DataError
+from divrec.errors import DataError, NumericError
 from divrec.network import (
     _HEADER,
     ARCHITECTURE,
@@ -165,6 +165,15 @@ def test_forward_rejects_wrong_input_dim(rng):
             forward(rng.normal(0, 1, shape), init_params(0))
 
 
+@pytest.mark.parametrize("mode", ["infer", "train"])
+def test_forward_refuses_non_finite_output(rng, mode):
+    params = init_params(0)
+    for w in params.weights:
+        w *= 1e100
+    with pytest.raises(NumericError, match="network output contains NaN or infinity"):
+        forward(rng.normal(0, 1, (3, 26)), params, mode=mode, rng=rng)
+
+
 def test_network_signatures_are_pinned():
     # forward and dropout draw fresh masks only; a mask-replay parameter has to
     # edit this table to come back
@@ -243,6 +252,7 @@ def test_backward_bytes_equal_preactivation_gated_reference(batch, seed):
 def test_backward_requires_training_cache(rng):
     params = init_params(0)
     _, cache = forward(rng.normal(0, 1, (1, 26)), params, mode="infer")
+    assert cache is None  # inference keeps no per-layer arrays
     with pytest.raises(ValueError, match="training-mode"):
         backward(params, cache, one_hot(np.array([0])))
 
