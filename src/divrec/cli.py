@@ -39,7 +39,7 @@ from .features import (
 from .fixture import make_fixture
 from .manifest import ManifestRow, read_manifest, scan_corpus, write_manifest
 from .network import load_model, save_model
-from .preprocess import CHUNK_SECONDS, MIN_TAIL_SECONDS, reduce_noise, segment
+from .preprocess import CHUNK_SAMPLES, MIN_TAIL_SAMPLES, reduce_noise, segment
 from .training import TrainingConfig, split_dataset, train, write_metrics_csv
 
 
@@ -142,8 +142,8 @@ def _map_rows(rows: list[ManifestRow], fn, workers: int) -> tuple[list, int]:
 
 def cmd_scan(args) -> int:
     rows, skipped = scan_corpus(args.root)
-    for name in skipped:
-        print(f"skipping unknown division directory: {name}", file=sys.stderr)
+    for line in skipped:
+        print(f"skipping {line}", file=sys.stderr)
     write_manifest(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -154,8 +154,12 @@ def _preprocess_one(row: ManifestRow, out_dir: Path) -> list[ManifestRow]:
     stem = Path(row.audio_path).stem
     seg_dir = out_dir / row.division / row.speaker_id
     seg_dir.mkdir(parents=True, exist_ok=True)
+    segments = segment(samples)
+    if not segments:  # logged, not counted as a failure
+        print(f"{row.audio_path}: {len(samples) / TARGET_SAMPLE_RATE:g} s long, "
+              "too short for one 8-10 s segment; skipped", file=sys.stderr)
     out_rows = []
-    for i, chunk in enumerate(segment(samples)):
+    for i, chunk in enumerate(segments):
         chunk = reduce_noise(chunk)
         seg_path = seg_dir / f"{stem}_seg{i:03d}.wav"
         write_wav(chunk, seg_path)
@@ -197,9 +201,8 @@ def cmd_extract(args) -> int:
 
     def featurize(row: ManifestRow) -> AggregatedFeature:
         samples = ingest(row.audio_path)
-        seconds = len(samples) / TARGET_SAMPLE_RATE
-        if not MIN_TAIL_SECONDS <= seconds <= CHUNK_SECONDS:
-            raise DataError(f"{row.audio_path}: {seconds:g} s long, "
+        if not MIN_TAIL_SAMPLES <= len(samples) <= CHUNK_SAMPLES:
+            raise DataError(f"{row.audio_path}: {len(samples) / TARGET_SAMPLE_RATE:g} s long, "
                             "not an 8-10 s segment from preprocess")
         return AggregatedFeature(
             vector=aggregate(extract(samples, bank=bank)),

@@ -7,9 +7,10 @@ first-order regression (window 2) of the 13 static coefficients over time,
 giving 26 columns per frame. A segment is summarized as the column-wise mean,
 the input vector of the classifier.
 
-Every recipe value is a module constant. Frames do not overlap (the hop is
-the frame length), so a 10 s clip at 16 kHz yields exactly 400 frames of 400
-samples, and there is no pre-emphasis.
+Every recipe value is a module constant, and so is every fixed operand built
+from them (``HAMMING``, ``DCT_BASIS``, ``DCT_SCALE``), built once at import.
+Frames do not overlap (the hop is the frame length), so a 10 s clip at 16 kHz
+yields exactly 400 frames of 400 samples, and there is no pre-emphasis.
 """
 
 from __future__ import annotations
@@ -34,6 +35,15 @@ FEATURE_DIM = 2 * NUM_STATIC
 
 CACHE_MAGIC = b"DIVFEAT1"
 
+# symmetric Hamming window, endpoints 0.08
+HAMMING = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(FRAME_LEN) / (FRAME_LEN - 1))
+
+# the (NUM_STATIC, NUM_FILTERS) cosine basis and per-term scale of ``dct2_ortho``
+DCT_BASIS = np.cos(np.pi * np.outer(np.arange(NUM_STATIC), 2 * np.arange(NUM_FILTERS) + 1)
+                   / (2 * NUM_FILTERS))
+DCT_SCALE = np.full(NUM_STATIC, np.sqrt(2.0 / NUM_FILTERS))
+DCT_SCALE[0] = np.sqrt(1.0 / NUM_FILTERS)
+
 
 @dataclass
 class FilterBank:
@@ -49,7 +59,7 @@ class AggregatedFeature:
 
     vector: np.ndarray
     label: int
-    source_id: str = ""
+    source_id: str
 
     def __post_init__(self) -> None:
         self.vector = np.asarray(self.vector, dtype=np.float64)
@@ -57,13 +67,6 @@ class AggregatedFeature:
             raise ValueError(f"feature vector must have shape ({FEATURE_DIM},)")
         if not isinstance(self.label, (int, np.integer)) or not 0 <= self.label < NUM_CLASSES:
             raise ValueError(f"label must be an int in 0..{NUM_CLASSES - 1}, got {self.label!r}")
-
-
-def hamming(n: int) -> np.ndarray:
-    """Symmetric Hamming window, endpoints 0.08."""
-    if n < 2:
-        raise ValueError("window length must be >= 2")
-    return 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n) / (n - 1))
 
 
 def frame_signal(samples: np.ndarray) -> np.ndarray:
@@ -79,17 +82,13 @@ def frame_signal(samples: np.ndarray) -> np.ndarray:
     return sliding_window_view(samples, FRAME_LEN)[::FRAME_LEN]
 
 
-def power_spectrum(frame: np.ndarray) -> np.ndarray:
-    """|DFT(frame * hamming)|^2 / FFT_SIZE on FFT_SIZE/2 + 1 bins."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.shape != (FRAME_LEN,):
-        raise ValueError(f"expected frame of length {FRAME_LEN}, got {frame.shape}")
-    return _power_spectra(frame[None, :])[0]
-
-
-def _power_spectra(frames: np.ndarray) -> np.ndarray:
-    windowed = frames * hamming(FRAME_LEN)
-    spectra = np.fft.rfft(windowed, n=FFT_SIZE, axis=1)
+def power_spectrum(frames: np.ndarray) -> np.ndarray:
+    """|DFT(frame * HAMMING)|^2 / FFT_SIZE on FFT_SIZE/2 + 1 bins, over the
+    last axis: one FRAME_LEN frame or a (T, FRAME_LEN) stack of them."""
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.shape[-1:] != (FRAME_LEN,):
+        raise ValueError(f"expected frames of length {FRAME_LEN}, got {frames.shape}")
+    spectra = np.fft.rfft(frames * HAMMING, n=FFT_SIZE)
     return (spectra.real**2 + spectra.imag**2) / FFT_SIZE
 
 
@@ -135,16 +134,9 @@ def log_mel_energies(power_spec: np.ndarray, bank: FilterBank) -> np.ndarray:
     return np.log(np.maximum(energies, LOG_FLOOR))
 
 
-def dct2_ortho(x: np.ndarray, keep: int = NUM_STATIC) -> np.ndarray:
-    """Orthonormal DCT-II of the last axis, truncated to the first ``keep`` terms."""
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[-1]
-    i = np.arange(n)
-    j = np.arange(keep)
-    basis = np.cos(np.pi * np.outer(j, 2 * i + 1) / (2 * n))
-    scale = np.full(keep, np.sqrt(2.0 / n))
-    scale[0] = np.sqrt(1.0 / n)
-    return (x @ basis.T) * scale
+def dct2_ortho(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-II of the NUM_FILTERS-long last axis, first NUM_STATIC terms."""
+    return (np.asarray(x, dtype=np.float64) @ DCT_BASIS.T) * DCT_SCALE
 
 
 def delta(features: np.ndarray) -> np.ndarray:
@@ -166,19 +158,17 @@ def delta(features: np.ndarray) -> np.ndarray:
     return out / denom
 
 
-def extract(samples: np.ndarray, bank: FilterBank | None = None) -> np.ndarray:
+def extract(samples: np.ndarray, bank: FilterBank) -> np.ndarray:
     """Full per-frame pipeline on 16 kHz mono samples: (T, 26) matrix of 13
     MFCCs + 13 deltas.
 
-    ``bank`` lets a caller build the filterbank once for many segments.
+    The caller builds ``bank`` once (``build_filterbank``) for many segments.
     """
     if samples.ndim != 1:
         raise ValueError("extract expects mono samples")
-    if bank is None:
-        bank = build_filterbank()
 
-    power = _power_spectra(frame_signal(samples))
-    static = dct2_ortho(log_mel_energies(power, bank), NUM_STATIC)
+    power = power_spectrum(frame_signal(samples))
+    static = dct2_ortho(log_mel_energies(power, bank))
     return np.hstack([static, delta(static)])
 
 

@@ -123,10 +123,10 @@ def _render_and_write(utterance: Utterance, t: np.ndarray, path: Path) -> None:
 
 def make_fixture(
     root,
-    seed: int = 0,
-    speakers_per_class: int = 5,
-    files_per_speaker: int = 5,
-    file_seconds: float = 100.0,
+    seed: int,
+    speakers_per_class: int,
+    files_per_speaker: int,
+    file_seconds: float,
 ) -> list[Path]:
     """Write the corpus tree root/<Division>/<speaker>/<speaker>_NNN.wav.
 

@@ -2,8 +2,9 @@
 
 A corpus on disk is laid out as ``root/<DivisionName>/<speaker_id>/*.wav``;
 scanning walks that tree, skips directories that are not one of the eight
-canonical division names, and emits rows sorted by path so repeated scans of
-an unchanged tree are byte-identical.
+canonical division names and WAV files (``.wav`` in any case) elsewhere under
+a division, and emits rows sorted by path so repeated scans of an unchanged
+tree are byte-identical.
 """
 
 from __future__ import annotations
@@ -44,17 +45,21 @@ class ManifestRow:
 
 
 def scan_corpus(root) -> tuple[list[ManifestRow], list[str]]:
-    """Walk root/<Division>/<speaker>/*.wav; returns (rows, skipped dirs)."""
+    """Walk root/<Division>/<speaker>/*.wav; returns the rows and one line per
+    skipped entry: each unknown division directory and each other file under a
+    division whose suffix is .wav in any case."""
     root = Path(root)
     rows: list[ManifestRow] = []
     skipped: list[str] = []
     if root.is_dir():
         for division_dir in sorted(p for p in root.iterdir() if p.is_dir()):
             if division_dir.name not in DIVISION_NAMES:
-                skipped.append(division_dir.name)
+                skipped.append(f"unknown division directory: {division_dir.name}")
                 continue
+            listed = set()
             for speaker_dir in sorted(p for p in division_dir.iterdir() if p.is_dir()):
                 for wav in sorted(speaker_dir.glob("*.wav")):
+                    listed.add(wav)
                     rows.append(
                         ManifestRow(
                             audio_path=str(wav),
@@ -62,6 +67,9 @@ def scan_corpus(root) -> tuple[list[ManifestRow], list[str]]:
                             speaker_id=speaker_dir.name,
                         )
                     )
+            skipped += [f"{path}: not a <Division>/<speaker>/*.wav file"
+                        for path in sorted(division_dir.rglob("*"))
+                        if path.suffix.lower() == ".wav" and path not in listed]
     if not rows:
         raise DataError(f"no WAV files found under {root}")
     rows.sort(key=lambda r: r.audio_path)

@@ -149,15 +149,17 @@ def forward(
 
     cache = ForwardCache(inputs=x, activations=[], dropout_masks=[]) if mode == "train" else None
     a = x
-    for i, spec in enumerate(ARCHITECTURE):
-        z = a @ params.weights[i].T + params.biases[i]
-        a = relu(z) if spec.activation == "relu" else softmax(z)
-        mask = None
-        if spec.dropout_after is not None:
-            a, mask = dropout(a, spec.dropout_after, mode, rng)
-        if cache is not None:
-            cache.activations.append(a)
-            cache.dropout_masks.append(mask)
+    # an overflow shows up as a non-finite output, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, spec in enumerate(ARCHITECTURE):
+            z = a @ params.weights[i].T + params.biases[i]
+            a = relu(z) if spec.activation == "relu" else softmax(z)
+            mask = None
+            if spec.dropout_after is not None:
+                a, mask = dropout(a, spec.dropout_after, mode, rng)
+            if cache is not None:
+                cache.activations.append(a)
+                cache.dropout_masks.append(mask)
     if not np.all(np.isfinite(a)):
         raise NumericError("network output contains NaN or infinity")
     return a, cache

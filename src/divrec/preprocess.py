@@ -1,8 +1,10 @@
 """Segmentation into 8-10 s chunks and spectral-subtraction noise reduction.
 
-Every recipe value is a module constant. Segmentation greedily cuts 10 s
-chunks from the start and keeps the remainder only when it is at least 8 s
-long, so every emitted chunk lies in [8 s, 10 s].
+Every recipe value is a module constant, and so are the operands built from
+them (``CHUNK_SAMPLES``, ``MIN_TAIL_SAMPLES``, ``NR_WINDOW``), built once at
+import. Segmentation greedily cuts 10 s chunks from the start and keeps the
+remainder only when it is at least 8 s long, so every emitted chunk lies in
+[8 s, 10 s].
 
 Noise reduction is classical magnitude spectral subtraction: Hann-windowed
 frames (512 samples, hop 256), noise magnitude profile estimated as the mean
@@ -11,8 +13,8 @@ with oversubtraction factor 1, output magnitude floored at 0.02 times the
 noisy magnitude. The noisy phase is kept by scaling each complex spectrum
 bin with the real gain out_mag / |X| (zero where |X| is zero) rather than
 rebuilding it from magnitude and angle. Reconstruction is overlap-add on the
-same grid, done one hop-wide block column at a time so that every output
-sample sums its frames in frame order; the periodic Hann window sums to
+same half-overlap grid, done in two hop-wide block adds so that every output
+sample sums its two frames in frame order; the periodic Hann window sums to
 exactly 1 at 50% overlap, so length is preserved.
 """
 
@@ -25,51 +27,43 @@ from .audio_io import TARGET_SAMPLE_RATE
 from .errors import DataError
 
 
-CHUNK_SECONDS = 10.0
-MIN_TAIL_SECONDS = 8.0
+CHUNK_SAMPLES = 10 * TARGET_SAMPLE_RATE  # 10 s
+MIN_TAIL_SAMPLES = 8 * TARGET_SAMPLE_RATE  # 8 s
 
 NR_FRAME_LEN = 512
-NR_HOP = 256
+NR_HOP = NR_FRAME_LEN // 2
 NOISE_FRAMES = 10
 OVERSUBTRACTION = 1.0  # alpha
 SPECTRAL_FLOOR = 0.02  # beta
+
+# periodic (DFT-even) Hann window: at 50% overlap the shifted copies sum to 1
+NR_WINDOW = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(NR_FRAME_LEN) / NR_FRAME_LEN)
 
 
 def segment(samples: np.ndarray) -> list[np.ndarray]:
     """Cut consecutive non-overlapping chunks (copies, not views) from 16 kHz
     samples; short input yields an empty list."""
-    chunk = int(round(CHUNK_SECONDS * TARGET_SAMPLE_RATE))
-    min_tail = int(round(MIN_TAIL_SECONDS * TARGET_SAMPLE_RATE))
     out: list[np.ndarray] = []
     start = 0
-    while start + chunk <= samples.shape[0]:
-        out.append(samples[start : start + chunk].copy())
-        start += chunk
-    if samples.shape[0] - start >= min_tail:
+    while start + CHUNK_SAMPLES <= samples.shape[0]:
+        out.append(samples[start : start + CHUNK_SAMPLES].copy())
+        start += CHUNK_SAMPLES
+    if samples.shape[0] - start >= MIN_TAIL_SAMPLES:
         out.append(samples[start:].copy())
     return out
 
 
-def _periodic_hann(n: int) -> np.ndarray:
-    # periodic (DFT-even) variant: at 50% overlap the shifted copies sum to 1
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+def _overlap_add(frames: np.ndarray) -> np.ndarray:
+    """Sum (n_frames, NR_FRAME_LEN) frames placed NR_HOP (half a frame) apart.
 
-
-def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
-    """Sum (n_frames, frame_len) frames placed ``hop`` apart; hop <= frame_len.
-
-    Works on rows of ``hop`` samples: frame i's j-th hop-wide block lands on
-    row i + j. Adding block columns from the last to the first sums each
-    sample's frames in ascending frame order, so the result is bit-equal to
-    adding the frames one by one. The output holds whole rows and may run
-    past the last frame's end; the extra samples are zero.
+    Works on rows of NR_HOP samples: frame i's first half lands on row i and
+    its second half on row i + 1. Adding the second halves before the first
+    sums each sample's frames in ascending frame order, so the result is
+    bit-equal to adding the frames one by one.
     """
-    n_frames, frame_len = frames.shape
-    blocks = -(-frame_len // hop)
-    out = np.zeros((n_frames + blocks - 1, hop))
-    for j in reversed(range(blocks)):
-        block = frames[:, j * hop : (j + 1) * hop]
-        out[j : j + n_frames, : block.shape[1]] += block
+    out = np.zeros((frames.shape[0] + 1, NR_HOP))
+    out[1:] += frames[:, NR_HOP:]
+    out[:-1] += frames[:, :NR_HOP]
     return out.ravel()
 
 
@@ -82,7 +76,6 @@ def reduce_noise(samples: np.ndarray) -> np.ndarray:
         raise DataError(f"{n} samples < frame length {NR_FRAME_LEN}")
 
     frame_len, hop = NR_FRAME_LEN, NR_HOP
-    window = _periodic_hann(frame_len)
 
     # pad by one hop at the front and at least one frame at the back so every
     # original sample sits under a full complement of overlapping windows
@@ -91,7 +84,7 @@ def reduce_noise(samples: np.ndarray) -> np.ndarray:
     padded = np.zeros(padded_len)
     padded[hop : hop + n] = samples
 
-    frames = sliding_window_view(padded, frame_len)[::hop] * window
+    frames = sliding_window_view(padded, frame_len)[::hop] * NR_WINDOW
 
     spectra = np.fft.rfft(frames, axis=1)
     mag = np.abs(spectra)
@@ -108,6 +101,6 @@ def reduce_noise(samples: np.ndarray) -> np.ndarray:
     spectra *= gain
     rebuilt = np.fft.irfft(spectra, frame_len, axis=1)
 
-    out = _overlap_add(rebuilt, hop)
+    out = _overlap_add(rebuilt)
 
     return np.clip(out[hop : hop + n], -1.0, 1.0)

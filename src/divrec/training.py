@@ -112,9 +112,9 @@ def adam_step(params: NetworkParams, grads: NetworkParams, state: AdamState) -> 
         theta -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
 
 
-def one_hot(labels: np.ndarray, num_classes: int = NUM_CLASSES) -> np.ndarray:
+def one_hot(labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
-    out = np.zeros(labels.shape + (num_classes,))
+    out = np.zeros(labels.shape + (NUM_CLASSES,))
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
 
@@ -249,10 +249,9 @@ def _evaluate_arrays(params: NetworkParams, x: np.ndarray, y: np.ndarray) -> tup
 
 def train(
     features: list[AggregatedFeature],
-    config: TrainingConfig | None = None,
+    config: TrainingConfig,
 ) -> tuple[NetworkParams, list[EpochMetrics]]:
     """Full training run; returns final parameters and the per-epoch history."""
-    config = config or TrainingConfig()
     train_set, _, val_set = split_dataset(features, config)
     x_train, y_train = _dataset_arrays(train_set)
     x_val, y_val = _dataset_arrays(val_set)

@@ -1,9 +1,13 @@
 import argparse
 import hashlib
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +34,7 @@ from conftest import (BAD_MODELS, build_model_bytes, build_wav_bytes, passthroug
                       sine_clip, synthesize_utterance)
 
 SR = 16000
+REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="session")
@@ -86,6 +91,20 @@ def test_scan_skips_unknown_division(tmp_path, capsys):
     assert "Narnia" in capsys.readouterr().err
 
 
+def test_scan_names_wav_files_outside_the_speaker_layout(tmp_path, capsys):
+    division = tmp_path / "corpus" / "Dhaka"
+    (division / "s1" / "take2").mkdir(parents=True)
+    for name in ("loose.wav", "s1/a.wav", "s1/B.WAV", "s1/take2/c.wav"):
+        write_wav(sine_clip(seconds=0.1), division / name)
+    out = tmp_path / "manifest.csv"
+    assert main(["scan", str(tmp_path / "corpus"), "--out", str(out)]) == 0
+    assert [r.audio_path for r in read_manifest(out)] == [str(division / "s1" / "a.wav")]
+    assert capsys.readouterr().err.splitlines() == [
+        f"skipping {division / name}: not a <Division>/<speaker>/*.wav file"
+        for name in ("loose.wav", "s1/B.WAV", "s1/take2/c.wav")
+    ]
+
+
 def test_rescan_is_byte_identical(workspace, tmp_path):
     out = tmp_path / "again.csv"
     assert main(["scan", str(workspace / "corpus"), "--out", str(out)]) == 0
@@ -108,6 +127,22 @@ def test_preprocess_25s_file_gives_two_segments(tmp_path, rng):
     assert all(
         r.audio_path.endswith(f"long_seg{i:03d}.wav") for i, r in enumerate(rows)
     )
+
+
+def test_preprocess_names_a_clip_too_short_for_one_segment(tmp_path, capsys):
+    speaker = tmp_path / "corpus" / "Barisal" / "spk1"
+    speaker.mkdir(parents=True)
+    write_wav(np.zeros(5 * SR), speaker / "short.wav")
+    write_wav(np.zeros(12 * SR), speaker / "long.wav")
+    assert main(["scan", str(tmp_path / "corpus"), "--out", str(tmp_path / "m.csv")]) == 0
+    capsys.readouterr()
+    assert main(["preprocess", str(tmp_path / "m.csv"),
+                 "--out-dir", str(tmp_path / "seg"), "--out", str(tmp_path / "s.csv")]) == 0
+    out, err = capsys.readouterr()
+    # named, but not counted as a failed input
+    assert out.endswith("(0/2 input files failed)\n")
+    assert err == f"{speaker / 'short.wav'}: 5 s long, too short for one 8-10 s segment; skipped\n"
+    assert len(read_manifest(tmp_path / "s.csv")) == 1
 
 
 def test_preprocess_logs_bad_file_and_continues(tmp_path, capsys):
@@ -798,14 +833,29 @@ def test_evaluate_all_nan_cache_is_data_error(workspace, tmp_path, capsys):
     assert "nan.feat" in capsys.readouterr().err
 
 
+def _non_finite_output_argv(command: str, workspace: Path, tmp_path: Path) -> list[str]:
+    """A command whose network output is NaN: ``evaluate`` on a cache of
+    finite 1e308 features, or ``predict`` with the weights scaled by 1e100."""
+    if command == "evaluate":
+        cache = tmp_path / "huge.feat"
+        write_feature_cache(
+            [AggregatedFeature(np.full(26, 1e308), i % 8, f"h{i}") for i in range(16)], cache
+        )
+        return ["evaluate", str(workspace / "model.bin"), str(cache)]
+    params = load_model(workspace / "model.bin")
+    for w in params.weights:
+        w *= 1e100
+    save_model(params, tmp_path / "huge.bin")
+    rng = np.random.default_rng(5)
+    write_wav(np.concatenate([synthesize_utterance(c, rng, 10.0) for c in (0, 3, 6)]),
+              tmp_path / "clip.wav")
+    return ["predict", str(tmp_path / "huge.bin"), str(tmp_path / "clip.wav")]
+
+
 def test_evaluate_non_finite_network_output_exits_three(workspace, tmp_path, capsys):
     # 1e308 is finite, so the cache reader accepts it; the network's output is
     # NaN, and unchecked every record would score as Barisal
-    cache = tmp_path / "huge.feat"
-    write_feature_cache(
-        [AggregatedFeature(np.full(26, 1e308), i % 8, f"h{i}") for i in range(16)], cache
-    )
-    assert main(["evaluate", str(workspace / "model.bin"), str(cache)]) == 3
+    assert main(_non_finite_output_argv("evaluate", workspace, tmp_path)) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "numeric error: network output contains NaN or infinity\n"
@@ -915,17 +965,24 @@ def test_predict_unchained_model_is_data_error(tmp_path, capsys):
 def test_predict_non_finite_network_output_exits_three(workspace, tmp_path, capsys):
     # weights scaled by 1e100 overflow to NaN probabilities; unchecked, every
     # segment would print "Barisal p=nan" and the vote would exit 0
-    params = load_model(workspace / "model.bin")
-    for w in params.weights:
-        w *= 1e100
-    save_model(params, tmp_path / "huge.bin")
-    rng = np.random.default_rng(5)
-    write_wav(np.concatenate([synthesize_utterance(c, rng, 10.0) for c in (0, 3, 6)]),
-              tmp_path / "clip.wav")
-    assert main(["predict", str(tmp_path / "huge.bin"), str(tmp_path / "clip.wav")]) == 3
+    assert main(_non_finite_output_argv("predict", workspace, tmp_path)) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "numeric error: network output contains NaN or infinity\n"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_non_finite_network_output_raises_no_numpy_warning(workspace, tmp_path, command):
+    argv = _non_finite_output_argv(command, workspace, tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    # outside pytest, numpy prints each warning with its source line on stderr
+    result = subprocess.run([sys.executable, "-m", "divrec.cli", *argv],
+                            capture_output=True, text=True, timeout=120,
+                            env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+    assert result.returncode == 3
+    assert result.stderr == "numeric error: network output contains NaN or infinity\n"
 
 
 @pytest.mark.parametrize("command", ["evaluate", "predict"])

@@ -11,8 +11,8 @@ from divrec.features import (
     dct2_ortho,
     delta,
     extract,
+    HAMMING,
     frame_signal,
-    hamming,
     log_mel_energies,
     mel,
     mel_inv,
@@ -22,6 +22,7 @@ from divrec.features import (
 )
 
 SR = 16000
+BANK = build_filterbank()
 
 
 # --- framing ---
@@ -53,27 +54,23 @@ def test_frames_are_contiguous_slices():
 # --- hamming window ---
 
 def test_hamming_endpoints():
-    w = hamming(400)
-    assert w[0] == pytest.approx(0.08, abs=1e-15)
-    assert w[-1] == pytest.approx(0.08, abs=1e-15)
-
-
-def test_hamming_odd_midpoint_is_one():
-    w = hamming(401)
-    assert w[200] == pytest.approx(1.0, abs=1e-15)
+    assert HAMMING.shape == (400,)
+    assert HAMMING[0] == pytest.approx(0.08, abs=1e-15)
+    assert HAMMING[-1] == pytest.approx(0.08, abs=1e-15)
 
 
 def test_hamming_symmetry():
-    w = hamming(400)
-    np.testing.assert_allclose(w, w[::-1], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(HAMMING, HAMMING[::-1], rtol=0, atol=1e-15)
 
 
 # --- power spectrum ---
 
 def naive_power_spectrum(frame, fft_size):
-    """O(N^2) DFT oracle."""
+    """O(N^2) DFT oracle with its own symmetric Hamming window."""
+    n_frame = len(frame)
     windowed = np.zeros(fft_size)
-    windowed[: len(frame)] = frame * hamming(len(frame))
+    for i in range(n_frame):
+        windowed[i] = frame[i] * (0.54 - 0.46 * np.cos(2 * np.pi * i / (n_frame - 1)))
     n = np.arange(fft_size)
     out = np.empty(fft_size // 2 + 1)
     for k in range(fft_size // 2 + 1):
@@ -115,8 +112,21 @@ def test_parseval_consistency(rng):
         spec = power_spectrum(frame)
         weights = np.full(spec.shape, 2.0)
         weights[0] = weights[-1] = 1.0
-        energy = np.sum((frame * hamming(400)) ** 2)
+        energy = np.sum((frame * HAMMING) ** 2)
         assert np.sum(weights * spec) == pytest.approx(energy, rel=1e-6)
+
+
+def test_stacked_frames_equal_single_frames_byte_for_byte(rng):
+    frames = rng.uniform(-1, 1, (7, 400))
+    stacked = power_spectrum(frames)
+    assert stacked.shape == (7, 257)
+    for frame, row in zip(frames, stacked):
+        assert power_spectrum(frame).tobytes() == row.tobytes()
+
+
+def test_power_spectrum_refuses_other_frame_lengths():
+    with pytest.raises(ValueError, match="expected frames of length 400"):
+        power_spectrum(np.zeros((3, 401)))
 
 
 # --- mel scale ---
@@ -273,16 +283,16 @@ def _rich_clip(seconds=10.0, seed=5):
 
 
 def test_ten_second_clip_gives_400_by_26():
-    assert extract(_rich_clip()).shape == (400, 26)
+    assert extract(_rich_clip(), BANK).shape == (400, 26)
 
 
 def test_extract_deterministic():
     clip = _rich_clip()
-    np.testing.assert_array_equal(extract(clip), extract(clip))
+    np.testing.assert_array_equal(extract(clip, BANK), extract(clip, BANK))
 
 
 def test_delta_columns_recomputed_by_oracle():
-    fm = extract(_rich_clip(seconds=2.0))
+    fm = extract(_rich_clip(seconds=2.0), BANK)
     np.testing.assert_allclose(fm[:, 13:], naive_delta(fm[:, :13]), rtol=0, atol=1e-12)
 
 
@@ -291,8 +301,8 @@ def test_gain_shift_moves_only_c0():
     # energy by 2 ln c; under the orthonormal DCT that lands entirely on c_0
     clip = _rich_clip(seconds=1.0)
     scaled = clip * 0.5
-    base = extract(clip)
-    shifted = extract(scaled)
+    base = extract(clip, BANK)
+    shifted = extract(scaled, BANK)
     expected_c0_shift = 2.0 * np.log(0.5) * np.sqrt(40)
     np.testing.assert_allclose(
         shifted[:, 0] - base[:, 0], expected_c0_shift, rtol=0, atol=1e-9
@@ -310,7 +320,7 @@ def test_network_input_dimension_from_parameter_arithmetic():
     # first dense layer: 128 units, 3456 parameters => d*128 + 128 = 3456
     d = (3456 - 128) // 128
     assert d == 26
-    assert aggregate(extract(_rich_clip(seconds=1.0))[None][0]).shape == (26,)
+    assert aggregate(extract(_rich_clip(seconds=1.0), BANK)[None][0]).shape == (26,)
 
 
 def test_aggregate_matches_bruteforce_column_means(rng):

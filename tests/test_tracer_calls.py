@@ -4,30 +4,12 @@ A wrap that still resolves but is no longer called (say, ``extract`` moved
 out of ``divrec.cli``) leaves its per-layer metric at 0 in every traced run.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 from divrec import cli
 
-TRACING_PY = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from test_tracer_names import tracing  # noqa: F401  (the fixture that loads perfbench/tracing.py)
 
 
-def _load_tracing():
-    name = "_divrec_perfbench_tracing_calls"
-    spec = importlib.util.spec_from_file_location(name, TRACING_PY)
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses look their module up in sys.modules while the class is built
-    sys.modules[name] = module
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[name]
-    return module
-
-
-def test_every_measured_wrap_is_called(tmp_path, capsys):
-    tracing = _load_tracing()
+def test_every_measured_wrap_is_called(tracing, tmp_path, capsys):  # noqa: F811
     corpus, out = tmp_path / "corpus", tmp_path / "out"
     commands = [
         ["make-fixture", "--out", str(corpus), "--speakers-per-class", "1",
