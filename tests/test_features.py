@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from divrec.errors import DataError
 from divrec.features import (
+    HAMMING,
     AggregatedFeature,
     aggregate,
     build_filterbank,
     dct2_ortho,
     delta,
     extract,
-    HAMMING,
     frame_signal,
     log_mel_energies,
     mel,
