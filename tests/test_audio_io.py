@@ -43,6 +43,15 @@ def test_write_after_read_reproduces_data_chunk(tmp_path):
     assert orig_bytes[orig_bytes.index(b"data") :] == new_bytes[new_bytes.index(b"data") :]
 
 
+@pytest.mark.parametrize("n", [0, 1, 160_000])
+def test_write_wav_bytes_equal_hand_built_file(tmp_path, rng, n):
+    # the whole file, header included: the 44-byte layout in docs/formats.md
+    samples = rng.uniform(-1.0, 1.0, n)
+    path = tmp_path / "out.wav"
+    write_wav(samples, path)
+    assert path.read_bytes() == build_wav_bytes(encode_pcm16(samples))
+
+
 def test_rejects_non_riff(tmp_path):
     path = tmp_path / "bad.wav"
     path.write_bytes(b"OggS" + b"\x00" * 40)

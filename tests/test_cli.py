@@ -1,4 +1,5 @@
 import argparse
+import errno
 import hashlib
 import json
 import os
@@ -203,6 +204,45 @@ def test_44k_failure_line_names_the_path_once(tmp_path, capsys, command):
     assert f"{cd}: sample rate 44100 Hz, only 16000 supported" in err.splitlines()
 
 
+def _riff(*chunks: bytes) -> bytes:
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def _chunk(chunk_id: bytes, body: bytes, declared: int | None = None) -> bytes:
+    return chunk_id + struct.pack("<I", len(body) if declared is None else declared) + body
+
+
+def _fmt(audio_format: int = 1, channels: int = 1) -> bytes:
+    return _chunk(b"fmt ", struct.pack("<HHIIHH", audio_format, channels, SR, 2 * SR, 2, 16))
+
+
+_DATA = _chunk(b"data", b"\0" * 8)
+MALFORMED_HEADERS = {
+    # JUNK declares 100 bytes, past the end of the RIFF body
+    "chunk-past-riff-size": _riff(_fmt(), _chunk(b"JUNK", b"", declared=100), _DATA),
+    "huge-list": _riff(_fmt(), _chunk(b"LIST", b"", declared=0xFFFFFFF0), _DATA),
+    "fmt-14-bytes": _riff(_chunk(b"fmt ", struct.pack("<HHIIH", 1, 1, SR, 2 * SR, 2)), _DATA),
+    "zero-channels": _riff(_fmt(channels=0), _DATA),
+    "truncated-data": _riff(_fmt(), _chunk(b"data", b"\0" * 8, declared=1000)),
+    "format-tag-3": _riff(_fmt(audio_format=3), _DATA),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_HEADERS)
+def test_extract_refuses_malformed_wav_header_naming_the_file(tmp_path, capsys, name):
+    wav = tmp_path / f"{name}.wav"
+    wav.write_bytes(MALFORMED_HEADERS[name])
+    write_manifest([ManifestRow(audio_path=str(wav), division="Dhaka", speaker_id="s")],
+                   tmp_path / "m.csv")
+    assert main(["extract", str(tmp_path / "m.csv"), "--out", str(tmp_path / "c.feat")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    refusal, summary = err.splitlines()
+    assert refusal.startswith(f"{wav}: ") and refusal[len(f"{wav}: "):].strip()
+    assert summary == "error: no segments could be extracted"
+
+
 def test_preprocess_refuses_rows_that_share_segment_names(tmp_path, capsys):
     # both rows would write seg/Dhaka/s1/x_seg000.wav, one over the other
     paths = [tmp_path / d / "x.wav" for d in ("a", "b")]
@@ -289,6 +329,25 @@ def test_preprocess_logs_missing_file_and_continues(tmp_path, capsys):
     assert "(1/2 input files failed)" in out
     assert str(missing) in err
     assert len(read_manifest(tmp_path / "s.csv")) == 1
+
+
+def test_preprocess_failed_segment_write_prints_only_its_lines(tmp_path):
+    clip = tmp_path / "clip.wav"
+    write_wav(sine_clip(seconds=10.0), clip)
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(f"audio_path,division,speaker_id,gender\n{clip},Dhaka,spk1,\n")
+    blocker = tmp_path / "seg" / "Dhaka" / "spk1" / "clip_seg000.wav"
+    blocker.mkdir(parents=True)
+    # a subprocess, so that anything printed when objects are collected is seen
+    result = subprocess.run([sys.executable, "-m", "divrec.cli", "preprocess", str(manifest),
+                             "--out-dir", str(tmp_path / "seg"), "--out", str(tmp_path / "s.csv")],
+                            capture_output=True, text=True, timeout=120,
+                            env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [
+        f"{clip}: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{blocker}'",
+        "error: all input files failed preprocessing",
+    ]
 
 
 def test_preprocess_worker_count_does_not_change_output(workspace, tmp_path):

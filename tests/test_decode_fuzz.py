@@ -56,7 +56,16 @@ def wav_files(draw):
     )
     body = draw(st.binary(max_size=200))
     declared = draw(st.one_of(st.just(len(body)), u32))
-    chunks = b"fmt " + struct.pack("<I", 16) + fmt + b"data" + struct.pack("<I", declared) + body
+    fmt_chunk = b"fmt " + struct.pack("<I", 16) + fmt
+    data_chunk = b"data" + struct.pack("<I", declared) + body
+    # an optional chunk of any id and declared size between fmt and data
+    extra = draw(st.one_of(st.just(b""), st.builds(
+        lambda cid, size, payload: cid + struct.pack("<I", size) + payload,
+        st.binary(min_size=4, max_size=4), u32, st.binary(max_size=20))))
+    if draw(st.booleans()):
+        chunks = fmt_chunk + extra + data_chunk
+    else:
+        chunks = data_chunk + extra + fmt_chunk
     return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
 
 
