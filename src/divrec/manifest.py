@@ -2,9 +2,9 @@
 
 A corpus on disk is laid out as ``root/<DivisionName>/<speaker_id>/*.wav``;
 scanning walks that tree, skips directories that are not one of the eight
-canonical division names and WAV files (``.wav`` in any case) elsewhere under
-a division, and emits rows sorted by path so repeated scans of an unchanged
-tree are byte-identical.
+canonical division names and WAV files (``.wav`` in any case) directly under
+the root or elsewhere under a division, and emits rows sorted by path so
+repeated scans of an unchanged tree are byte-identical.
 """
 
 from __future__ import annotations
@@ -46,13 +46,17 @@ class ManifestRow:
 
 def scan_corpus(root) -> tuple[list[ManifestRow], list[str]]:
     """Walk root/<Division>/<speaker>/*.wav; returns the rows and one line per
-    skipped entry: each unknown division directory and each other file under a
-    division whose suffix is .wav in any case."""
+    skipped entry: each unknown division directory and each other file directly
+    under root or under a division whose suffix is .wav in any case."""
     root = Path(root)
     rows: list[ManifestRow] = []
     skipped: list[str] = []
+    outside = "not a <Division>/<speaker>/*.wav file"
     if root.is_dir():
-        for division_dir in sorted(p for p in root.iterdir() if p.is_dir()):
+        entries = sorted(root.iterdir())
+        skipped += [f"{path}: {outside}" for path in entries
+                    if not path.is_dir() and path.suffix.lower() == ".wav"]
+        for division_dir in (p for p in entries if p.is_dir()):
             if division_dir.name not in DIVISION_NAMES:
                 skipped.append(f"unknown division directory: {division_dir.name}")
                 continue
@@ -67,8 +71,7 @@ def scan_corpus(root) -> tuple[list[ManifestRow], list[str]]:
                             speaker_id=speaker_dir.name,
                         )
                     )
-            skipped += [f"{path}: not a <Division>/<speaker>/*.wav file"
-                        for path in sorted(division_dir.rglob("*"))
+            skipped += [f"{path}: {outside}" for path in sorted(division_dir.rglob("*"))
                         if path.suffix.lower() == ".wav" and path not in listed]
     if not rows:
         raise DataError(f"no WAV files found under {root}")

@@ -106,6 +106,19 @@ def test_scan_names_wav_files_outside_the_speaker_layout(tmp_path, capsys):
     ]
 
 
+def test_scan_names_wav_files_directly_under_the_root(tmp_path, capsys):
+    root = tmp_path / "corpus"
+    (root / "Dhaka" / "s1").mkdir(parents=True)
+    for name in ("top.wav", "Dhaka/s1/a.wav"):
+        write_wav(sine_clip(seconds=0.1), root / name)
+    (root / "notes.txt").write_text("not audio")
+    out = tmp_path / "manifest.csv"
+    assert main(["scan", str(root), "--out", str(out)]) == 0
+    assert [r.audio_path for r in read_manifest(out)] == [str(root / "Dhaka" / "s1" / "a.wav")]
+    assert capsys.readouterr().err.splitlines() == [
+        f"skipping {root / 'top.wav'}: not a <Division>/<speaker>/*.wav file"]
+
+
 def test_rescan_is_byte_identical(workspace, tmp_path):
     out = tmp_path / "again.csv"
     assert main(["scan", str(workspace / "corpus"), "--out", str(out)]) == 0
