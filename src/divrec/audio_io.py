@@ -1,15 +1,15 @@
-"""WAV decoding and encoding.
+"""WAV decoding and encoding on top of the standard library's ``wave`` module.
 
-Only uncompressed 16-bit PCM little-endian RIFF/WAVE files are accepted;
-anything else is rejected loudly. Raw int16 samples are normalized by
-dividing by 32768 on read and encoded as round(a * 32767) on write (the
-standard asymmetric int16 convention: -32768 maps to -1.0 but 1.0 maps
-to 32767). The exact chunk layout is documented in docs/formats.md.
+Raw int16 samples are normalized by dividing by 32768 on read and encoded as
+round(a * 32767) on write (the standard asymmetric int16 convention: -32768
+maps to -1.0 but 1.0 maps to 32767). ``read_wav`` says which checks ``wave``
+makes and which this module adds; docs/formats.md gives the file layout.
 """
 
 from __future__ import annotations
 
-import struct
+import os
+import wave
 
 import numpy as np
 
@@ -24,56 +24,33 @@ def read_wav(path) -> tuple[np.ndarray, int]:
     ``samples`` are float64 in [-1.0, 1.0]: 1-D for a mono file, (n, channels)
     otherwise.
 
-    Raises DataError for non-RIFF/WAVE containers, impossible fmt fields (no
-    channels, sample rate 0), anything that is not uncompressed 16-bit PCM,
-    and a data chunk shorter than its declared size.
+    Raises DataError naming the file and the reason. ``wave`` refuses a
+    container that is not RIFF/WAVE, a format tag other than PCM, zero
+    channels, ``data`` before ``fmt ``, and a chunk cut short or running past
+    the RIFF size; checked here are a sample width other than 16 bits, a
+    sample rate of 0, and a data chunk shorter than its declared size.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-
-    if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
-        raise DataError(f"{path}: not a RIFF/WAVE file")
-
-    fmt = None
-    data = None
-    pos = 12
-    while pos + 8 <= len(raw):
-        chunk_id = raw[pos : pos + 4]
-        (chunk_size,) = struct.unpack_from("<I", raw, pos + 4)
-        body_start = pos + 8
-        if chunk_id == b"fmt ":
-            if chunk_size < 16 or body_start + 16 > len(raw):
-                raise DataError(f"{path}: fmt chunk too small")
-            fmt = struct.unpack_from("<HHIIHH", raw, body_start)
-        elif chunk_id == b"data":
-            avail = len(raw) - body_start
-            if avail < chunk_size:
-                raise DataError(
-                    f"{path}: data chunk declares {chunk_size} bytes, only {avail} present"
-                )
-            data = raw[body_start : body_start + chunk_size]
-        # chunks are word-aligned: odd sizes carry a pad byte
-        pos = body_start + chunk_size + (chunk_size & 1)
-
-    if fmt is None or data is None:
-        raise DataError(f"{path}: missing fmt or data chunk")
-
-    audio_format, channels, sample_rate, _byte_rate, _block_align, bits = fmt
-    if audio_format != 1:
-        raise DataError(f"{path}: audio format {audio_format} is not PCM")
-    if bits != 16:
-        raise DataError(f"{path}: {bits}-bit samples, only 16-bit supported")
-    if channels < 1:
-        raise DataError(f"{path}: channel count {channels}")
-    if sample_rate == 0:
-        raise DataError(f"{path}: sample rate 0")
-
-    frame_bytes = 2 * channels
-    usable = len(data) - (len(data) % frame_bytes)
-    samples = decode_pcm16(np.frombuffer(data[:usable], dtype="<i2"))
-    if channels > 1:
-        samples = samples.reshape(-1, channels)
-    return samples, sample_rate
+        try:
+            with wave.open(fh) as wav:
+                channels, width, sample_rate, frames = wav.getparams()[:4]
+                if width != 2:
+                    raise DataError(f"{path}: {8 * width}-bit samples, only 16-bit supported")
+                if sample_rate == 0:
+                    raise DataError(f"{path}: sample rate 0")
+                # the declared size is outside input: ask for no more than the
+                # file holds, since a read allocates what it is asked for
+                data = wav.readframes(min(frames, os.fstat(fh.fileno()).st_size // (2 * channels)))
+        # wave raises EOFError and RuntimeError without a message
+        except (wave.Error, EOFError, RuntimeError) as exc:
+            reason = str(exc) or "a chunk is cut short or runs past the RIFF size"
+            raise DataError(f"{path}: {reason}") from exc
+    if len(data) < frames * 2 * channels:
+        raise DataError(f"{path}: data chunk declares {frames * 2 * channels} bytes, "
+                        f"only {len(data)} present")
+    # wave hands over samples in the host's byte order
+    samples = decode_pcm16(np.frombuffer(data, dtype=np.int16))
+    return (samples if channels == 1 else samples.reshape(-1, channels)), sample_rate
 
 
 def ingest(path) -> np.ndarray:
@@ -106,28 +83,13 @@ def pcm16_round_trip(samples: np.ndarray) -> np.ndarray:
 
 
 def write_wav(samples: np.ndarray, path) -> None:
-    """Encode mono samples as a 16 kHz PCM16 LE WAV file."""
+    """Encode mono samples as a 16 kHz PCM16 LE WAV file (the 44-byte header
+    of docs/formats.md)."""
     if samples.ndim != 1:
         raise ValueError("write_wav expects mono samples")
-    pcm = encode_pcm16(samples).tobytes()
-    header = (
-        b"RIFF"
-        + struct.pack("<I", 36 + len(pcm))
-        + b"WAVE"
-        + b"fmt "
-        + struct.pack(
-            "<IHHIIHH",
-            16,  # PCM fmt block size
-            1,  # PCM
-            1,  # mono
-            TARGET_SAMPLE_RATE,
-            TARGET_SAMPLE_RATE * 2,
-            2,  # block align
-            16,  # bits per sample
-        )
-        + b"data"
-        + struct.pack("<I", len(pcm))
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(pcm)
+    # opened here, not by wave: wave.open on a path it cannot open leaves a
+    # half-built writer whose __del__ prints a traceback
+    with open(path, "wb") as fh, wave.open(fh, "wb") as wav:
+        wav.setparams((1, 2, TARGET_SAMPLE_RATE, 0, "NONE", "not compressed"))
+        # wave swaps host-order samples to little-endian itself
+        wav.writeframes(encode_pcm16(samples).astype(np.int16, copy=False))

@@ -1,3 +1,6 @@
+import struct
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,7 +58,7 @@ def test_write_wav_bytes_equal_hand_built_file(tmp_path, rng, n):
 def test_rejects_non_riff(tmp_path):
     path = tmp_path / "bad.wav"
     path.write_bytes(b"OggS" + b"\x00" * 40)
-    with pytest.raises(DataError, match="bad.wav: not a RIFF/WAVE file"):
+    with pytest.raises(DataError, match="bad.wav: file does not start with RIFF id"):
         read_wav(path)
 
 
@@ -63,7 +66,7 @@ def test_rejects_non_wave_riff(tmp_path):
     path = tmp_path / "bad.wav"
     good = build_wav_bytes(np.zeros(4, dtype=np.int16))
     path.write_bytes(good[:8] + b"AVI " + good[12:])
-    with pytest.raises(DataError, match="bad.wav: not a RIFF/WAVE file"):
+    with pytest.raises(DataError, match="bad.wav: not a WAVE file"):
         read_wav(path)
 
 
@@ -71,7 +74,7 @@ def test_rejects_non_wave_riff(tmp_path):
 def test_rejects_non_pcm16(tmp_path, kwargs):
     path = tmp_path / "bad.wav"
     path.write_bytes(build_wav_bytes(np.zeros(4, dtype=np.int16), **kwargs))
-    message = ("audio format 3 is not PCM" if "audio_format" in kwargs
+    message = ("unknown format: 3" if "audio_format" in kwargs
                else f"{kwargs['bits']}-bit samples, only 16-bit supported")
     with pytest.raises(DataError, match=f"bad.wav: {message}"):
         read_wav(path)
@@ -82,6 +85,55 @@ def test_rejects_truncated_data(tmp_path):
     path.write_bytes(build_wav_bytes(np.zeros(4, dtype=np.int16), declared_data_size=1000))
     with pytest.raises(DataError, match="trunc.wav: data chunk declares 1000 bytes, only 8 present"):
         read_wav(path)
+
+
+RAW = np.array([1, -2, 3, -4], dtype=np.int16)
+GOOD = build_wav_bytes(RAW)  # header 0:12, fmt chunk 12:36, data chunk 36:
+PCM_GUID = bytes.fromhex("0100000000001000800000aa00389b71")
+
+
+def _riff_size(size: int) -> bytes:
+    return GOOD[:4] + struct.pack("<I", size) + GOOD[8:]
+
+
+@pytest.mark.parametrize("data, message", [
+    (_riff_size(0), "not a WAVE file"),
+    # the RIFF body ends 2 bytes into the data: 2 of its 8 bytes count
+    (_riff_size(38), "data chunk declares 8 bytes, only 2 present"),
+    (GOOD[:12] + GOOD[36:] + GOOD[12:36], "data chunk before fmt chunk"),
+], ids=["riff-size-0", "riff-size-inside-data", "data-before-fmt"])
+def test_refuses_what_the_wave_module_refuses(tmp_path, data, message):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(data)
+    with pytest.raises(DataError, match=f"bad.wav: {message}"):
+        read_wav(path)
+
+
+@pytest.mark.parametrize("data", [
+    _riff_size(0xFFFFFFFF),  # as streaming writers leave it
+    build_wav_bytes(RAW, bits=12),  # 9-16 bits are stored in 2 bytes
+    # a data chunk short of only a partial trailing frame
+    GOOD[:40] + struct.pack("<I", 9) + GOOD[44:],
+    GOOD + b"data" + struct.pack("<I", 2) + b"\x7f\x7f",  # only the first data chunk is read
+], ids=["riff-size-streaming", "12-bit", "partial-frame-missing", "second-data-chunk"])
+def test_reads_what_the_wave_module_reads(tmp_path, data):
+    path = tmp_path / "ok.wav"
+    path.write_bytes(data)
+    samples, sample_rate = read_wav(path)
+    assert sample_rate == 16000
+    assert np.array_equal(samples, RAW / 32768)
+
+
+def test_extensible_pcm_reads_from_python_3_12(tmp_path):
+    fmt = struct.pack("<HHIIHHHHI", 0xFFFE, 1, 16000, 32000, 2, 16, 22, 16, 4) + PCM_GUID
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + GOOD[36:]
+    path = tmp_path / "ext.wav"
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    if sys.version_info < (3, 12):
+        with pytest.raises(DataError, match="ext.wav: unknown format: 65534"):
+            read_wav(path)
+    else:
+        assert np.array_equal(read_wav(path)[0], RAW / 32768)
 
 
 def test_write_zero_second_clip_data_chunk(tmp_path):
