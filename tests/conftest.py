@@ -46,6 +46,17 @@ def build_wav_bytes(
     )
 
 
+def riff_bytes(*chunks: bytes) -> bytes:
+    """A RIFF/WAVE file of the given chunks, with the RIFF size that covers them."""
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def chunk_bytes(chunk_id: bytes, body: bytes, declared: int | None = None) -> bytes:
+    """One RIFF chunk; ``declared`` overrides the size field."""
+    return chunk_id + struct.pack("<I", len(body) if declared is None else declared) + body
+
+
 # (in_dim, out_dim, activation tag, dropout rate or None) per layer:
 # 26-128-256-256-64-32-8, ReLU (tag 1) then softmax (tag 2), dropout after 3 and 4
 PAPER_LAYERS = (

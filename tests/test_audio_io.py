@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from divrec.audio_io import encode_pcm16, ingest, pcm16_round_trip, read_wav, write_wav
 from divrec.errors import DataError
 
-from conftest import build_wav_bytes
+from conftest import build_wav_bytes, chunk_bytes, riff_bytes
 
 
 def test_one_second_mono_fixture_sample_count(tmp_path):
@@ -126,9 +126,8 @@ def test_reads_what_the_wave_module_reads(tmp_path, data):
 
 def test_extensible_pcm_reads_from_python_3_12(tmp_path):
     fmt = struct.pack("<HHIIHHHHI", 0xFFFE, 1, 16000, 32000, 2, 16, 22, 16, 4) + PCM_GUID
-    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + GOOD[36:]
     path = tmp_path / "ext.wav"
-    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    path.write_bytes(riff_bytes(chunk_bytes(b"fmt ", fmt), GOOD[36:]))
     if sys.version_info < (3, 12):
         with pytest.raises(DataError, match="ext.wav: unknown format: 65534"):
             read_wav(path)

@@ -31,8 +31,8 @@ from divrec.manifest import ManifestRow, read_manifest, write_manifest
 from divrec.network import load_model, save_model
 from divrec.training import TrainingConfig
 
-from conftest import (BAD_MODELS, build_model_bytes, build_wav_bytes, passthrough_params,
-                      sine_clip, synthesize_utterance)
+from conftest import (BAD_MODELS, build_model_bytes, build_wav_bytes, chunk_bytes,
+                      passthrough_params, riff_bytes, sine_clip, synthesize_utterance)
 
 SR = 16000
 REPO = Path(__file__).resolve().parent.parent
@@ -217,28 +217,20 @@ def test_44k_failure_line_names_the_path_once(tmp_path, capsys, command):
     assert f"{cd}: sample rate 44100 Hz, only 16000 supported" in err.splitlines()
 
 
-def _riff(*chunks: bytes) -> bytes:
-    body = b"WAVE" + b"".join(chunks)
-    return b"RIFF" + struct.pack("<I", len(body)) + body
-
-
-def _chunk(chunk_id: bytes, body: bytes, declared: int | None = None) -> bytes:
-    return chunk_id + struct.pack("<I", len(body) if declared is None else declared) + body
-
-
 def _fmt(audio_format: int = 1, channels: int = 1) -> bytes:
-    return _chunk(b"fmt ", struct.pack("<HHIIHH", audio_format, channels, SR, 2 * SR, 2, 16))
+    return chunk_bytes(b"fmt ", struct.pack("<HHIIHH", audio_format, channels, SR, 2 * SR, 2, 16))
 
 
-_DATA = _chunk(b"data", b"\0" * 8)
+_DATA = chunk_bytes(b"data", b"\0" * 8)
 MALFORMED_HEADERS = {
     # JUNK declares 100 bytes, past the end of the RIFF body
-    "chunk-past-riff-size": _riff(_fmt(), _chunk(b"JUNK", b"", declared=100), _DATA),
-    "huge-list": _riff(_fmt(), _chunk(b"LIST", b"", declared=0xFFFFFFF0), _DATA),
-    "fmt-14-bytes": _riff(_chunk(b"fmt ", struct.pack("<HHIIH", 1, 1, SR, 2 * SR, 2)), _DATA),
-    "zero-channels": _riff(_fmt(channels=0), _DATA),
-    "truncated-data": _riff(_fmt(), _chunk(b"data", b"\0" * 8, declared=1000)),
-    "format-tag-3": _riff(_fmt(audio_format=3), _DATA),
+    "chunk-past-riff-size": riff_bytes(_fmt(), chunk_bytes(b"JUNK", b"", declared=100), _DATA),
+    "huge-list": riff_bytes(_fmt(), chunk_bytes(b"LIST", b"", declared=0xFFFFFFF0), _DATA),
+    "fmt-14-bytes": riff_bytes(chunk_bytes(b"fmt ", struct.pack("<HHIIH", 1, 1, SR, 2 * SR, 2)),
+                               _DATA),
+    "zero-channels": riff_bytes(_fmt(channels=0), _DATA),
+    "truncated-data": riff_bytes(_fmt(), chunk_bytes(b"data", b"\0" * 8, declared=1000)),
+    "format-tag-3": riff_bytes(_fmt(audio_format=3), _DATA),
 }
 
 
