@@ -17,6 +17,8 @@ from divrec.features import CACHE_MAGIC, FEATURE_DIM, read_feature_cache
 from divrec.manifest import MANIFEST_FIELDS, read_manifest
 from divrec.network import MODEL_MAGIC, load_model
 
+from conftest import chunk_bytes, riff_bytes
+
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
 
 u8 = st.integers(0, 2**8 - 1)
@@ -56,17 +58,14 @@ def wav_files(draw):
     )
     body = draw(st.binary(max_size=200))
     declared = draw(st.one_of(st.just(len(body)), u32))
-    fmt_chunk = b"fmt " + struct.pack("<I", 16) + fmt
-    data_chunk = b"data" + struct.pack("<I", declared) + body
+    fmt_chunk = chunk_bytes(b"fmt ", fmt)
+    data_chunk = chunk_bytes(b"data", body, declared)
     # an optional chunk of any id and declared size between fmt and data
     extra = draw(st.one_of(st.just(b""), st.builds(
-        lambda cid, size, payload: cid + struct.pack("<I", size) + payload,
-        st.binary(min_size=4, max_size=4), u32, st.binary(max_size=20))))
+        chunk_bytes, st.binary(min_size=4, max_size=4), st.binary(max_size=20), u32)))
     if draw(st.booleans()):
-        chunks = fmt_chunk + extra + data_chunk
-    else:
-        chunks = data_chunk + extra + fmt_chunk
-    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+        return riff_bytes(fmt_chunk, extra, data_chunk)
+    return riff_bytes(data_chunk, extra, fmt_chunk)
 
 
 @FUZZ
