@@ -74,7 +74,7 @@ def encode_pcm16(samples: np.ndarray) -> np.ndarray:
 
 def decode_pcm16(ints: np.ndarray) -> np.ndarray:
     """Normalize raw int16 samples to float64 amplitudes: raw / 32768."""
-    return ints.astype(np.float64) / 32768.0
+    return ints / 32768.0
 
 
 def pcm16_round_trip(samples: np.ndarray) -> np.ndarray:

@@ -14,13 +14,14 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .audio_io import TARGET_SAMPLE_RATE, ingest, pcm16_round_trip, write_wav
-from .errors import DataError, DivrecError, NumericError
+from .errors import DataError, NumericError
 from .evaluation import (
     DIVISION_NAMES,
     confusion_csv,
@@ -103,7 +104,7 @@ def _single_threaded_blas():
 
 def _map_rows(rows: list[ManifestRow], fn, workers: int) -> tuple[list, int]:
     """Run ``fn`` over ``rows`` on ``workers`` threads; returns the results in
-    manifest order and the count of rows that raised DivrecError or OSError
+    manifest order and the count of rows that raised DataError or OSError
     (a missing or unreadable file), each logged on stderr as one line that
     starts with the row's path.
 
@@ -118,7 +119,7 @@ def _map_rows(rows: list[ManifestRow], fn, workers: int) -> tuple[list, int]:
     def attempt(row: ManifestRow):
         try:
             return fn(row), None
-        except (DivrecError, OSError) as exc:
+        except (DataError, OSError) as exc:
             # audio_io errors already name the file; OSError text starts with [Errno n]
             message = str(exc)
             if not message.startswith(row.audio_path):
@@ -151,26 +152,20 @@ def cmd_scan(args) -> int:
 
 def _preprocess_one(row: ManifestRow, out_dir: Path) -> list[ManifestRow]:
     samples = ingest(row.audio_path)
-    stem = Path(row.audio_path).stem
-    seg_dir = out_dir / row.division / row.speaker_id
-    seg_dir.mkdir(parents=True, exist_ok=True)
     segments = segment(samples)
     if not segments:  # logged, not counted as a failure
         print(f"{row.audio_path}: {len(samples) / TARGET_SAMPLE_RATE:g} s long, "
               "too short for one 8-10 s segment; skipped", file=sys.stderr)
+        return []
+    stem = Path(row.audio_path).stem
+    seg_dir = out_dir / row.division / row.speaker_id
+    seg_dir.mkdir(parents=True, exist_ok=True)
     out_rows = []
     for i, chunk in enumerate(segments):
         chunk = reduce_noise(chunk)
         seg_path = seg_dir / f"{stem}_seg{i:03d}.wav"
         write_wav(chunk, seg_path)
-        out_rows.append(
-            ManifestRow(
-                audio_path=str(seg_path),
-                division=row.division,
-                speaker_id=row.speaker_id,
-                gender=row.gender,
-            )
-        )
+        out_rows.append(replace(row, audio_path=str(seg_path)))
     return out_rows
 
 
@@ -189,6 +184,9 @@ def cmd_preprocess(args) -> int:
     if failures == len(rows):
         raise DataError("all input files failed preprocessing")
     out_rows = [seg_row for seg_rows in per_file for seg_row in seg_rows]
+    if not out_rows:
+        raise DataError(f"no input file yielded a segment: {failures} failed, "
+                        f"{len(rows) - failures} shorter than 8 s")
     write_manifest(out_rows, args.out)
     print(f"wrote {len(out_rows)} segment rows to {args.out} "
           f"({failures}/{len(rows)} input files failed)")
@@ -211,6 +209,8 @@ def cmd_extract(args) -> int:
         )
 
     records, failures = _map_rows(rows, featurize, args.workers)
+    if not rows:
+        raise DataError(f"{args.manifest}: the manifest lists no files")
     if not records:
         raise DataError("no segments could be extracted")
     write_feature_cache(records, args.out)

@@ -94,31 +94,32 @@ def draw_utterance(
     return Utterance(tuple(tones), tuple(pauses), rng.normal(0.0, NOISE_LEVEL, n))
 
 
-def render_utterance(utterance: Utterance, t: np.ndarray) -> np.ndarray:
-    """The samples of ``utterance`` on the time axis ``t`` (seconds, one per sample).
+def render_utterance(utterance: Utterance) -> np.ndarray:
+    """The samples of ``utterance``, built in its noise array, which is returned.
 
-    The samples are built in the utterance's noise array, which is returned.
-    Every step is elementwise, so rendering ``RENDER_BLOCK`` samples at a time
+    Every step is elementwise, so rendering ``RENDER_BLOCK`` samples at a time,
+    each block with its own stretch of the time axis (sample index / 16000 s),
     gives the same bits as whole-array arithmetic with only block-sized
     temporaries."""
     signal = utterance.noise
-    for lo in range(0, len(t), RENDER_BLOCK):
-        tb = t[lo : lo + RENDER_BLOCK]
-        voiced = np.zeros(len(tb))
+    for lo in range(0, len(signal), RENDER_BLOCK):
+        hi = min(lo + RENDER_BLOCK, len(signal))
+        tb = np.arange(lo, hi) / TARGET_SAMPLE_RATE
+        voiced = np.zeros(hi - lo)
         for f, a, phase in utterance.tones:
             voiced += a * np.sin(2.0 * np.pi * f * tb + phase)
         for pos in utterance.pauses:
-            start, stop = max(pos, lo), min(pos + PAUSE_SAMPLES, lo + len(tb))
+            start, stop = max(pos, lo), min(pos + PAUSE_SAMPLES, hi)
             if start < stop:
                 voiced[start - lo : stop - lo] *= 0.0  # the same bits as a 0/1 envelope
-        block = signal[lo : lo + RENDER_BLOCK]
+        block = signal[lo:hi]
         block += voiced
         np.clip(block, -1.0, 1.0, out=block)
     return signal
 
 
-def _render_and_write(utterance: Utterance, t: np.ndarray, path: Path) -> None:
-    write_wav(render_utterance(utterance, t), path)
+def _render_and_write(utterance: Utterance, path: Path) -> None:
+    write_wav(render_utterance(utterance), path)
 
 
 def make_fixture(
@@ -141,8 +142,7 @@ def make_fixture(
         raise ValueError(f"file_seconds must lie in (0, {max_seconds:.0f}], got {file_seconds}")
     root = Path(root)
     rng = np.random.default_rng(seed)
-    # every file has the same length
-    t = np.arange(int(round(file_seconds * TARGET_SAMPLE_RATE))) / TARGET_SAMPLE_RATE
+    n = int(round(file_seconds * TARGET_SAMPLE_RATE))  # every file has the same length
     written: list[Path] = []
     in_flight: set[Future] = set()
     pool = ThreadPoolExecutor(max_workers=POOL_SIZE)
@@ -160,9 +160,9 @@ def make_fixture(
                                            return_when=FIRST_COMPLETED)
                     for future in done:
                         future.result()  # raises the error of a failed render or write
-                    utterance = draw_utterance(c, rng, len(t), speaker_jitter)
+                    utterance = draw_utterance(c, rng, n, speaker_jitter)
                     path = speaker_dir / f"{speaker_id}_{k:03d}.wav"
-                    in_flight.add(pool.submit(_render_and_write, utterance, t, path))
+                    in_flight.add(pool.submit(_render_and_write, utterance, path))
                     written.append(path)
         for future in in_flight:
             future.result()

@@ -41,15 +41,16 @@ NR_WINDOW = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(NR_FRAME_LEN) / NR_FRAME_
 
 
 def segment(samples: np.ndarray) -> list[np.ndarray]:
-    """Cut consecutive non-overlapping chunks (copies, not views) from 16 kHz
-    samples; short input yields an empty list."""
+    """Cut consecutive non-overlapping chunks from 16 kHz samples, as views of
+    the input (no stage writes into its input); short input yields an empty
+    list."""
     out: list[np.ndarray] = []
     start = 0
     while start + CHUNK_SAMPLES <= samples.shape[0]:
-        out.append(samples[start : start + CHUNK_SAMPLES].copy())
+        out.append(samples[start : start + CHUNK_SAMPLES])
         start += CHUNK_SAMPLES
     if samples.shape[0] - start >= MIN_TAIL_SAMPLES:
-        out.append(samples[start:].copy())
+        out.append(samples[start:])
     return out
 
 
@@ -91,8 +92,7 @@ def reduce_noise(samples: np.ndarray) -> np.ndarray:
 
     # frames are not needed after the FFT, so square them in place
     energies = np.sum(np.square(frames, out=frames), axis=1)
-    k = min(NOISE_FRAMES, n_frames)
-    quietest = np.argsort(energies, kind="stable")[:k]
+    quietest = np.argsort(energies, kind="stable")[:NOISE_FRAMES]
     noise_profile = mag[quietest].mean(axis=0)
 
     # gain = out_mag / mag, computed in place; out_mag is 0 wherever mag is 0

@@ -1,6 +1,7 @@
 """Shared fixtures and independent oracle helpers."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -126,8 +127,20 @@ def sine_clip(freq: float = 440.0, amplitude: float = 0.5, seconds: float = 1.0)
 
 def synthesize_utterance(class_index: int, rng: np.random.Generator, seconds: float) -> np.ndarray:
     """One 16 kHz fixture utterance of class ``class_index`` with no speaker jitter."""
-    t = np.arange(int(round(seconds * 16000))) / 16000
-    return render_utterance(draw_utterance(class_index, rng, len(t), np.ones(3)), t)
+    return render_utterance(draw_utterance(class_index, rng, int(round(seconds * 16000)), np.ones(3)))
+
+
+def traced_peak(fn) -> int:
+    """The tracemalloc peak, in bytes, while ``fn()`` runs.
+
+    Tracing stops even when ``fn`` raises, so a failing call cannot leave it on
+    to slow every later test."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

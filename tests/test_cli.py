@@ -159,6 +159,39 @@ def test_preprocess_names_a_clip_too_short_for_one_segment(tmp_path, capsys):
     assert len(read_manifest(tmp_path / "s.csv")) == 1
 
 
+def test_preprocess_makes_no_directory_for_a_clip_too_short_for_one_segment(tmp_path):
+    corpus = tmp_path / "corpus" / "Barisal"
+    for speaker, seconds in (("spk1", 5), ("spk2", 12)):
+        (corpus / speaker).mkdir(parents=True)
+        write_wav(np.zeros(seconds * SR), corpus / speaker / "clip.wav")
+    assert main(["scan", str(tmp_path / "corpus"), "--out", str(tmp_path / "m.csv")]) == 0
+    seg = tmp_path / "seg"
+    assert main(["preprocess", str(tmp_path / "m.csv"),
+                 "--out-dir", str(seg), "--out", str(tmp_path / "s.csv")]) == 0
+    assert sorted(p.relative_to(seg).as_posix() for p in seg.rglob("*")) == [
+        "Barisal", "Barisal/spk2", "Barisal/spk2/clip_seg000.wav"]
+
+
+@pytest.mark.parametrize("broken", [0, 1])
+def test_preprocess_with_no_segment_to_write_is_data_error(tmp_path, capsys, broken):
+    speaker = tmp_path / "corpus" / "Barisal" / "spk1"
+    speaker.mkdir(parents=True)
+    for k in range(2):
+        write_wav(np.zeros(5 * SR), speaker / f"short{k}.wav")
+    if broken:
+        (speaker / "broken.wav").write_bytes(b"this is not audio at all")
+    assert main(["scan", str(tmp_path / "corpus"), "--out", str(tmp_path / "m.csv")]) == 0
+    capsys.readouterr()
+    assert main(["preprocess", str(tmp_path / "m.csv"),
+                 "--out-dir", str(tmp_path / "seg"), "--out", str(tmp_path / "s.csv")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == (f"error: no input file yielded a segment: {broken} failed, "
+                       "2 shorter than 8 s")
+    assert len(err) == 3 + broken  # each short clip and each failure is named first
+    assert not (tmp_path / "s.csv").exists()
+    assert not (tmp_path / "seg").exists()
+
+
 def test_preprocess_logs_bad_file_and_continues(tmp_path, capsys):
     speaker = tmp_path / "corpus" / "Rangpur" / "spk1"
     speaker.mkdir(parents=True)
@@ -454,6 +487,14 @@ def test_extract_logs_missing_file_and_continues(tmp_path, capsys):
     assert "(1/2 segments failed)" in out
     assert str(missing) in err
     assert len(read_feature_cache(tmp_path / "c.feat")) == 1
+
+
+def test_extract_header_only_manifest_says_it_lists_no_files(tmp_path, capsys):
+    manifest = tmp_path / "empty.csv"
+    manifest.write_text("audio_path,division,speaker_id,gender\n")
+    assert main(["extract", str(manifest), "--out", str(tmp_path / "c.feat")]) == 2
+    assert capsys.readouterr().err == f"error: {manifest}: the manifest lists no files\n"
+    assert not (tmp_path / "c.feat").exists()
 
 
 def test_extract_refuses_audio_that_skipped_preprocess(tmp_path, capsys):

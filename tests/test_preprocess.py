@@ -68,9 +68,8 @@ def test_segments_are_prefix_partition(n_samples):
     if chunks:
         rebuilt = np.concatenate(chunks)
         np.testing.assert_array_equal(rebuilt, samples[:covered])
-        # chunks are copies: writing to one leaves the input alone
-        chunks[0][:] = -1.0
-        assert samples[0] == 0.0
+        # chunks are views of the input, not copies
+        assert all(np.shares_memory(c, samples) for c in chunks)
     # any discarded tail is below the keep threshold
     if n_samples % (10 * SR) and covered < n_samples:
         assert n_samples - covered < 8 * SR
