@@ -8,9 +8,12 @@ without a validation-loss improvement of at least 1e-4 (reduce-on-plateau),
 floored at 1e-6. These recipe values are module constants; only the learning
 rate, batch size, epoch count and seed are settable.
 
-Per-epoch metrics are recomputed over the full train and validation sets in
-inference mode at epoch end, so reported accuracies are exactly (correct
-predictions) / (set size).
+Training loss and accuracy are size-weighted means over each epoch's
+batches, taken from the training-mode forward every step already runs
+(dropout on, weights moving between batches). Validation loss and accuracy
+are recomputed over the whole validation set in inference mode at epoch end,
+so the reported validation accuracy is exactly (correct predictions) /
+(set size).
 """
 
 from __future__ import annotations
@@ -64,11 +67,13 @@ class TrainingConfig:
 
 @dataclass
 class AdamState:
-    """First and second moments, each shaped like the parameters, plus the
-    live learning rate and the step counter."""
+    """First and second moments, each shaped like the parameters, two scratch
+    buffers per parameter tensor (weights then biases), plus the live learning
+    rate and the step counter."""
 
     m: NetworkParams
     v: NetworkParams
+    scratch: list[tuple[np.ndarray, np.ndarray]]
     lr: float
     t: int = 0
 
@@ -88,7 +93,8 @@ def init_adam_state(params: NetworkParams, config: TrainingConfig) -> AdamState:
         return NetworkParams(weights=[np.zeros_like(w) for w in params.weights],
                              biases=[np.zeros_like(b) for b in params.biases])
 
-    return AdamState(m=zeros(), v=zeros(), lr=config.learning_rate)
+    scratch = [(np.empty_like(p), np.empty_like(p)) for p in params.weights + params.biases]
+    return AdamState(m=zeros(), v=zeros(), scratch=scratch, lr=config.learning_rate)
 
 
 def adam_step(params: NetworkParams, grads: NetworkParams, state: AdamState) -> None:
@@ -101,15 +107,27 @@ def adam_step(params: NetworkParams, grads: NetworkParams, state: AdamState) -> 
     state.t += 1
     bc1 = 1.0 - BETA1**state.t
     bc2 = 1.0 - BETA2**state.t
-    for theta, m, v, g in zip(params.weights + params.biases,
-                              state.m.weights + state.m.biases,
-                              state.v.weights + state.v.biases,
-                              grads.weights + grads.biases):
+    # the operations of the formula in its order, each written into one of
+    # the two scratch buffers: no step allocates, and the bits do not change
+    for theta, m, v, g, (s1, s2) in zip(params.weights + params.biases,
+                                        state.m.weights + state.m.biases,
+                                        state.v.weights + state.v.biases,
+                                        grads.weights + grads.biases,
+                                        state.scratch):
         m *= BETA1
-        m += (1.0 - BETA1) * g
+        np.multiply(1.0 - BETA1, g, out=s1)
+        m += s1
         v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        theta -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
+        np.multiply(1.0 - BETA2, g, out=s1)
+        s1 *= g
+        v += s1
+        np.divide(m, bc1, out=s1)
+        s1 *= state.lr
+        np.divide(v, bc2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += EPSILON
+        s1 /= s2
+        theta -= s1
 
 
 def one_hot(labels: np.ndarray) -> np.ndarray:
@@ -123,9 +141,7 @@ def cross_entropy(probabilities: np.ndarray, targets: np.ndarray) -> float:
     """Mean of -sum_j t_j * log(p_j) with p clamped to >= 1e-12 before the log."""
     p = np.asarray(probabilities, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
-    if p.ndim == 1:
-        p, t = p[None, :], t[None, :]
-    per_sample = -np.sum(t * np.log(np.maximum(p, 1e-12)), axis=1)
+    per_sample = -np.sum(t * np.log(np.maximum(p, 1e-12)), axis=-1)
     return float(per_sample.mean())
 
 
@@ -267,17 +283,20 @@ def train(
     n = x_train.shape[0]
     for epoch in range(1, config.epochs + 1):
         perm = shuffle_rng.permutation(n)
+        loss_sum, correct = 0.0, 0
         for start in range(0, n, config.batch_size):
             batch = perm[start : start + config.batch_size]
-            _, cache = forward(x_train[batch], params, mode="train", rng=dropout_rng)
-            grads = backward(params, cache, t_train[batch])
+            targets = t_train[batch]
+            probs, cache = forward(x_train[batch], params, mode="train", rng=dropout_rng)
+            loss_sum += cross_entropy(probs, targets) * len(batch)
+            correct += int(np.count_nonzero(np.argmax(probs, axis=1) == y_train[batch]))
+            grads = backward(params, cache, targets)
             adam_step(params, grads, state)
 
         lr_in_effect = state.lr
-        train_loss, train_acc = _evaluate_arrays(params, x_train, y_train)
         val_loss, val_acc = _evaluate_arrays(params, x_val, y_val)
         history.append(
-            EpochMetrics(epoch, train_loss, train_acc, val_loss, val_acc, lr_in_effect)
+            EpochMetrics(epoch, loss_sum / n, correct / n, val_loss, val_acc, lr_in_effect)
         )
         state.lr = sched.update(val_loss)
     return params, history

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divrec.audio_io import encode_pcm16, ingest, pcm16_round_trip, read_wav, write_wav
+from divrec.audio_io import (
+    READ_BLOCK_FRAMES,
+    encode_pcm16,
+    ingest,
+    pcm16_round_trip,
+    read_wav,
+    write_wav,
+)
 from divrec.errors import DataError
 
 from conftest import build_wav_bytes, chunk_bytes, riff_bytes
@@ -28,6 +35,20 @@ def test_normalization_divides_by_32768(tmp_path):
     assert samples[1] == 0.5
     assert samples[2] == 0.0
     assert samples[3] == 32767 / 32768
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+def test_every_int16_value_decodes_to_raw_over_32768_across_read_blocks(tmp_path, channels):
+    every = np.arange(-32768, 32768, dtype=np.int16)
+    # more frames than one read block, ending in a partial one
+    raw = np.concatenate([every, every[::-1], every[:1000]])
+    assert len(raw) // channels > READ_BLOCK_FRAMES
+    path = tmp_path / "every.wav"
+    path.write_bytes(build_wav_bytes(raw, channels=channels))
+    samples, _ = read_wav(path)
+    expected = raw.astype(np.float64) / 32768.0
+    assert samples.shape == ((len(raw),) if channels == 1 else (len(raw) // 2, 2))
+    assert np.array_equal(samples.reshape(-1).view(np.int64), expected.view(np.int64))
 
 
 def test_write_after_read_reproduces_data_chunk(tmp_path):
@@ -84,6 +105,15 @@ def test_rejects_truncated_data(tmp_path):
     path = tmp_path / "trunc.wav"
     path.write_bytes(build_wav_bytes(np.zeros(4, dtype=np.int16), declared_data_size=1000))
     with pytest.raises(DataError, match="trunc.wav: data chunk declares 1000 bytes, only 8 present"):
+        read_wav(path)
+
+
+def test_rejects_data_cut_short_after_the_first_read_block(tmp_path):
+    present = 2 * (READ_BLOCK_FRAMES + 5)
+    path = tmp_path / "trunc.wav"
+    path.write_bytes(build_wav_bytes(np.zeros(READ_BLOCK_FRAMES + 5, dtype=np.int16),
+                                     declared_data_size=present + 1000))
+    with pytest.raises(DataError, match=f"declares {present + 1000} bytes, only {present} present"):
         read_wav(path)
 
 
