@@ -16,8 +16,6 @@ import numpy as np
 from .errors import DataError
 
 TARGET_SAMPLE_RATE = 16000
-# frames per read of the data chunk
-READ_BLOCK_FRAMES = 16384
 
 
 def read_wav(path) -> tuple[np.ndarray, int]:
@@ -40,28 +38,18 @@ def read_wav(path) -> tuple[np.ndarray, int]:
                     raise DataError(f"{path}: {8 * width}-bit samples, only 16-bit supported")
                 if sample_rate == 0:
                     raise DataError(f"{path}: sample rate 0")
-                # the declared size is outside input: allocate no more than the
-                # file holds; decoding block by block into that one array keeps
-                # only a block of the file's 16-bit samples beside it
-                samples = np.empty(
-                    min(frames, os.fstat(fh.fileno()).st_size // (2 * channels)) * channels)
-                got = 0  # bytes read
-                while got < 2 * samples.size:
-                    block = wav.readframes(min(READ_BLOCK_FRAMES,
-                                               (2 * samples.size - got) // (2 * channels)))
-                    if not block:
-                        break
-                    # wave hands over samples in the host's byte order
-                    ints = np.frombuffer(block, dtype=np.int16, count=len(block) // 2)
-                    decode_pcm16(ints, out=samples[got // 2 : got // 2 + ints.size])
-                    got += len(block)
+                # the declared size is outside input: ask for no more than the
+                # file holds, since a read allocates what it is asked for
+                data = wav.readframes(min(frames, os.fstat(fh.fileno()).st_size // (2 * channels)))
         # wave raises EOFError and RuntimeError without a message
         except (wave.Error, EOFError, RuntimeError) as exc:
             reason = str(exc) or "a chunk is cut short or runs past the RIFF size"
             raise DataError(f"{path}: {reason}") from exc
-    if got < frames * 2 * channels:
+    if len(data) < frames * 2 * channels:
         raise DataError(f"{path}: data chunk declares {frames * 2 * channels} bytes, "
-                        f"only {got} present")
+                        f"only {len(data)} present")
+    # wave hands over samples in the host's byte order
+    samples = decode_pcm16(np.frombuffer(data, dtype=np.int16))
     return (samples if channels == 1 else samples.reshape(-1, channels)), sample_rate
 
 
@@ -84,10 +72,9 @@ def encode_pcm16(samples: np.ndarray) -> np.ndarray:
     return scaled.astype("<i2")
 
 
-def decode_pcm16(ints: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Normalize raw int16 samples to float64 amplitudes: raw / 32768, written
-    into ``out`` when given."""
-    return np.divide(ints, 32768.0, out=out)
+def decode_pcm16(ints: np.ndarray) -> np.ndarray:
+    """Normalize raw int16 samples to float64 amplitudes: raw / 32768."""
+    return ints / 32768.0
 
 
 def pcm16_round_trip(samples: np.ndarray) -> np.ndarray:

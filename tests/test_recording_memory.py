@@ -62,11 +62,3 @@ def test_peak_grows_at_most_10_bytes_per_added_sample(tmp_path):
     added = (300 - 100) * SR
     for command, short, long in zip(("preprocess", "predict"), peaks[100], peaks[300]):
         assert (long - short) / added <= 10, (command, short, long)
-
-
-def test_ingest_holds_8_bytes_per_sample(tmp_path):
-    # the data chunk is decoded block by block into the float64 samples, so
-    # beside them only one block of the file's 16-bit samples is held
-    path = tmp_path / "100s.wav"
-    write_wav(synthesize_utterance(3, np.random.default_rng(8), 100.0), path)
-    assert traced_peak(lambda: ingest(path)) / (100 * SR) <= 8.2
