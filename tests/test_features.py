@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -360,3 +362,24 @@ def test_cache_preserves_exact_doubles(tmp_path_factory, values):
     rec = AggregatedFeature(np.array(values), 4, "x")
     write_feature_cache([rec], path)
     np.testing.assert_array_equal(read_feature_cache(path)[0].vector, rec.vector)
+
+
+def _golden_records():
+    # an empty and a multi-byte UTF-8 source id; signed zero, the smallest
+    # subnormal, +-1e308 and a NaN, which the writer does not refuse
+    special = np.linspace(-2.5, 2.5, 26)
+    special[:6] = [-0.0, 5e-324, 1e308, -1e308, np.nan, 0.1]
+    return [
+        AggregatedFeature(special, 0, ""),
+        AggregatedFeature(-special[::-1], 7, "ঢাকা/বক্তা_০১"),
+        AggregatedFeature(np.arange(26) / 3.0, 4, "seg002"),
+    ]
+
+
+def test_cache_bytes_are_pinned(tmp_path):
+    path = tmp_path / "golden.feat"
+    write_feature_cache(_golden_records(), path)
+    data = path.read_bytes()
+    assert len(data) == 690
+    assert hashlib.sha256(data).hexdigest() == (
+        "f005267b131eb3b9094568445e73404cd7afa28f1824fdf8e0eec4e6b6e8ec69")
