@@ -145,6 +145,8 @@ def cmd_scan(args) -> int:
     rows, skipped = scan_corpus(args.root)
     for line in skipped:
         print(f"skipping {line}", file=sys.stderr)
+    if not rows:
+        raise DataError(f"no WAV files found under {args.root}")
     write_manifest(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -232,7 +234,7 @@ def cmd_train(args) -> int:
     save_model(params, args.model_out)
     write_metrics_csv(history, args.metrics_out)
     final = history[-1]
-    print(f"final train accuracy: {final.train_acc:.6f}")
+    print(f"last epoch's training-batch accuracy: {final.train_acc:.6f}")
     print(f"final val accuracy: {final.val_acc:.6f}")
     print(f"model written to {args.model_out}, metrics to {args.metrics_out}")
     return 0

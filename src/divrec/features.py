@@ -182,51 +182,62 @@ def aggregate(feature_matrix: np.ndarray) -> np.ndarray:
 
 # --- feature cache container (see docs/formats.md) ---
 
+_RECORD_HEADER = struct.Struct("<BH")  # label, source-id length
+_VECTOR_BYTES = 8 * FEATURE_DIM
+_MIN_RECORD = _RECORD_HEADER.size + _VECTOR_BYTES  # a record with an empty source id
+_WRITE_BLOCK = 1024  # records joined per write, so the writer's memory stays flat
+
+
 def write_feature_cache(records: list[AggregatedFeature], path) -> None:
     """Binary cache: DIVFEAT1 magic, u64 count, then per record a label byte,
     u16 source-id length + UTF-8 bytes, 26 f64 LE values."""
     with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<Q", len(records)))
-        for rec in records:
-            sid = rec.source_id.encode("utf-8")
-            fh.write(struct.pack("<B", rec.label))
-            fh.write(struct.pack("<H", len(sid)))
-            fh.write(sid)
-            fh.write(struct.pack(f"<{FEATURE_DIM}d", *rec.vector))
+        fh.write(CACHE_MAGIC + struct.pack("<Q", len(records)))
+        for first in range(0, len(records), _WRITE_BLOCK):
+            block = records[first : first + _WRITE_BLOCK]
+            rows = np.array([rec.vector for rec in block], dtype="<f8")
+            parts = []
+            for rec, row in zip(block, rows):
+                sid = rec.source_id.encode("utf-8")
+                parts += (_RECORD_HEADER.pack(rec.label, len(sid)), sid, row.tobytes())
+            fh.write(b"".join(parts))
 
 
 def read_feature_cache(path) -> list[AggregatedFeature]:
+    """Each record's ``vector`` is a writeable row of one (count, 26) array."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:8] != CACHE_MAGIC:
         raise DataError(f"{path}: not a feature cache (bad magic)")
+    truncated = DataError(f"{path}: truncated feature cache")
+    # the declared count is any u64: bound it by the file before allocating
+    count = int.from_bytes(raw[8:16], "little")
+    if len(raw) < 16 or count > (len(raw) - 16) // _MIN_RECORD:
+        raise truncated
+    values = bytearray(count * _VECTOR_BYTES)
+    vectors = np.frombuffer(values, dtype="<f8").reshape(count, FEATURE_DIM)
     records = []
+    pos = 16
     try:
-        (count,) = struct.unpack_from("<Q", raw, 8)
-        pos = 16
-        for _ in range(count):
-            (label,) = struct.unpack_from("<B", raw, pos)
-            (sid_len,) = struct.unpack_from("<H", raw, pos + 1)
-            pos += 3
+        for i in range(count):
+            label, sid_len = _RECORD_HEADER.unpack_from(raw, pos)
+            start = pos + _RECORD_HEADER.size + sid_len
+            pos = start + _VECTOR_BYTES
+            if pos > len(raw):
+                raise truncated
             try:
-                sid = raw[pos : pos + sid_len].decode("utf-8")
+                sid = raw[start - sid_len : start].decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise DataError(
-                    f"{path}: record {len(records)} source id is not UTF-8"
-                ) from exc
-            pos += sid_len
-            vector = np.array(struct.unpack_from(f"<{FEATURE_DIM}d", raw, pos))
-            pos += 8 * FEATURE_DIM
+                raise DataError(f"{path}: record {i} source id is not UTF-8") from exc
+            values[i * _VECTOR_BYTES : (i + 1) * _VECTOR_BYTES] = raw[start:pos]
             try:
-                records.append(AggregatedFeature(vector, label, sid))
+                records.append(AggregatedFeature(vectors[i], label, sid))
             except ValueError as exc:
-                raise DataError(f"{path}: record {len(records)}: {exc}") from exc
+                raise DataError(f"{path}: record {i}: {exc}") from exc
     except struct.error as exc:
-        raise DataError(f"{path}: truncated feature cache") from exc
+        raise truncated from exc
     if pos != len(raw):
         raise DataError(f"{path}: {len(raw) - pos} bytes after the {count} declared records")
-    vectors = np.array([rec.vector for rec in records]).reshape(-1, FEATURE_DIM)
     non_finite = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
     if non_finite.size:
         raise DataError(f"{path}: record {non_finite[0]} has a NaN or infinite value")

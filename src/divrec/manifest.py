@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,7 +47,8 @@ class ManifestRow:
 
 def scan_corpus(root) -> tuple[list[ManifestRow], list[str]]:
     """Walk root/<Division>/<speaker>/*.wav; returns the rows and one line per
-    skipped entry: each unknown division directory and each other file directly
+    skipped entry: each unknown division directory, each such WAV whose path is
+    not valid UTF-8 (as decoded in this locale), and each other file directly
     under root or under a division whose suffix is .wav in any case."""
     root = Path(root)
     rows: list[ManifestRow] = []
@@ -64,6 +66,12 @@ def scan_corpus(root) -> tuple[list[ManifestRow], list[str]]:
             for speaker_dir in sorted(p for p in division_dir.iterdir() if p.is_dir()):
                 for wav in sorted(speaker_dir.glob("*.wav")):
                     listed.add(wav)
+                    try:  # the manifest is UTF-8 text
+                        str(wav).encode("utf-8")
+                    except UnicodeEncodeError:  # named by its bytes, which print
+                        skipped.append(f"{os.fsencode(wav)!r}: "
+                                       "path is not valid UTF-8 in this locale")
+                        continue
                     rows.append(
                         ManifestRow(
                             audio_path=str(wav),
@@ -73,14 +81,12 @@ def scan_corpus(root) -> tuple[list[ManifestRow], list[str]]:
                     )
             skipped += [f"{path}: {outside}" for path in sorted(division_dir.rglob("*"))
                         if path.suffix.lower() == ".wav" and path not in listed]
-    if not rows:
-        raise DataError(f"no WAV files found under {root}")
     rows.sort(key=lambda r: r.audio_path)
     return rows, skipped
 
 
 def write_manifest(rows: list[ManifestRow], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_FIELDS)
         for row in rows:

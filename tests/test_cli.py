@@ -119,6 +119,47 @@ def test_scan_names_wav_files_directly_under_the_root(tmp_path, capsys):
         f"skipping {root / 'top.wav'}: not a <Division>/<speaker>/*.wav file"]
 
 
+def test_scan_names_and_skips_a_file_name_that_is_not_utf8(tmp_path, capsys):
+    speaker = tmp_path / "corpus" / "Dhaka" / "s1"
+    speaker.mkdir(parents=True)
+    bad = os.path.join(os.fsencode(speaker), b"\xff_000.wav")
+    write_wav(sine_clip(seconds=0.1), bad)
+    write_wav(sine_clip(seconds=0.1), speaker / "a.wav")
+    out = tmp_path / "manifest.csv"
+    assert main(["scan", str(tmp_path / "corpus"), "--out", str(out)]) == 0
+    assert [r.audio_path for r in read_manifest(out)] == [str(speaker / "a.wav")]
+    assert capsys.readouterr().err.splitlines() == [
+        f"skipping {bad!r}: path is not valid UTF-8 in this locale"]
+    # with nothing left, scan still names the file before it refuses the tree
+    (speaker / "a.wav").unlink()
+    assert main(["scan", str(tmp_path / "corpus"), "--out", str(tmp_path / "m2.csv")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"skipping {bad!r}: path is not valid UTF-8 in this locale"
+    assert err[1].startswith("error: no WAV files found under")
+    assert not (tmp_path / "m2.csv").exists()
+
+
+def test_scan_under_the_c_locale_writes_utf8_or_names_the_path(tmp_path):
+    # the C locale decodes the bytes of 'é' into surrogates that no UTF-8
+    # manifest can hold; under a UTF-8 locale the same tree gives two rows
+    speaker = tmp_path / "corpus" / "Dhaka" / "s1"
+    speaker.mkdir(parents=True)
+    for name in ("a.wav", "é_000.wav"):
+        write_wav(sine_clip(seconds=0.1), speaker / name)
+    out = tmp_path / "manifest.csv"
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "LC_ALL": "C",
+           "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    result = subprocess.run([sys.executable, "-m", "divrec.cli", "scan",
+                             str(tmp_path / "corpus"), "--out", str(out)],
+                            capture_output=True, timeout=120, env=env)
+    assert result.returncode == 0
+    assert b"Traceback" not in result.stderr
+    assert result.stderr.splitlines() == [
+        f"skipping {os.fsencode(speaker / 'é_000.wav')!r}: "
+        "path is not valid UTF-8 in this locale".encode()]
+    assert [r.audio_path for r in read_manifest(out)] == [str(speaker / "a.wav")]
+
+
 def test_rescan_is_byte_identical(workspace, tmp_path):
     out = tmp_path / "again.csv"
     assert main(["scan", str(workspace / "corpus"), "--out", str(out)]) == 0

@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from divrec.features import (
     read_feature_cache,
     write_feature_cache,
 )
+
+from conftest import traced_peak
 
 SR = 16000
 BANK = build_filterbank()
@@ -383,3 +386,45 @@ def test_cache_bytes_are_pinned(tmp_path):
     assert len(data) == 690
     assert hashlib.sha256(data).hexdigest() == (
         "f005267b131eb3b9094568445e73404cd7afa28f1824fdf8e0eec4e6b6e8ec69")
+
+
+def test_zero_record_cache_round_trip(tmp_path):
+    path = tmp_path / "empty.feat"
+    write_feature_cache([], path)
+    assert path.read_bytes() == b"DIVFEAT1" + bytes(8)
+    assert read_feature_cache(path) == []
+
+
+def test_read_vectors_are_writeable_and_separate(tmp_path, rng):
+    path = tmp_path / "cache.feat"
+    write_feature_cache(_records(rng, n=3), path)
+    back = read_feature_cache(path)
+    before = back[1].vector.copy()
+    back[0].vector[:] = 7.0
+    np.testing.assert_array_equal(back[1].vector, before)
+
+
+def test_count_beyond_the_file_is_refused_before_allocating(tmp_path, rng):
+    path = tmp_path / "huge.feat"
+    write_feature_cache(_records(rng, n=3), path)
+    data = bytearray(path.read_bytes())
+    data[8:16] = struct.pack("<Q", 2**64 - 1)
+    data[16] = 9  # a bad label in the first record: no record is read
+    path.write_bytes(bytes(data))
+
+    def read():
+        with pytest.raises(DataError, match="huge.feat: truncated feature cache"):
+            read_feature_cache(path)
+
+    assert traced_peak(read) < 1_000_000
+
+
+def test_cache_memory_at_paper_scale(tmp_path, rng):
+    # train-paper's 16,730 records: the writer joins one block at a time, and
+    # the reader holds the file's bytes, one vector array and the records
+    n = 16_730
+    vectors = rng.normal(0, 5, (n, 26))
+    records = [AggregatedFeature(v, i % 8, f"blob{i % 8}_{i:05d}") for i, v in enumerate(vectors)]
+    path = tmp_path / "paper.feat"
+    assert traced_peak(lambda: write_feature_cache(records, path)) < 2_000_000
+    assert traced_peak(lambda: read_feature_cache(path)) < 16_000_000
