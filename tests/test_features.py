@@ -419,6 +419,19 @@ def test_count_beyond_the_file_is_refused_before_allocating(tmp_path, rng):
     assert traced_peak(read) < 1_000_000
 
 
+@pytest.mark.parametrize("label", [8, 255])
+def test_reader_names_the_record_with_a_bad_label(tmp_path, label):
+    path = tmp_path / "labels.feat"
+    write_feature_cache(
+        [AggregatedFeature(np.full(26, i / 8), i % 8, f"r{i:02d}") for i in range(80)], path)
+    data = bytearray(path.read_bytes())
+    data[16 + 57 * (1 + 2 + 3 + 8 * 26)] = label  # record 57's label byte
+    path.write_bytes(bytes(data))
+    with pytest.raises(DataError) as excinfo:
+        read_feature_cache(path)
+    assert str(excinfo.value) == f"{path}: record 57: label must be an int in 0..7, got {label}"
+
+
 def test_cache_memory_at_paper_scale(tmp_path, rng):
     # train-paper's 16,730 records: the writer joins one block at a time, and
     # the reader holds the file's bytes, one vector array and the records
