@@ -47,26 +47,22 @@ DCT_SCALE[0] = np.sqrt(1.0 / NUM_FILTERS)
 
 @dataclass
 class FilterBank:
-    """40 x 257 non-negative weights plus the 42 boundary bins."""
+    """40 x 257 non-negative weights."""
 
     weights: np.ndarray
-    boundary_bins: np.ndarray
 
 
 @dataclass
 class AggregatedFeature:
-    """26-dim per-segment mean feature vector with its division label."""
+    """26-dim per-segment mean feature vector with its division label.
+
+    A plain record, not checked when built: the cache reader refuses a label
+    byte outside 0..7.
+    """
 
     vector: np.ndarray
     label: int
     source_id: str
-
-    def __post_init__(self) -> None:
-        self.vector = np.asarray(self.vector, dtype=np.float64)
-        if self.vector.shape != (FEATURE_DIM,):
-            raise ValueError(f"feature vector must have shape ({FEATURE_DIM},)")
-        if not isinstance(self.label, (int, np.integer)) or not 0 <= self.label < NUM_CLASSES:
-            raise ValueError(f"label must be an int in 0..{NUM_CLASSES - 1}, got {self.label!r}")
 
 
 def frame_signal(samples: np.ndarray) -> np.ndarray:
@@ -125,7 +121,7 @@ def build_filterbank() -> FilterBank:
         falling = (k > mid) & (k <= hi)
         weights[i, rising] = 2.0 * (k[rising] - lo) / ((mid - lo) * (hi - lo))
         weights[i, falling] = 2.0 * (hi - k[falling]) / ((hi - mid) * (hi - lo))
-    return FilterBank(weights=weights, boundary_bins=bins)
+    return FilterBank(weights=weights)
 
 
 def log_mel_energies(power_spec: np.ndarray, bank: FilterBank) -> np.ndarray:
@@ -230,10 +226,10 @@ def read_feature_cache(path) -> list[AggregatedFeature]:
             except UnicodeDecodeError as exc:
                 raise DataError(f"{path}: record {i} source id is not UTF-8") from exc
             values[i * _VECTOR_BYTES : (i + 1) * _VECTOR_BYTES] = raw[start:pos]
-            try:
-                records.append(AggregatedFeature(vectors[i], label, sid))
-            except ValueError as exc:
-                raise DataError(f"{path}: record {i}: {exc}") from exc
+            if label >= NUM_CLASSES:
+                raise DataError(f"{path}: record {i}: label must be an int in "
+                                f"0..{NUM_CLASSES - 1}, got {label}")
+            records.append(AggregatedFeature(vectors[i], label, sid))
     except struct.error as exc:
         raise truncated from exc
     if pos != len(raw):

@@ -143,6 +143,8 @@ def make_fixture(
     root = Path(root)
     rng = np.random.default_rng(seed)
     n = int(round(file_seconds * TARGET_SAMPLE_RATE))  # every file has the same length
+    if n < 1:
+        raise ValueError(f"file_seconds must give at least one sample, got {file_seconds}")
     written: list[Path] = []
     in_flight: set[Future] = set()
     pool = ThreadPoolExecutor(max_workers=POOL_SIZE)

@@ -1237,9 +1237,11 @@ def test_make_fixture_write_failure_is_exit_2(tmp_path, capsys, blocker, kind):
     ("make-fixture", ["--file-seconds", "-1"], "file_seconds"),
     ("make-fixture", ["--file-seconds", "nan"], "file_seconds"),
     ("make-fixture", ["--file-seconds", "1e300"], "file_seconds"),
+    ("make-fixture", ["--file-seconds", "1e-5"], "file_seconds"),
 ], ids=["epochs-0", "lr-5", "seed-negative", "evaluate-seed-negative",
         "workers-0", "fixture-seed-negative",
-        "fixture-seconds-negative", "fixture-seconds-nan", "fixture-seconds-huge"])
+        "fixture-seconds-negative", "fixture-seconds-nan", "fixture-seconds-huge",
+        "fixture-seconds-no-sample"])
 def test_invalid_value_is_usage_error(tmp_path, capsys, command, flags, named):
     manifest = tmp_path / "m.csv"
     manifest.write_text("audio_path,division,speaker_id,gender\n")
