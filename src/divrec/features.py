@@ -54,11 +54,9 @@ class FilterBank:
 
 @dataclass
 class AggregatedFeature:
-    """26-dim per-segment mean feature vector with its division label.
-
-    A plain record, not checked when built: the cache reader refuses a label
-    byte outside 0..7.
-    """
+    """26-dim per-segment mean feature vector with its division label; a plain
+    record, not checked when built (the cache reader refuses a label byte
+    outside 0..7)."""
 
     vector: np.ndarray
     label: int
