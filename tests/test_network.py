@@ -249,6 +249,58 @@ def test_backward_bytes_equal_preactivation_gated_reference(batch, seed):
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
+def _reference_forward(x, params, rng):
+    """Reference forward: each layer as one expression, with float 0/1 masks
+    drawn from ``rng`` in training mode (``rng`` None is inference)."""
+    a, activations, masks = x, [], []
+    for spec, w, b in zip(ARCHITECTURE, params.weights, params.biases):
+        z = a @ w.T + b
+        if spec.activation == "softmax":
+            e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+            a = e / np.sum(e, axis=-1, keepdims=True)
+        else:
+            a = np.maximum(z, 0.0)
+        mask = None
+        if rng is not None and spec.dropout_after is not None:
+            mask = (rng.random(a.shape) >= 0.2).astype(np.float64)
+            a = a * mask * 1.25
+        activations.append(a)
+        masks.append(mask)
+    return a, activations, masks
+
+
+@pytest.mark.parametrize("mode", ["infer", "train"])
+@pytest.mark.parametrize("batch", [1, 37, 128])
+def test_forward_bytes_equal_reference_and_nothing_is_written_into(batch, mode):
+    rng = np.random.default_rng(batch)
+    params = init_params(batch)
+    for b in params.biases:
+        b[:] = rng.normal(0, 0.1, b.shape)
+    x = rng.normal(0, 1, (batch, 26))
+    x_before = x.copy()
+    probs, cache = forward(x, params, mode=mode, rng=np.random.default_rng(9))
+    want, activations, masks = _reference_forward(
+        x_before, params, np.random.default_rng(9) if mode == "train" else None)
+    assert probs.tobytes() == want.tobytes()
+    assert x.tobytes() == x_before.tobytes()
+    if mode == "infer":
+        assert cache is None
+        return
+    assert cache.inputs.tobytes() == x_before.tobytes()
+    assert [a.tobytes() for a in cache.activations] == [a.tobytes() for a in activations]
+    for got, ref in zip(cache.dropout_masks, masks):
+        assert (got is None) == (ref is None)
+        assert got is None or np.array_equal(got, ref)
+    # backward reads the cache without writing into it, so a second call on
+    # the same cache gives the same bytes
+    targets = one_hot(rng.integers(0, 8, batch))
+    first, second = backward(params, cache, targets), backward(params, cache, targets)
+    assert probs.tobytes() == want.tobytes()
+    assert [a.tobytes() for a in cache.activations] == [a.tobytes() for a in activations]
+    for g1, g2 in zip(first.weights + first.biases, second.weights + second.biases):
+        assert g1.tobytes() == g2.tobytes()
+
+
 def test_backward_requires_training_cache(rng):
     params = init_params(0)
     _, cache = forward(rng.normal(0, 1, (1, 26)), params, mode="infer")
