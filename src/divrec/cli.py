@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
@@ -106,7 +107,9 @@ def _map_rows(rows: list[ManifestRow], fn, workers: int) -> tuple[list, int]:
     """Run ``fn`` over ``rows`` on ``workers`` threads; returns the results in
     manifest order and the count of rows that raised DataError or OSError
     (a missing or unreadable file), each logged on stderr as one line that
-    starts with the row's path.
+    starts with the row's path. ``workers`` above the cores this process may
+    run on is cut to that count, with one stderr line saying so; each worker
+    holds a whole recording, and the results do not depend on the count.
 
     With two or more workers, OpenBLAS is held at one thread until the last
     worker has finished, so the pool's threads do not each start BLAS threads
@@ -115,6 +118,12 @@ def _map_rows(rows: list[ManifestRow], fn, workers: int) -> tuple[list, int]:
     (from library code; the CLI makes one at a time) are not supported."""
     if workers < 1:
         raise UsageError(f"--workers must be at least 1, got {workers}")
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    if workers > cores:
+        print(f"--workers {workers} is more than the {cores} cores this process may use; "
+              f"running {cores}", file=sys.stderr)
+        workers = cores
 
     def attempt(row: ManifestRow):
         try:

@@ -1,10 +1,10 @@
 """Fixed dense classifier: 26 -> 128 -> 256 -> 256 -> 64 -> 32 -> 8.
 
 ReLU on every hidden layer, softmax at the output, inverted dropout (rate
-0.2) after the third and fourth dense layers. 121,064 trainable scalars.
-Forward, backward, and initialization are written directly against numpy in
-float64; the model is small enough that precision beats speed. Only a
-training-mode forward keeps per-layer arrays, and only those backward reads.
+0.2) after the third and fourth dense layers; 121,064 float64 scalars. Each
+layer is computed in place in the product it has just made, in forward and
+backward alike. Only a training-mode forward keeps per-layer arrays (with
+bool dropout masks), and only those backward reads.
 """
 
 from __future__ import annotations
@@ -72,8 +72,9 @@ class NetworkParams:
 @dataclass
 class ForwardCache:
     """What ``backward`` reads of a training-mode forward: the (batch, 26)
-    inputs, each layer's output (after dropout, where the layer has it) and
-    each layer's dropout mask (None where it has none)."""
+    inputs, each layer's output (computed in place in a new array, after
+    dropout where the layer has it) and each layer's bool dropout mask (None
+    where it has none)."""
 
     inputs: np.ndarray
     activations: list[np.ndarray]
@@ -99,10 +100,6 @@ def layer_param_counts(params: NetworkParams) -> list[int]:
     return [w.size + b.size for w, b in zip(params.weights, params.biases)]
 
 
-def relu(y: np.ndarray) -> np.ndarray:
-    return np.maximum(y, 0.0)
-
-
 def softmax(z: np.ndarray) -> np.ndarray:
     """Stable softmax along the last axis; outputs in (0,1), rows sum to 1."""
     shifted = z - np.max(z, axis=-1, keepdims=True)
@@ -116,7 +113,7 @@ def dropout(
     mode: str = "train",
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Inverted dropout: returns (output, mask).
+    """Inverted dropout: returns (output, bool mask).
 
     Training mode draws a fresh mask from ``rng``, zeroing each unit with
     probability ``rate`` and scaling survivors by 1/(1-rate); inference mode
@@ -126,8 +123,10 @@ def dropout(
         return x, None
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
-    mask = (rng.random(x.shape) >= rate).astype(np.float64)
-    return x * mask * (1.0 / (1.0 - rate)), mask
+    mask = rng.random(x.shape) >= rate
+    out = x * mask
+    out *= 1.0 / (1.0 - rate)
+    return out, mask
 
 
 def forward(
@@ -152,8 +151,9 @@ def forward(
     # an overflow shows up as a non-finite output, refused below
     with np.errstate(over="ignore", invalid="ignore"):
         for i, spec in enumerate(ARCHITECTURE):
-            z = a @ params.weights[i].T + params.biases[i]
-            a = relu(z) if spec.activation == "relu" else softmax(z)
+            z = a @ params.weights[i].T
+            z += params.biases[i]
+            a = np.maximum(z, 0.0, out=z) if spec.activation == "relu" else softmax(z)
             mask = None
             if spec.dropout_after is not None:
                 a, mask = dropout(a, spec.dropout_after, mode, rng)
@@ -173,36 +173,36 @@ def backward(params: NetworkParams, cache: ForwardCache, targets: np.ndarray) ->
     softmax output the pre-activation gradient is probabilities - one-hot.
     The ReLU derivative is gated on the cached output: a kept unit's
     relu(z) * 1.25 is positive exactly where z > 0, and a dropped unit's
-    gradient is already zero.
+    gradient is already zero. Each step scales in place only the array it
+    has just made, so the cache is not written into.
     """
     if cache is None:
         raise ValueError("backward requires a cache from a training-mode forward")
     targets = np.asarray(targets, dtype=np.float64)
     batch_size = cache.inputs.shape[0]
     if targets.shape != cache.activations[-1].shape:
-        raise DataError(
-            f"targets shape {targets.shape} vs output {cache.activations[-1].shape}"
-        )
+        raise DataError(f"targets shape {targets.shape} vs output "
+                        f"{cache.activations[-1].shape}")
 
     grads_w: list[np.ndarray] = [np.empty(0)] * len(ARCHITECTURE)
     grads_b: list[np.ndarray] = [np.empty(0)] * len(ARCHITECTURE)
 
     # softmax + cross-entropy collapses to (p - t) at the output pre-activation
-    dz = (cache.activations[-1] - targets) / batch_size
+    dz = cache.activations[-1] - targets
+    dz /= batch_size
     for i in range(len(ARCHITECTURE) - 1, -1, -1):
         a_prev = cache.inputs if i == 0 else cache.activations[i - 1]
         grads_w[i] = dz.T @ a_prev
         grads_b[i] = dz.sum(axis=0)
         if i == 0:
             break
-        da = dz @ params.weights[i]
-        spec_prev = ARCHITECTURE[i - 1]
-        mask = cache.dropout_masks[i - 1]
+        dz = dz @ params.weights[i]  # now at layer i - 1's output
+        spec_prev, mask = ARCHITECTURE[i - 1], cache.dropout_masks[i - 1]
         if mask is not None:
-            da = da * mask * (1.0 / (1.0 - spec_prev.dropout_after))
+            dz *= mask
+            dz *= 1.0 / (1.0 - spec_prev.dropout_after)
         if spec_prev.activation == "relu":
-            da = da * (a_prev > 0)
-        dz = da
+            dz *= a_prev > 0
     return NetworkParams(weights=grads_w, biases=grads_b)
 
 

@@ -581,6 +581,29 @@ def test_extract_worker_count_does_not_change_output(workspace, tmp_path):
     assert out.read_bytes() == (workspace / "cache.feat").read_bytes()
 
 
+def test_worker_pool_is_bounded_by_the_cores(workspace, tmp_path, monkeypatch, capsys):
+    # two usable cores: --workers 16 runs at most two pool threads, says so
+    # once, and writes the same cache
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    live = []
+    real_ingest = cli.ingest
+
+    def counting_ingest(path):
+        live.append(threading.active_count())
+        return real_ingest(path)
+
+    monkeypatch.setattr(cli, "ingest", counting_ingest)
+    before = threading.active_count()
+    out = tmp_path / "bounded.feat"
+    assert main(["extract", str(workspace / "segments.csv"),
+                 "--out", str(out), "--workers", "16"]) == 0
+    assert len(live) == len(read_manifest(workspace / "segments.csv"))
+    assert max(live) - before <= 2
+    assert out.read_bytes() == (workspace / "cache.feat").read_bytes()
+    assert capsys.readouterr().err == (
+        "--workers 16 is more than the 2 cores this process may use; running 2\n")
+
+
 def test_extract_without_blas_library_writes_same_cache(workspace, tmp_path, monkeypatch):
     # a library without the thread-count symbols: the pool runs with BLAS untouched
     monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: object())

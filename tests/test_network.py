@@ -19,13 +19,12 @@ from divrec.network import (
     layer_param_counts,
     load_model,
     param_count,
-    relu,
     save_model,
     softmax,
 )
 from divrec.training import one_hot
 
-from conftest import BAD_MODELS, build_model_bytes
+from conftest import BAD_MODELS, build_model_bytes, traced_peak
 
 
 # --- architecture golden values ---
@@ -77,12 +76,6 @@ def test_biases_start_at_zero():
 
 
 # --- activations ---
-
-def test_relu_values():
-    assert relu(np.array(-2.0)) == 0.0
-    assert relu(np.array(3.0)) == 3.0
-    assert relu(np.array(0.0)) == 0.0
-
 
 def test_softmax_uniform_on_zero_logits():
     np.testing.assert_allclose(softmax(np.zeros(8)), 0.125, rtol=0, atol=1e-15)
@@ -299,6 +292,18 @@ def test_forward_bytes_equal_reference_and_nothing_is_written_into(batch, mode):
     assert [a.tobytes() for a in cache.activations] == [a.tobytes() for a in activations]
     for g1, g2 in zip(first.weights + first.biases, second.weights + second.biases):
         assert g1.tobytes() == g2.tobytes()
+
+
+def test_forward_memory_is_two_layers_wide():
+    # each layer writes its bias and ReLU into the product it has just made,
+    # so inference holds about the widest layer's input and output; training
+    # adds the cached layers and one float draw per dropout layer
+    params = init_params(0)
+    x = np.random.default_rng(0).normal(0, 1, (4096, 26))
+    widest = 4096 * 256 * 8
+    assert traced_peak(lambda: forward(x, params)) <= 2.5 * widest
+    assert traced_peak(lambda: forward(x, params, mode="train",
+                                       rng=np.random.default_rng(1))) <= 4.25 * widest
 
 
 def test_backward_requires_training_cache(rng):
