@@ -72,9 +72,8 @@ class NetworkParams:
 @dataclass
 class ForwardCache:
     """What ``backward`` reads of a training-mode forward: the (batch, 26)
-    inputs, each layer's output (computed in place in a new array, after
-    dropout where the layer has it) and each layer's bool dropout mask (None
-    where it has none)."""
+    inputs, each layer's output, made in place in a new array (after dropout
+    where the layer has it), and each layer's bool dropout mask or None."""
 
     inputs: np.ndarray
     activations: list[np.ndarray]
@@ -169,20 +168,20 @@ def backward(params: NetworkParams, cache: ForwardCache, targets: np.ndarray) ->
     """Exact gradients of the mean categorical cross-entropy over the batch,
     for (batch, 8) one-hot ``targets`` matching the cached output.
 
-    Dropout masks recorded in the cache are treated as constants. For a
-    softmax output the pre-activation gradient is probabilities - one-hot.
-    The ReLU derivative is gated on the cached output: a kept unit's
-    relu(z) * 1.25 is positive exactly where z > 0, and a dropped unit's
-    gradient is already zero. Each step scales in place only the array it
-    has just made, so the cache is not written into.
+    Dropout masks in the cache are constants; at the softmax output the
+    pre-activation gradient is probabilities - one-hot. The ReLU derivative
+    is gated on the cached output: a kept unit's relu(z) * 1.25 is positive
+    exactly where z > 0, and a dropped unit's gradient is already zero. Each
+    step scales in place only the array it has just made, not the cache.
     """
     if cache is None:
         raise ValueError("backward requires a cache from a training-mode forward")
     targets = np.asarray(targets, dtype=np.float64)
     batch_size = cache.inputs.shape[0]
     if targets.shape != cache.activations[-1].shape:
-        raise DataError(f"targets shape {targets.shape} vs output "
-                        f"{cache.activations[-1].shape}")
+        raise DataError(
+            f"targets shape {targets.shape} vs output {cache.activations[-1].shape}"
+        )
 
     grads_w: list[np.ndarray] = [np.empty(0)] * len(ARCHITECTURE)
     grads_b: list[np.ndarray] = [np.empty(0)] * len(ARCHITECTURE)
@@ -197,7 +196,8 @@ def backward(params: NetworkParams, cache: ForwardCache, targets: np.ndarray) ->
         if i == 0:
             break
         dz = dz @ params.weights[i]  # now at layer i - 1's output
-        spec_prev, mask = ARCHITECTURE[i - 1], cache.dropout_masks[i - 1]
+        spec_prev = ARCHITECTURE[i - 1]
+        mask = cache.dropout_masks[i - 1]
         if mask is not None:
             dz *= mask
             dz *= 1.0 / (1.0 - spec_prev.dropout_after)
