@@ -313,6 +313,17 @@ def test_delta_columns_recomputed_by_oracle():
     np.testing.assert_allclose(fm[:, 13:], naive_delta(fm[:, :13]), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("length", [400 * t for t in (1, 2, 3, 4, 5, 6, 7, 320, 400)]
+                         + [400 * 320 + 399])
+def test_segment_vector_is_mfcc_means_then_delta_means(length):
+    x = _rich_clip()[:length]
+    c = dct2_ortho(log_mel_energies(power_spectrum(frame_signal(x)), BANK))
+    vector = aggregate(extract(x, BANK))
+    assert vector.shape == (26,)
+    assert vector[:13].tobytes() == c.mean(axis=0).tobytes()
+    np.testing.assert_allclose(vector[13:], naive_delta(c).mean(axis=0), rtol=0, atol=1e-12)
+
+
 def test_gain_shift_moves_only_c0():
     # scaling the waveform by c scales power by c^2, shifting every log
     # energy by 2 ln c; under the orthonormal DCT that lands entirely on c_0
