@@ -1,11 +1,11 @@
-"""MFCC FB-40 + delta feature extraction and the 26-dim segment vector.
+"""MFCC FB-40 feature extraction and the 26-dim segment vector.
 
 Per frame: Hamming window, zero-padded 512-point DFT power spectrum, 40
 equal-area triangular mel filters, natural log of the filter energies,
-orthonormal DCT-II keeping the first 13 coefficients. Delta features are the
-first-order regression (window 2) of the 13 static coefficients over time,
-giving 26 columns per frame. A segment is summarized as the column-wise mean,
-the input vector of the classifier.
+orthonormal DCT-II keeping the first 13 coefficients. A segment is summarized
+as the classifier's input vector: the 13 MFCC means over its frames, then the
+13 means of their first-order delta (window 2, edge frames clamped), which
+``aggregate`` computes in closed form from the first and last frames.
 
 Every recipe value is a module constant, and so is every fixed operand built
 from them (``HAMMING``, ``DCT_BASIS``, ``DCT_SCALE``), built once at import.
@@ -133,45 +133,33 @@ def dct2_ortho(x: np.ndarray) -> np.ndarray:
     return (np.asarray(x, dtype=np.float64) @ DCT_BASIS.T) * DCT_SCALE
 
 
-def delta(features: np.ndarray) -> np.ndarray:
-    """First-order regression over time with edge frames clamped.
-
-    d_t = sum_{n=1..DELTA_WINDOW} n * (c_{t+n} - c_{t-n}) / (2 * sum n^2)
-    """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] < 1:
-        raise ValueError("expected a (T, d) matrix with T >= 1")
-    t_max = features.shape[0] - 1
-    denom = 2.0 * sum(n * n for n in range(1, DELTA_WINDOW + 1))
-    out = np.zeros_like(features)
-    idx = np.arange(features.shape[0])
-    for n in range(1, DELTA_WINDOW + 1):
-        ahead = features[np.minimum(idx + n, t_max)]
-        behind = features[np.maximum(idx - n, 0)]
-        out += n * (ahead - behind)
-    return out / denom
-
-
 def extract(samples: np.ndarray, bank: FilterBank) -> np.ndarray:
-    """Full per-frame pipeline on 16 kHz mono samples: (T, 26) matrix of 13
-    MFCCs + 13 deltas.
+    """Per-frame MFCCs of 16 kHz mono samples: a (T, 13) matrix, one row per
+    FRAME_LEN frame.
 
     The caller builds ``bank`` once (``build_filterbank``) for many segments.
     """
     if samples.ndim != 1:
         raise ValueError("extract expects mono samples")
-
-    power = power_spectrum(frame_signal(samples))
-    static = dct2_ortho(log_mel_energies(power, bank))
-    return np.hstack([static, delta(static)])
+    return dct2_ortho(log_mel_energies(power_spectrum(frame_signal(samples)), bank))
 
 
-def aggregate(feature_matrix: np.ndarray) -> np.ndarray:
-    """Column-wise mean of a (T, 26) matrix -> the 26-dim segment vector."""
-    feature_matrix = np.asarray(feature_matrix, dtype=np.float64)
-    if feature_matrix.ndim != 2 or feature_matrix.shape[0] < 1:
+def aggregate(mfcc: np.ndarray) -> np.ndarray:
+    """The 26-dim segment vector of a (T, 13) MFCC matrix: the 13 column means, then
+    the 13 means over t of the delta with clamped edges,
+    d_t = sum_{n=1..DELTA_WINDOW} n * (c_{min(t+n, T-1)} - c_{max(t-n, 0)}) / (2 * sum n^2).
+
+    Summed over t, each n-term telescopes to the last n frames minus the first n, plus
+    min(n, T) * (c_{T-1} - c_0) from the clamping: only DELTA_WINDOW frames at each end count.
+    """
+    mfcc = np.asarray(mfcc, dtype=np.float64)
+    if mfcc.ndim != 2 or mfcc.shape[0] < 1:
         raise ValueError("expected a non-empty (T, d) matrix")
-    return feature_matrix.mean(axis=0)
+    t = mfcc.shape[0]
+    drift = sum(n * (mfcc[-n:].sum(0) - mfcc[:n].sum(0) + min(n, t) * (mfcc[-1] - mfcc[0]))
+                for n in range(1, DELTA_WINDOW + 1))
+    drift /= 2 * sum(n * n for n in range(1, DELTA_WINDOW + 1)) * t
+    return np.concatenate([mfcc.mean(axis=0), drift])
 
 
 # --- feature cache container (see docs/formats.md) ---
@@ -190,6 +178,10 @@ def write_feature_cache(records: list[AggregatedFeature], path) -> None:
         for first in range(0, len(records), _WRITE_BLOCK):
             block = records[first : first + _WRITE_BLOCK]
             rows = np.array([rec.vector for rec in block], dtype="<f8")
+            # np.array refuses vectors of unequal shapes, so a bad shape here is the first record's
+            if rows.shape != (len(block), FEATURE_DIM):
+                raise ValueError(f"record {first}: expected {FEATURE_DIM} values, "
+                                 f"got shape {rows.shape[1:]}")
             parts = []
             for rec, row in zip(block, rows):
                 sid = rec.source_id.encode("utf-8")

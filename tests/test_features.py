@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divrec import features
 from divrec.errors import DataError
 from divrec.features import (
     HAMMING,
@@ -13,7 +15,6 @@ from divrec.features import (
     aggregate,
     build_filterbank,
     dct2_ortho,
-    delta,
     extract,
     frame_signal,
     log_mel_energies,
@@ -266,24 +267,37 @@ def naive_delta(features, window=2):
 
 
 def test_constant_matrix_zero_delta():
-    np.testing.assert_array_equal(delta(np.full((6, 13), 3.0)), 0.0)
+    c = np.full((6, 13), 3.0)
+    np.testing.assert_array_equal(aggregate(c)[13:], naive_delta(c).mean(axis=0))
+    np.testing.assert_array_equal(aggregate(c)[13:], 0.0)
 
 
 def test_linear_ramp_interior_delta_equals_slope():
     a = 0.7
     ramp = a * np.arange(10)[:, None] * np.ones((1, 13))
-    d = delta(ramp)
-    np.testing.assert_allclose(d[2:-2], a, rtol=0, atol=1e-12)
+    assert np.all(naive_delta(ramp)[2:-2] == pytest.approx(a, abs=1e-12))
+    np.testing.assert_allclose(aggregate(ramp)[13:], naive_delta(ramp).mean(axis=0),
+                               rtol=0, atol=1e-12)
 
 
 def test_delta_matches_direct_formula(rng):
     x = rng.normal(0, 1, (5, 13))
-    np.testing.assert_allclose(delta(x), naive_delta(x), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(aggregate(x)[13:], naive_delta(x).mean(axis=0), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("window", [1, 3, 4])
+def test_delta_means_hold_for_other_windows_and_short_matrices(rng, monkeypatch, window):
+    monkeypatch.setattr(features, "DELTA_WINDOW", window)
+    for t_count in range(1, 7):
+        x = rng.normal(0, 1, (t_count, 13))
+        np.testing.assert_allclose(aggregate(x)[13:], naive_delta(x, window).mean(axis=0),
+                                   rtol=0, atol=1e-12)
 
 
 def test_single_frame_delta_is_zero(rng):
     x = rng.normal(0, 1, (1, 13))
-    np.testing.assert_array_equal(delta(x), 0.0)
+    np.testing.assert_array_equal(aggregate(x)[13:], naive_delta(x).mean(axis=0))
+    np.testing.assert_array_equal(aggregate(x)[13:], 0.0)
 
 
 # --- extract / aggregate ---
@@ -299,18 +313,13 @@ def _rich_clip(seconds=10.0, seed=5):
     return np.clip(x, -1, 1)
 
 
-def test_ten_second_clip_gives_400_by_26():
-    assert extract(_rich_clip(), BANK).shape == (400, 26)
+def test_ten_second_clip_gives_400_by_13():
+    assert extract(_rich_clip(), BANK).shape == (400, 13)
 
 
 def test_extract_deterministic():
     clip = _rich_clip()
     np.testing.assert_array_equal(extract(clip, BANK), extract(clip, BANK))
-
-
-def test_delta_columns_recomputed_by_oracle():
-    fm = extract(_rich_clip(seconds=2.0), BANK)
-    np.testing.assert_allclose(fm[:, 13:], naive_delta(fm[:, :13]), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("length", [400 * t for t in (1, 2, 3, 4, 5, 6, 7, 320, 400)]
@@ -326,7 +335,8 @@ def test_segment_vector_is_mfcc_means_then_delta_means(length):
 
 def test_gain_shift_moves_only_c0():
     # scaling the waveform by c scales power by c^2, shifting every log
-    # energy by 2 ln c; under the orthonormal DCT that lands entirely on c_0
+    # energy by 2 ln c; under the orthonormal DCT that lands entirely on c_0,
+    # and a constant shift of c_0 leaves every delta unchanged
     clip = _rich_clip(seconds=1.0)
     scaled = clip * 0.5
     base = extract(clip, BANK)
@@ -335,13 +345,13 @@ def test_gain_shift_moves_only_c0():
     np.testing.assert_allclose(
         shifted[:, 0] - base[:, 0], expected_c0_shift, rtol=0, atol=1e-9
     )
-    np.testing.assert_allclose(shifted[:, 1:13], base[:, 1:13], rtol=0, atol=1e-9)
-    np.testing.assert_allclose(shifted[:, 14:], base[:, 14:], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(shifted[:, 1:], base[:, 1:], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(aggregate(shifted)[13:], aggregate(base)[13:], rtol=0, atol=1e-9)
 
 
 def test_aggregate_single_frame_identity(rng):
-    row = rng.normal(0, 1, (1, 26))
-    np.testing.assert_array_equal(aggregate(row), row[0])
+    row = rng.normal(0, 1, (1, 13))
+    np.testing.assert_array_equal(aggregate(row), np.concatenate([row[0], np.zeros(13)]))
 
 
 def test_network_input_dimension_from_parameter_arithmetic():
@@ -352,8 +362,10 @@ def test_network_input_dimension_from_parameter_arithmetic():
 
 
 def test_aggregate_matches_bruteforce_column_means(rng):
-    x = rng.normal(0, 1, (10, 26))
-    oracle = np.array([sum(x[t, j] for t in range(10)) / 10 for j in range(26)])
+    x = rng.normal(0, 1, (10, 13))
+    d = naive_delta(x)
+    oracle = np.array([sum(x[t, j] for t in range(10)) / 10 for j in range(13)]
+                      + [sum(d[t, j] for t in range(10)) / 10 for j in range(13)])
     np.testing.assert_allclose(aggregate(x), oracle, rtol=0, atol=1e-12)
 
 
@@ -403,6 +415,13 @@ def test_cache_bytes_are_pinned(tmp_path):
     assert len(data) == 690
     assert hashlib.sha256(data).hexdigest() == (
         "f005267b131eb3b9094568445e73404cd7afa28f1824fdf8e0eec4e6b6e8ec69")
+
+
+@pytest.mark.parametrize("shape", [(27,), (25,), (26, 1)])
+def test_writer_refuses_vectors_of_another_shape(tmp_path, shape):
+    records = [AggregatedFeature(np.full(shape, 1.0), i % 8, f"r{i}") for i in range(10)]
+    with pytest.raises(ValueError, match=re.escape(f"record 0: expected 26 values, got shape {shape}")):
+        write_feature_cache(records, tmp_path / "bad.feat")
 
 
 def test_zero_record_cache_round_trip(tmp_path):
