@@ -67,6 +67,16 @@ def test_write_wav_bytes_equal_hand_built_file(tmp_path, rng, n):
     assert path.read_bytes() == build_wav_bytes(encode_pcm16(samples))
 
 
+@pytest.mark.parametrize("n", [0, 1, 65_535, 65_536, 65_537, 160_000, 1_600_000])
+def test_write_wav_bytes_equal_hand_built_file_at_block_edges(tmp_path, n):
+    # lengths around a 65,536-sample block and a 100 s file, with values
+    # beyond +-1 that the encoder clamps
+    samples = np.random.default_rng(n).uniform(-1.25, 1.25, n)
+    path = tmp_path / "out.wav"
+    write_wav(samples, path)
+    assert path.read_bytes() == build_wav_bytes(encode_pcm16(samples).astype(np.int16))
+
+
 def test_rejects_non_riff(tmp_path):
     path = tmp_path / "bad.wav"
     path.write_bytes(b"OggS" + b"\x00" * 40)
