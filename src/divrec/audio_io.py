@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DataError
 
 TARGET_SAMPLE_RATE = 16000
+ENCODE_BLOCK = 1 << 16  # samples encoded per write, so the writer's memory stays flat
 
 
 def read_wav(path) -> tuple[np.ndarray, int]:
@@ -84,12 +85,14 @@ def pcm16_round_trip(samples: np.ndarray) -> np.ndarray:
 
 def write_wav(samples: np.ndarray, path) -> None:
     """Encode mono samples as a 16 kHz PCM16 LE WAV file (the 44-byte header
-    of docs/formats.md)."""
+    of docs/formats.md), ``ENCODE_BLOCK`` samples at a time."""
     if samples.ndim != 1:
         raise ValueError("write_wav expects mono samples")
     # opened here, not by wave: wave.open on a path it cannot open leaves a
     # half-built writer whose __del__ prints a traceback
     with open(path, "wb") as fh, wave.open(fh, "wb") as wav:
-        wav.setparams((1, 2, TARGET_SAMPLE_RATE, 0, "NONE", "not compressed"))
-        # wave swaps host-order samples to little-endian itself
-        wav.writeframes(encode_pcm16(samples).astype(np.int16, copy=False))
+        # frame count declared: wave writes the header once, and host-order samples as LE
+        wav.setparams((1, 2, TARGET_SAMPLE_RATE, len(samples), "NONE", "not compressed"))
+        for first in range(0, len(samples), ENCODE_BLOCK):
+            block = encode_pcm16(samples[first : first + ENCODE_BLOCK])
+            wav.writeframesraw(block.astype(np.int16, copy=False))

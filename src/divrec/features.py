@@ -15,6 +15,7 @@ yields exactly 400 frames of 400 samples, and there is no pre-emphasis.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -172,21 +173,35 @@ _WRITE_BLOCK = 1024  # records joined per write, so the writer's memory stays fl
 
 def write_feature_cache(records: list[AggregatedFeature], path) -> None:
     """Binary cache: DIVFEAT1 magic, u64 count, then per record a label byte,
-    u16 source-id length + UTF-8 bytes, 26 f64 LE values."""
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC + struct.pack("<Q", len(records)))
-        for first in range(0, len(records), _WRITE_BLOCK):
-            block = records[first : first + _WRITE_BLOCK]
-            rows = np.array([rec.vector for rec in block], dtype="<f8")
-            # np.array refuses vectors of unequal shapes, so a bad shape here is the first record's
-            if rows.shape != (len(block), FEATURE_DIM):
-                raise ValueError(f"record {first}: expected {FEATURE_DIM} values, "
-                                 f"got shape {rows.shape[1:]}")
-            parts = []
-            for rec, row in zip(block, rows):
-                sid = rec.source_id.encode("utf-8")
-                parts += (_RECORD_HEADER.pack(rec.label, len(sid)), sid, row.tobytes())
-            fh.write(b"".join(parts))
+    u16 source-id length + UTF-8 bytes, 26 f64 LE values. Written to ``<path>.tmp``
+    and renamed onto ``path`` when complete: a write that raises leaves ``path`` as it was."""
+    tmp = f"{os.fspath(path)}.tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(CACHE_MAGIC + struct.pack("<Q", len(records)))
+            for first in range(0, len(records), _WRITE_BLOCK):
+                block = records[first : first + _WRITE_BLOCK]
+                try:
+                    rows = np.array([rec.vector for rec in block], dtype="<f8")
+                    if rows.shape != (len(block), FEATURE_DIM):
+                        raise ValueError("a vector of another shape")
+                except ValueError:
+                    # numpy names no record: name the first of another shape, else re-raise
+                    for i, rec in enumerate(block, first):
+                        if np.shape(rec.vector) != (FEATURE_DIM,):
+                            raise ValueError(f"record {i}: expected {FEATURE_DIM} values, "
+                                             f"got shape {np.shape(rec.vector)}") from None
+                    raise
+                parts = []
+                for rec, row in zip(block, rows):
+                    sid = rec.source_id.encode("utf-8")
+                    parts += (_RECORD_HEADER.pack(rec.label, len(sid)), sid, row.tobytes())
+                fh.write(b"".join(parts))
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def read_feature_cache(path) -> list[AggregatedFeature]:

@@ -86,21 +86,27 @@ def reduce_noise(samples: np.ndarray) -> np.ndarray:
     padded[hop : hop + n] = samples
 
     frames = sliding_window_view(padded, frame_len)[::hop] * NR_WINDOW
+    # each full-size array is dropped after its last use: no dead temporary sets the peak
+    del padded
 
     spectra = np.fft.rfft(frames, axis=1)
     mag = np.abs(spectra)
 
     # frames are not needed after the FFT, so square them in place
     energies = np.sum(np.square(frames, out=frames), axis=1)
+    del frames
     quietest = np.argsort(energies, kind="stable")[:NOISE_FRAMES]
     noise_profile = mag[quietest].mean(axis=0)
 
     # gain = out_mag / mag, computed in place; out_mag is 0 wherever mag is 0
-    gain = np.maximum(mag - OVERSUBTRACTION * noise_profile, SPECTRAL_FLOOR * mag)
+    gain = np.subtract(mag, OVERSUBTRACTION * noise_profile)
+    np.maximum(gain, SPECTRAL_FLOOR * mag, out=gain)
     np.divide(gain, mag, out=gain, where=mag > 0)
+    del mag
     spectra *= gain
+    del gain
     rebuilt = np.fft.irfft(spectra, frame_len, axis=1)
+    del spectra
 
-    out = _overlap_add(rebuilt)
-
-    return np.clip(out[hop : hop + n], -1.0, 1.0)
+    out = _overlap_add(rebuilt)[hop : hop + n]
+    return np.clip(out, -1.0, 1.0, out=out)

@@ -424,6 +424,30 @@ def test_writer_refuses_vectors_of_another_shape(tmp_path, shape):
         write_feature_cache(records, tmp_path / "bad.feat")
 
 
+def test_failed_write_names_the_ragged_record_and_leaves_no_file(tmp_path):
+    # the 27-value records start in the second 1,024-record block, after the
+    # header and the first block have been written
+    records = [AggregatedFeature(np.full(26, i / 8), i % 8, f"r{i}") for i in range(1030)]
+    records += [AggregatedFeature(np.full(27, 1.0), 0, f"bad{i}") for i in range(5)]
+    new = tmp_path / "new.feat"
+    with pytest.raises(ValueError, match=re.escape("record 1030: expected 26 values, got shape (27,)")):
+        write_feature_cache(records, new)
+    existing = tmp_path / "existing.feat"
+    write_feature_cache(records[:3], existing)
+    before = existing.read_bytes()
+    with pytest.raises(ValueError, match="record 1030: "):
+        write_feature_cache(records, existing)
+    assert existing.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing.feat"]
+
+
+def test_failed_write_of_another_kind_keeps_numpy_error(tmp_path):
+    vector = np.full(26, "x", dtype=object)
+    with pytest.raises(ValueError, match="could not convert string to float"):
+        write_feature_cache([AggregatedFeature(vector, 0, "s")], tmp_path / "c.feat")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_zero_record_cache_round_trip(tmp_path):
     path = tmp_path / "empty.feat"
     write_feature_cache([], path)

@@ -10,6 +10,7 @@ from divrec.audio_io import ingest, write_wav
 from divrec.cli import _preprocess_one, main
 from divrec.manifest import ManifestRow
 from divrec.network import init_params, save_model
+from divrec.preprocess import reduce_noise
 
 from conftest import synthesize_utterance, traced_peak
 
@@ -62,3 +63,26 @@ def test_peak_grows_at_most_10_bytes_per_added_sample(tmp_path):
     added = (300 - 100) * SR
     for command, short, long in zip(("preprocess", "predict"), peaks[100], peaks[300]):
         assert (long - short) / added <= 10, (command, short, long)
+
+
+# Bounds on each stage's own working memory (tracemalloc peaks, inputs built
+# outside the traced call). Holding every dead intermediate until return
+# peaked at 14.2 MB in reduce_noise; encoding a whole file at once at 16.0 MB
+# in write_wav; predict on 100 s, which runs both, at 28.1 MB.
+
+def test_reduce_noise_of_a_10_s_segment_peaks_under_8_mb():
+    segment = synthesize_utterance(5, np.random.default_rng(9), 10.0)
+    assert traced_peak(lambda: reduce_noise(segment)) <= 8_000_000
+
+
+def test_write_wav_of_100_s_peaks_under_2_mb(tmp_path):
+    samples = synthesize_utterance(2, np.random.default_rng(10), 100.0)
+    assert traced_peak(lambda: write_wav(samples, tmp_path / "100s.wav")) <= 2_000_000
+
+
+def test_predict_of_a_100_s_file_peaks_under_24_mb(tmp_path, capsys):
+    model = tmp_path / "model.bin"
+    save_model(init_params(0), model)
+    row = _recording(tmp_path / "100s.wav", 100.0)
+    assert traced_peak(lambda: main(["predict", str(model), row.audio_path])) <= 24_000_000
+    assert "prediction:" in capsys.readouterr().out
