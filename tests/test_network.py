@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import math
 import re
@@ -400,7 +401,11 @@ def assert_gradients_close(analytic, numeric, rel_tol=1e-4):
     entries killed by ReLU/dropout carry only finite-difference roundoff
     (~1e-11), so they are held to a tight absolute bound instead.
     """
-    for a, n in zip(analytic.weights + analytic.biases, numeric.weights + numeric.biases):
+    got, want = analytic.weights + analytic.biases, numeric.weights + numeric.biases
+    # zip would cut the comparison to the shorter list, or to nothing
+    assert got, "no gradient tensor to compare"
+    assert [a.shape for a in got] == [n.shape for n in want]
+    for a, n in zip(got, want):
         scale = np.maximum(np.abs(a), np.abs(n))
         live = scale > 1e-6
         if np.any(live):
@@ -409,6 +414,17 @@ def assert_gradients_close(analytic, numeric, rel_tol=1e-4):
         norm = max(np.linalg.norm(a), np.linalg.norm(n))
         if norm > 0:
             assert np.linalg.norm(a - n) / norm < rel_tol
+
+
+def test_gradient_comparison_refuses_containers_that_do_not_match():
+    w, b = np.zeros((2, 3)), np.zeros(2)
+    for analytic, numeric in [
+        (NetworkParams([], []), NetworkParams([], [])),  # nothing to compare
+        (NetworkParams([w], [b]), NetworkParams([w], [])),  # a tensor missing
+        (NetworkParams([w], []), NetworkParams([w.T], [])),  # another shape
+    ]:
+        with pytest.raises(AssertionError):
+            assert_gradients_close(analytic, numeric)
 
 
 def test_gradients_match_finite_differences_at_sampled_entries(rng):
@@ -458,6 +474,19 @@ def test_model_round_trip(tmp_path):
     back = load_model(path)
     for a, b in zip(params.weights + params.biases, back.weights + back.biases):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "93ec53d4f3da332a7afb33aa065d448a1ac5ba89d103aba8403357ea6f47a180"),
+    (7, "4e86f65de026efb839c7f70e18e94e54ab840dee5a7531fb00c13ce63ce81dbf"),
+])
+def test_model_file_bytes_are_pinned(tmp_path, seed, digest):
+    # no BLAS call makes these bytes, so they hold on any host
+    path = tmp_path / "init.model"
+    save_model(init_params(seed), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    save_model(load_model(path), tmp_path / "again.model")
+    assert (tmp_path / "again.model").read_bytes() == path.read_bytes()
 
 
 def test_model_file_matches_hand_built_bytes(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from divrec.errors import DataError, NumericError
 from divrec.features import AggregatedFeature
-from divrec.network import NetworkParams, backward, forward, init_params
+from divrec import training
+from divrec.network import ARCHITECTURE, NetworkParams, backward, forward, init_params
 from divrec.training import (
     PlateauScheduler,
     TrainingConfig,
@@ -238,6 +240,106 @@ def test_non_finite_gradient_raises():
     state = init_adam_state(params, TrainingConfig())
     with pytest.raises(NumericError, match="gradient contains NaN or infinity"):
         adam_step(params, _scalar_grads(float("nan")), state)
+
+
+def test_non_finite_output_bias_gradient_changes_nothing(rng):
+    # one NaN in the last tensor of the model order: the step must refuse it
+    # before it writes any moment or parameter
+    params = init_params(16)
+    state = init_adam_state(params, TrainingConfig())
+    x, targets = rng.normal(0, 1, (8, 26)), one_hot(rng.integers(0, 8, 8))
+    for _ in range(3):  # moments away from zero
+        _, cache = forward(x, params, mode="train", rng=rng)
+        adam_step(params, backward(params, cache, targets), state)
+    _, cache = forward(x, params, mode="train", rng=rng)
+    grads = backward(params, cache, targets)
+    grads.biases[-1][5] = np.nan
+    before = pickle.dumps((params, state))  # every array and counter, by value
+    with pytest.raises(NumericError, match="gradient contains NaN or infinity"):
+        adam_step(params, grads, state)
+    assert pickle.dumps((params, state)) == before
+    assert state.t == 3
+
+
+# --- the per-tensor step, kept as a reference for train's bytes ---
+
+def _reference_backward(params, cache, targets, out=None):
+    """Fresh per-tensor gradients on every call (``out`` is not used)."""
+    targets = np.asarray(targets, dtype=np.float64)
+    batch_size = cache.inputs.shape[0]
+    grads_w, grads_b = [None] * len(ARCHITECTURE), [None] * len(ARCHITECTURE)
+    dz = cache.activations[-1] - targets
+    dz /= batch_size
+    for i in range(len(ARCHITECTURE) - 1, -1, -1):
+        a_prev = cache.inputs if i == 0 else cache.activations[i - 1]
+        grads_w[i] = dz.T @ a_prev
+        grads_b[i] = dz.sum(axis=0)
+        if i == 0:
+            break
+        dz = dz @ params.weights[i]
+        spec_prev = ARCHITECTURE[i - 1]
+        mask = cache.dropout_masks[i - 1]
+        if mask is not None:
+            dz *= mask
+            dz *= 1.0 / (1.0 - spec_prev.dropout_after)
+        if spec_prev.activation == "relu":
+            dz *= a_prev > 0
+    return NetworkParams(weights=grads_w, biases=grads_b)
+
+
+@dataclasses.dataclass
+class _ReferenceAdamState:
+    m: list
+    v: list
+    lr: float
+    t: int = 0
+
+
+def _reference_init_adam_state(params, config):
+    tensors = params.weights + params.biases
+    return _ReferenceAdamState([np.zeros_like(p) for p in tensors],
+                               [np.zeros_like(p) for p in tensors], config.learning_rate)
+
+
+def _reference_adam_step(params, grads, state):
+    """Adam one tensor at a time, the 13 operations in the formula's order."""
+    for g in grads.weights + grads.biases:
+        if not np.all(np.isfinite(g)):
+            raise NumericError("gradient contains NaN or infinity")
+    state.t += 1
+    bc1 = 1.0 - 0.9**state.t
+    bc2 = 1.0 - 0.999**state.t
+    for theta, m, v, g in zip(params.weights + params.biases, state.m, state.v,
+                              grads.weights + grads.biases):
+        s1, s2 = np.empty_like(theta), np.empty_like(theta)
+        m *= 0.9
+        np.multiply(1.0 - 0.9, g, out=s1)
+        m += s1
+        v *= 0.999
+        np.multiply(1.0 - 0.999, g, out=s1)
+        s1 *= g
+        v += s1
+        np.divide(m, bc1, out=s1)
+        s1 *= state.lr
+        np.divide(v, bc2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += 1e-8
+        s1 /= s2
+        theta -= s1
+
+
+def test_train_bytes_equal_the_per_tensor_reference(monkeypatch):
+    # 192 training rows in batches of 40, so each epoch ends on a short batch
+    records = make_records([30] * 8, rng=np.random.default_rng(14))
+    config = TrainingConfig(seed=15, epochs=4, batch_size=40)
+    params, history = train(records, config)
+    monkeypatch.setattr(training, "backward", _reference_backward)
+    monkeypatch.setattr(training, "init_adam_state", _reference_init_adam_state)
+    monkeypatch.setattr(training, "adam_step", _reference_adam_step)
+    want_params, want_history = train(records, config)
+    assert ([t.tobytes() for t in params.weights + params.biases]
+            == [t.tobytes() for t in want_params.weights + want_params.biases])
+    assert history == want_history
 
 
 # --- plateau scheduling ---
