@@ -15,13 +15,13 @@ yields exactly 400 frames of 400 samples, and there is no pre-emphasis.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .atomic import write_whole
 from .audio_io import TARGET_SAMPLE_RATE
 from .errors import DataError
 from .network import NUM_CLASSES
@@ -173,35 +173,28 @@ _WRITE_BLOCK = 1024  # records joined per write, so the writer's memory stays fl
 
 def write_feature_cache(records: list[AggregatedFeature], path) -> None:
     """Binary cache: DIVFEAT1 magic, u64 count, then per record a label byte,
-    u16 source-id length + UTF-8 bytes, 26 f64 LE values. Written to ``<path>.tmp``
-    and renamed onto ``path`` when complete: a write that raises leaves ``path`` as it was."""
-    tmp = f"{os.fspath(path)}.tmp"
-    fh = open(tmp, "wb")
-    try:
-        with fh:
-            fh.write(CACHE_MAGIC + struct.pack("<Q", len(records)))
-            for first in range(0, len(records), _WRITE_BLOCK):
-                block = records[first : first + _WRITE_BLOCK]
-                try:
-                    rows = np.array([rec.vector for rec in block], dtype="<f8")
-                    if rows.shape != (len(block), FEATURE_DIM):
-                        raise ValueError("a vector of another shape")
-                except ValueError:
-                    # numpy names no record: name the first of another shape, else re-raise
-                    for i, rec in enumerate(block, first):
-                        if np.shape(rec.vector) != (FEATURE_DIM,):
-                            raise ValueError(f"record {i}: expected {FEATURE_DIM} values, "
-                                             f"got shape {np.shape(rec.vector)}") from None
-                    raise
-                parts = []
-                for rec, row in zip(block, rows):
-                    sid = rec.source_id.encode("utf-8")
-                    parts += (_RECORD_HEADER.pack(rec.label, len(sid)), sid, row.tobytes())
-                fh.write(b"".join(parts))
-        os.replace(tmp, path)
-    except BaseException:
-        os.remove(tmp)
-        raise
+    u16 source-id length + UTF-8 bytes, 26 f64 LE values. Written whole
+    (``atomic.write_whole``): a write that raises leaves ``path`` as it was."""
+    with write_whole(path) as fh:
+        fh.write(CACHE_MAGIC + struct.pack("<Q", len(records)))
+        for first in range(0, len(records), _WRITE_BLOCK):
+            block = records[first : first + _WRITE_BLOCK]
+            try:
+                rows = np.array([rec.vector for rec in block], dtype="<f8")
+                if rows.shape != (len(block), FEATURE_DIM):
+                    raise ValueError("a vector of another shape")
+            except ValueError:
+                # numpy names no record: name the first of another shape, else re-raise
+                for i, rec in enumerate(block, first):
+                    if np.shape(rec.vector) != (FEATURE_DIM,):
+                        raise ValueError(f"record {i}: expected {FEATURE_DIM} values, "
+                                         f"got shape {np.shape(rec.vector)}") from None
+                raise
+            parts = []
+            for rec, row in zip(block, rows):
+                sid = rec.source_id.encode("utf-8")
+                parts += (_RECORD_HEADER.pack(rec.label, len(sid)), sid, row.tobytes())
+            fh.write(b"".join(parts))
 
 
 def read_feature_cache(path) -> list[AggregatedFeature]:

@@ -1,20 +1,23 @@
 """Fixed dense classifier: 26 -> 128 -> 256 -> 256 -> 64 -> 32 -> 8.
 
 ReLU on every hidden layer, softmax at the output, inverted dropout (rate
-0.2) after the third and fourth dense layers; 121,064 float64 scalars. Each
-layer is computed in place in the product it has just made, in forward and
-backward alike. Only a training-mode forward keeps per-layer arrays (with
-bool dropout masks), and only those backward reads.
+0.2) after the third and fourth dense layers; 121,064 float64 scalars, held
+as views of one vector in the model file's order. Each layer is computed in
+place in the product it has just made, in forward and backward alike. Only a
+training-mode forward keeps per-layer arrays (with bool dropout masks), and
+only those backward reads.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import write_whole
 from .errors import DataError, NumericError
 
 MODEL_MAGIC = b"DIVMODL1"
@@ -55,18 +58,49 @@ _HEADER = struct.pack("<BB", MODEL_VERSION, len(ARCHITECTURE)) + b"".join(
     )
     for spec in ARCHITECTURE
 )
-_PAYLOAD_SIZE = len(_HEADER) + 8 * sum(s.out_dim * (s.in_dim + 1) for s in ARCHITECTURE)
+PARAM_COUNT = sum(s.out_dim * (s.in_dim + 1) for s in ARCHITECTURE)
+_PAYLOAD_SIZE = len(_HEADER) + 8 * PARAM_COUNT
 
 
-@dataclass
+def _views(vector, weight_shapes, bias_shapes) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Views of ``vector`` in the model file's order: per layer, the weights
+    row-major, then the bias. A layer may lack either."""
+    weights, biases, pos = [], [], 0
+    for i in range(max(len(weight_shapes), len(bias_shapes))):
+        for shapes, views in ((weight_shapes, weights), (bias_shapes, biases)):
+            if i < len(shapes):
+                size = math.prod(shapes[i])
+                views.append(vector[pos : pos + size].reshape(shapes[i]))
+                pos += size
+    return weights, biases
+
+
 class NetworkParams:
-    """Per-layer (out_dim, in_dim) weight matrices and (out_dim,) biases.
+    """Per-layer (out_dim, in_dim) weight matrices and (out_dim,) biases, as
+    views of one contiguous float64 ``vector`` (see ``_views``).
 
-    Doubles as the gradient container: gradients share these shapes.
+    Doubles as the gradient container: gradients share this layout, so Adam
+    and the model file each work on one vector.
     """
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
+        """Copy every array given into a new vector, whatever its shape."""
+        tensors = [np.asarray(t, dtype=np.float64) for t in list(weights) + list(biases)]
+        self.vector = np.empty(sum(t.size for t in tensors))
+        self.weights, self.biases = _views(self.vector, [np.shape(w) for w in weights],
+                                           [np.shape(b) for b in biases])
+        for view, t in zip(self.weights + self.biases, tensors):
+            view[...] = t
+
+    @classmethod
+    def of_vector(cls, vector: np.ndarray) -> NetworkParams:
+        """The network's tensors as views of a PARAM_COUNT ``vector``."""
+        params = cls.__new__(cls)
+        params.vector = vector
+        params.weights, params.biases = _views(
+            vector, [(s.out_dim, s.in_dim) for s in ARCHITECTURE],
+            [(s.out_dim,) for s in ARCHITECTURE])
+        return params
 
 
 @dataclass
@@ -83,16 +117,15 @@ class ForwardCache:
 def init_params(seed: int) -> NetworkParams:
     """Glorot-uniform weights (bound sqrt(6/(in+out))), zero biases."""
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for spec in ARCHITECTURE:
+    params = NetworkParams.of_vector(np.zeros(PARAM_COUNT))
+    for spec, w in zip(ARCHITECTURE, params.weights):
         bound = np.sqrt(6.0 / (spec.in_dim + spec.out_dim))
-        weights.append(rng.uniform(-bound, bound, size=(spec.out_dim, spec.in_dim)))
-        biases.append(np.zeros(spec.out_dim))
-    return NetworkParams(weights=weights, biases=biases)
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
 def param_count(params: NetworkParams) -> int:
-    return sum(w.size + b.size for w, b in zip(params.weights, params.biases))
+    return params.vector.size
 
 
 def layer_param_counts(params: NetworkParams) -> list[int]:
@@ -164,9 +197,15 @@ def forward(
     return a, cache
 
 
-def backward(params: NetworkParams, cache: ForwardCache, targets: np.ndarray) -> NetworkParams:
+def backward(
+    params: NetworkParams,
+    cache: ForwardCache,
+    targets: np.ndarray,
+    out: NetworkParams | None = None,
+) -> NetworkParams:
     """Exact gradients of the mean categorical cross-entropy over the batch,
-    for (batch, 8) one-hot ``targets`` matching the cached output.
+    for (batch, 8) one-hot ``targets`` matching the cached output. They are
+    written into ``out`` and returned, or into new arrays when ``out`` is None.
 
     Dropout masks in the cache are constants; at the softmax output the
     pre-activation gradient is probabilities - one-hot. The ReLU derivative
@@ -183,16 +222,14 @@ def backward(params: NetworkParams, cache: ForwardCache, targets: np.ndarray) ->
             f"targets shape {targets.shape} vs output {cache.activations[-1].shape}"
         )
 
-    grads_w: list[np.ndarray] = [np.empty(0)] * len(ARCHITECTURE)
-    grads_b: list[np.ndarray] = [np.empty(0)] * len(ARCHITECTURE)
-
+    grads = NetworkParams.of_vector(np.empty(PARAM_COUNT)) if out is None else out
     # softmax + cross-entropy collapses to (p - t) at the output pre-activation
     dz = cache.activations[-1] - targets
     dz /= batch_size
     for i in range(len(ARCHITECTURE) - 1, -1, -1):
         a_prev = cache.inputs if i == 0 else cache.activations[i - 1]
-        grads_w[i] = dz.T @ a_prev
-        grads_b[i] = dz.sum(axis=0)
+        np.matmul(dz.T, a_prev, out=grads.weights[i])
+        np.sum(dz, axis=0, out=grads.biases[i])
         if i == 0:
             break
         dz = dz @ params.weights[i]  # now at layer i - 1's output
@@ -203,21 +240,20 @@ def backward(params: NetworkParams, cache: ForwardCache, targets: np.ndarray) ->
             dz *= 1.0 / (1.0 - spec_prev.dropout_after)
         if spec_prev.activation == "relu":
             dz *= a_prev > 0
-    return NetworkParams(weights=grads_w, biases=grads_b)
+    return grads
 
 
 # --- model file (see docs/formats.md) ---
 
 def save_model(params: NetworkParams, path) -> None:
-    payload = b"".join(
-        [_HEADER]
-        + [np.ascontiguousarray(t, dtype="<f8").tobytes()
-           for w, b in zip(params.weights, params.biases) for t in (w, b)]
-    )
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload)))
+    """Write the header, then the parameter vector as it lies in memory.
+    Written whole (``atomic.write_whole``): a write that raises leaves
+    ``path`` as it was."""
+    values = params.vector.astype("<f8", copy=False)
+    with write_whole(path) as fh:
+        fh.write(MODEL_MAGIC + _HEADER)
+        fh.write(values)
+        fh.write(struct.pack("<I", zlib.crc32(values, zlib.crc32(_HEADER))))
 
 
 def load_model(path) -> NetworkParams:
@@ -227,18 +263,10 @@ def load_model(path) -> NetworkParams:
         raw = fh.read()
     if raw[:8] != MODEL_MAGIC:
         raise DataError(f"{path}: not a model file (bad magic)")
-    payload, (checksum,) = raw[8:-4], struct.unpack("<I", raw[-4:])
+    payload, (checksum,) = memoryview(raw)[8:-4], struct.unpack("<I", raw[-4:])
     if zlib.crc32(payload) != checksum:
         raise DataError(f"{path}: checksum mismatch, file corrupt")
-    if len(payload) != _PAYLOAD_SIZE or not payload.startswith(_HEADER):
+    if len(payload) != _PAYLOAD_SIZE or payload[: len(_HEADER)] != _HEADER:
         raise DataError(f"{path}: header or size differs from this network's model")
-    weights, biases = [], []
-    pos = len(_HEADER)
-    for spec in ARCHITECTURE:
-        w = np.frombuffer(payload, dtype="<f8", count=spec.out_dim * spec.in_dim, offset=pos)
-        pos += w.nbytes
-        b = np.frombuffer(payload, dtype="<f8", count=spec.out_dim, offset=pos)
-        pos += b.nbytes
-        weights.append(w.reshape(spec.out_dim, spec.in_dim).copy())
-        biases.append(b.copy())
-    return NetworkParams(weights=weights, biases=biases)
+    values = np.frombuffer(payload, dtype="<f8", offset=len(_HEADER))
+    return NetworkParams.of_vector(values.astype(np.float64))

@@ -448,6 +448,25 @@ def test_failed_write_of_another_kind_keeps_numpy_error(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_writes_leave_a_file_named_like_a_temporary_alone(tmp_path, rng):
+    # the temporary name is unique, so a user's <path>.tmp is never written
+    path, bystander = tmp_path / "cache.feat", tmp_path / "cache.feat.tmp"
+    bystander.write_bytes(b"a user's file")
+    write_feature_cache(_records(rng), path)
+    assert bystander.read_bytes() == b"a user's file"
+    with pytest.raises(ValueError, match=re.escape("record 0: expected 26 values")):
+        write_feature_cache([AggregatedFeature(np.zeros(27), 0, "bad")], path)
+    assert bystander.read_bytes() == b"a user's file"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.feat", "cache.feat.tmp"]
+    assert len(read_feature_cache(path)) == 7
+
+
+def test_cache_gets_the_mode_open_gives(tmp_path, rng):
+    write_feature_cache(_records(rng), tmp_path / "cache.feat")
+    (tmp_path / "plain").write_bytes(b"")
+    assert (tmp_path / "cache.feat").stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+
 def test_zero_record_cache_round_trip(tmp_path):
     path = tmp_path / "empty.feat"
     write_feature_cache([], path)

@@ -2,8 +2,11 @@ import hashlib
 import inspect
 import math
 import re
+import resource
+import signal
 import struct
 import zlib
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -487,6 +490,29 @@ def test_model_file_bytes_are_pinned(tmp_path, seed, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
     save_model(load_model(path), tmp_path / "again.model")
     assert (tmp_path / "again.model").read_bytes() == path.read_bytes()
+
+
+@contextmanager
+def file_size_limit(nbytes):
+    """Inside the block, a write past ``nbytes`` of any file fails with EFBIG."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (nbytes, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        signal.signal(signal.SIGXFSZ, handler)
+
+
+def test_failed_model_write_keeps_the_old_model(tmp_path):
+    path = tmp_path / "net.model"
+    save_model(init_params(1), path)
+    before = path.read_bytes()
+    with file_size_limit(4096), pytest.raises(OSError, match="too large"):
+        save_model(init_params(2), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["net.model"]
 
 
 def test_model_file_matches_hand_built_bytes(tmp_path):
