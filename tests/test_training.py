@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from divrec.errors import DataError, NumericError
 from divrec.features import AggregatedFeature
 from divrec import training
-from divrec.network import ARCHITECTURE, NetworkParams, backward, forward, init_params
+from divrec.network import NetworkParams, backward, forward, init_params
 from divrec.training import (
     PlateauScheduler,
     TrainingConfig,
@@ -25,6 +25,7 @@ from divrec.training import (
 )
 
 from conftest import traced_peak
+from test_network import _preactivation_gated_backward
 
 
 def make_records(class_sizes, rng=None, spread=0.25):
@@ -263,30 +264,6 @@ def test_non_finite_output_bias_gradient_changes_nothing(rng):
 
 # --- the per-tensor step, kept as a reference for train's bytes ---
 
-def _reference_backward(params, cache, targets, out=None):
-    """Fresh per-tensor gradients on every call (``out`` is not used)."""
-    targets = np.asarray(targets, dtype=np.float64)
-    batch_size = cache.inputs.shape[0]
-    grads_w, grads_b = [None] * len(ARCHITECTURE), [None] * len(ARCHITECTURE)
-    dz = cache.activations[-1] - targets
-    dz /= batch_size
-    for i in range(len(ARCHITECTURE) - 1, -1, -1):
-        a_prev = cache.inputs if i == 0 else cache.activations[i - 1]
-        grads_w[i] = dz.T @ a_prev
-        grads_b[i] = dz.sum(axis=0)
-        if i == 0:
-            break
-        dz = dz @ params.weights[i]
-        spec_prev = ARCHITECTURE[i - 1]
-        mask = cache.dropout_masks[i - 1]
-        if mask is not None:
-            dz *= mask
-            dz *= 1.0 / (1.0 - spec_prev.dropout_after)
-        if spec_prev.activation == "relu":
-            dz *= a_prev > 0
-    return NetworkParams(weights=grads_w, biases=grads_b)
-
-
 @dataclasses.dataclass
 class _ReferenceAdamState:
     m: list
@@ -333,7 +310,8 @@ def test_train_bytes_equal_the_per_tensor_reference(monkeypatch):
     records = make_records([30] * 8, rng=np.random.default_rng(14))
     config = TrainingConfig(seed=15, epochs=4, batch_size=40)
     params, history = train(records, config)
-    monkeypatch.setattr(training, "backward", _reference_backward)
+    monkeypatch.setattr(training, "backward", lambda params, cache, targets, out=None:
+                        _preactivation_gated_backward(params, cache, targets))
     monkeypatch.setattr(training, "init_adam_state", _reference_init_adam_state)
     monkeypatch.setattr(training, "adam_step", _reference_adam_step)
     want_params, want_history = train(records, config)
