@@ -198,14 +198,21 @@ def reference_adam_quadratic(theta0, steps, lr=0.001, b1=0.9, b2=0.999, eps=1e-8
     return out
 
 
-def test_three_steps_on_quadratic_match_reference():
+def _quadratic_trajectory(steps: int) -> list[float]:
+    """Adam's theta after each of ``steps`` steps on f(theta) = theta^2 from
+    1.0, as the acceptance gate's optimizer oracle runs it."""
     params = _scalar_params(1.0)
     state = init_adam_state(params, TrainingConfig())
     trajectory = []
-    for _ in range(3):
+    for _ in range(steps):
         theta = params.weights[0][0, 0]
         adam_step(params, _scalar_grads(2.0 * theta), state)
         trajectory.append(params.weights[0][0, 0])
+    return trajectory
+
+
+def test_three_steps_on_quadratic_match_reference():
+    trajectory = _quadratic_trajectory(3)
     reference = reference_adam_quadratic(1.0, 3)
     np.testing.assert_allclose(trajectory, reference, rtol=0, atol=1e-12)
     # frozen values from the scalar reference
@@ -215,6 +222,13 @@ def test_three_steps_on_quadratic_match_reference():
         rtol=0,
         atol=1e-12,
     )
+
+
+def test_ten_steps_on_quadratic_bytes_are_pinned():
+    # elementwise arithmetic only, so these bits hold on any host
+    assert np.array(_quadratic_trajectory(10), dtype="<f8").tobytes().hex() == (
+        "173717d9cef7ef3fa3db3fc09defef3f2aadd6be6ce7ef3f2b8d2ede3bdfef3f73398b270bd7ef3f"
+        "df271ca4daceef3f5f8df75caac6ef3f6599155b7abeef3f22ee4ba74ab6ef3f125d494a1baeef3f")
 
 
 def test_steps_on_the_paper_network_equal_the_formula_bit_for_bit():
