@@ -13,10 +13,17 @@ os.umask(_UMASK)
 
 @contextmanager
 def write_whole(path):
-    """Yield a binary file on a new, uniquely named temporary file beside
-    ``path``, and rename it onto ``path`` when the block ends. If the block
-    raises, the temporary file is removed and ``path`` keeps its bytes."""
-    path = os.path.abspath(path)
+    """Yield a binary file on a new, uniquely named temporary file beside the
+    file ``path`` names (through any symbolic links), and rename it onto that
+    file when the block ends. If the block raises, the temporary file is
+    removed and the file keeps its bytes. A target that exists and is not a
+    regular file (a FIFO, a device) is written in place, since a rename would
+    replace it."""
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as fh:
+            yield fh
+        return
     fd, tmp = tempfile.mkstemp(prefix=f"{os.path.basename(path)}.", suffix=".tmp",
                                dir=os.path.dirname(path))
     try:

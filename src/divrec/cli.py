@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .atomic import write_whole
 from .audio_io import TARGET_SAMPLE_RATE, ingest, pcm16_round_trip, write_wav
 from .errors import DataError, NumericError
 from .evaluation import (
@@ -259,10 +260,10 @@ def cmd_evaluate(args) -> int:
     report = evaluate(params, records)
     text = json.dumps(report, indent=2)
     print(text)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    if args.confusion_csv:
-        Path(args.confusion_csv).write_text(confusion_csv(report))
+    for path, content in ((args.out, text + "\n"), (args.confusion_csv, confusion_csv(report))):
+        if path:
+            with write_whole(path) as fh:
+                fh.write(content.encode())
     return 0
 
 

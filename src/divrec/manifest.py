@@ -15,6 +15,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+from .atomic import write_whole
 from .errors import DataError
 from .evaluation import DIVISION_NAMES
 
@@ -86,7 +87,9 @@ def scan_corpus(root) -> tuple[list[ManifestRow], list[str]]:
 
 
 def write_manifest(rows: list[ManifestRow], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    """Written whole (``atomic.write_whole``): a write that raises leaves
+    ``path`` as it was."""
+    with write_whole(path) as raw, io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_FIELDS)
         for row in rows:

@@ -10,7 +10,6 @@ only those backward reads.
 
 from __future__ import annotations
 
-import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -62,45 +61,25 @@ PARAM_COUNT = sum(s.out_dim * (s.in_dim + 1) for s in ARCHITECTURE)
 _PAYLOAD_SIZE = len(_HEADER) + 8 * PARAM_COUNT
 
 
-def _views(vector, weight_shapes, bias_shapes) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Views of ``vector`` in the model file's order: per layer, the weights
-    row-major, then the bias. A layer may lack either."""
-    weights, biases, pos = [], [], 0
-    for i in range(max(len(weight_shapes), len(bias_shapes))):
-        for shapes, views in ((weight_shapes, weights), (bias_shapes, biases)):
-            if i < len(shapes):
-                size = math.prod(shapes[i])
-                views.append(vector[pos : pos + size].reshape(shapes[i]))
-                pos += size
-    return weights, biases
-
-
 class NetworkParams:
-    """Per-layer (out_dim, in_dim) weight matrices and (out_dim,) biases, as
-    views of one contiguous float64 ``vector`` (see ``_views``).
+    """Per-layer (out_dim, in_dim) weight matrices and (out_dim,) biases of
+    ARCHITECTURE, as views of one PARAM_COUNT float64 ``vector`` in the model
+    file's order: per layer, the weights row-major, then the bias.
 
     Doubles as the gradient container: gradients share this layout, so Adam
     and the model file each work on one vector.
     """
 
-    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
-        """Copy every array given into a new vector, whatever its shape."""
-        tensors = [np.asarray(t, dtype=np.float64) for t in list(weights) + list(biases)]
-        self.vector = np.empty(sum(t.size for t in tensors))
-        self.weights, self.biases = _views(self.vector, [np.shape(w) for w in weights],
-                                           [np.shape(b) for b in biases])
-        for view, t in zip(self.weights + self.biases, tensors):
-            view[...] = t
-
-    @classmethod
-    def of_vector(cls, vector: np.ndarray) -> NetworkParams:
-        """The network's tensors as views of a PARAM_COUNT ``vector``."""
-        params = cls.__new__(cls)
-        params.vector = vector
-        params.weights, params.biases = _views(
-            vector, [(s.out_dim, s.in_dim) for s in ARCHITECTURE],
-            [(s.out_dim,) for s in ARCHITECTURE])
-        return params
+    def __init__(self, vector: np.ndarray):
+        if vector.shape != (PARAM_COUNT,) or vector.dtype != np.float64:
+            raise ValueError(f"expected {PARAM_COUNT} float64 values, "
+                             f"got shape {vector.shape} of {vector.dtype}")
+        self.vector, self.weights, self.biases, pos = vector, [], [], 0
+        for spec in ARCHITECTURE:
+            end = pos + spec.out_dim * spec.in_dim
+            self.weights.append(vector[pos:end].reshape(spec.out_dim, spec.in_dim))
+            self.biases.append(vector[end : end + spec.out_dim])
+            pos = end + spec.out_dim
 
 
 @dataclass
@@ -117,7 +96,7 @@ class ForwardCache:
 def init_params(seed: int) -> NetworkParams:
     """Glorot-uniform weights (bound sqrt(6/(in+out))), zero biases."""
     rng = np.random.default_rng(seed)
-    params = NetworkParams.of_vector(np.zeros(PARAM_COUNT))
+    params = NetworkParams(np.zeros(PARAM_COUNT))
     for spec, w in zip(ARCHITECTURE, params.weights):
         bound = np.sqrt(6.0 / (spec.in_dim + spec.out_dim))
         w[...] = rng.uniform(-bound, bound, size=w.shape)
@@ -222,7 +201,7 @@ def backward(
             f"targets shape {targets.shape} vs output {cache.activations[-1].shape}"
         )
 
-    grads = NetworkParams.of_vector(np.empty(PARAM_COUNT)) if out is None else out
+    grads = NetworkParams(np.empty(PARAM_COUNT)) if out is None else out
     # softmax + cross-entropy collapses to (p - t) at the output pre-activation
     dz = cache.activations[-1] - targets
     dz /= batch_size
@@ -269,4 +248,4 @@ def load_model(path) -> NetworkParams:
     if len(payload) != _PAYLOAD_SIZE or payload[: len(_HEADER)] != _HEADER:
         raise DataError(f"{path}: header or size differs from this network's model")
     values = np.frombuffer(payload, dtype="<f8", offset=len(_HEADER))
-    return NetworkParams.of_vector(values.astype(np.float64))
+    return NetworkParams(values.astype(np.float64))

@@ -19,10 +19,12 @@ so the reported validation accuracy is exactly (correct predictions) /
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import write_whole
 from .errors import DataError, NumericError
 from .features import AggregatedFeature
 from .network import (
@@ -277,7 +279,7 @@ def train(
 
     params = init_params(config.seed)
     state = init_adam_state(params, config)
-    grads = NetworkParams.of_vector(np.empty_like(params.vector))  # every step's gradients
+    grads = NetworkParams(np.empty_like(params.vector))  # every step's gradients
     sched = PlateauScheduler(lr=config.learning_rate)
     shuffle_rng = np.random.default_rng([config.seed, 1])
     dropout_rng = np.random.default_rng([config.seed, 2])
@@ -306,8 +308,9 @@ def train(
 
 
 def write_metrics_csv(history: list[EpochMetrics], path) -> None:
-    """CSV history: epoch,train_loss,train_acc,val_loss,val_acc,lr."""
-    with open(path, "w", newline="") as fh:
+    """CSV history: epoch,train_loss,train_acc,val_loss,val_acc,lr. Written
+    whole, like the model."""
+    with write_whole(path) as raw, io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
         fh.write("epoch,train_loss,train_acc,val_loss,val_acc,lr\n")
         for m in history:
             fh.write(

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from divrec.errors import DataError, NumericError
 from divrec.features import AggregatedFeature
 from divrec import training
-from divrec.network import NetworkParams, backward, forward, init_params
+from divrec.network import PARAM_COUNT, NetworkParams, backward, forward, init_params
 from divrec.training import (
     PlateauScheduler,
     TrainingConfig,
@@ -158,11 +158,15 @@ def test_loss_clamps_zero_probability():
 # --- adam ---
 
 def _scalar_params(value: float) -> NetworkParams:
-    return NetworkParams(weights=[np.array([[value]])], biases=[np.zeros(1)])
+    """The network's layout, all zeros but ``value`` at weights[0][0, 0].
+    Adam moves an entry whose gradient stays 0 by 0 / (0 + eps) = 0, so with
+    ``_scalar_grads`` that entry follows the scalar recurrence bit for bit."""
+    params = NetworkParams(np.zeros(PARAM_COUNT))
+    params.weights[0][0, 0] = value
+    return params
 
 
-def _scalar_grads(value: float) -> NetworkParams:
-    return NetworkParams(weights=[np.array([[value]])], biases=[np.zeros(1)])
+_scalar_grads = _scalar_params
 
 
 def test_zero_gradient_keeps_params():
@@ -239,8 +243,9 @@ def test_steps_on_the_paper_network_equal_the_formula_bit_for_bit():
     state = init_adam_state(params, TrainingConfig())
     rng = np.random.default_rng(9)
     for t in range(1, 31):
-        grads = NetworkParams(weights=[rng.normal(0.0, 0.1, w.shape) for w in params.weights],
-                              biases=[rng.normal(0.0, 0.1, b.shape) for b in params.biases])
+        grads = NetworkParams(np.empty(PARAM_COUNT))
+        for g in grads.weights + grads.biases:
+            g[...] = rng.normal(0.0, 0.1, g.shape)
         adam_step(params, grads, state)
         for theta, m_i, v_i, g in zip(reference, m, v, grads.weights + grads.biases):
             m_i[:] = 0.9 * m_i + (1.0 - 0.9) * g
