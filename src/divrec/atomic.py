@@ -19,11 +19,12 @@ def write_whole(path):
     removed and the file keeps its bytes. A target that exists and is not a
     regular file (a FIFO, a device) is written in place, since a rename would
     replace it."""
-    path = os.path.realpath(path)
+    # tested before resolving: /dev/stdout on a pipe resolves to no path
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "wb") as fh:
             yield fh
         return
+    path = os.path.realpath(path)
     fd, tmp = tempfile.mkstemp(prefix=f"{os.path.basename(path)}.", suffix=".tmp",
                                dir=os.path.dirname(path))
     try:
