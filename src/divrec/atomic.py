@@ -14,11 +14,10 @@ os.umask(_UMASK)
 @contextmanager
 def write_whole(path):
     """Yield a binary file on a new, uniquely named temporary file beside the
-    file ``path`` names (through any symbolic links), and rename it onto that
-    file when the block ends. If the block raises, the temporary file is
-    removed and the file keeps its bytes. A target that exists and is not a
-    regular file (a FIFO, a device) is written in place, since a rename would
-    replace it."""
+    file ``path`` names through any links, and rename it onto that file when
+    the block ends; if the block raises, the temporary file is removed and the
+    file keeps its bytes. A FIFO or a device is written in place, since a
+    rename would replace it."""
     # tested before resolving: /dev/stdout on a pipe resolves to no path
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "wb") as fh:

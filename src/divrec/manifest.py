@@ -87,8 +87,7 @@ def scan_corpus(root) -> tuple[list[ManifestRow], list[str]]:
 
 
 def write_manifest(rows: list[ManifestRow], path) -> None:
-    """Written whole (``atomic.write_whole``): a write that raises leaves
-    ``path`` as it was."""
+    """Written whole (``atomic.write_whole``)."""
     with write_whole(path) as raw, io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_FIELDS)

@@ -8,14 +8,16 @@ remainder only when it is at least 8 s long, so every emitted chunk lies in
 
 Noise reduction is classical magnitude spectral subtraction: Hann-windowed
 frames (512 samples, hop 256), noise magnitude profile estimated as the mean
-magnitude spectrum of the 10 lowest-energy frames of the clip, subtraction
-with oversubtraction factor 1, output magnitude floored at 0.02 times the
-noisy magnitude. The noisy phase is kept by scaling each complex spectrum
-bin with the real gain out_mag / |X| (zero where |X| is zero) rather than
-rebuilding it from magnitude and angle. Reconstruction is overlap-add on the
-same half-overlap grid, done in two hop-wide block adds so that every output
-sample sums its two frames in frame order; the periodic Hann window sums to
-exactly 1 at 50% overlap, so length is preserved.
+magnitude spectrum of the 10 lowest-energy frames of the padded grid,
+subtraction with oversubtraction factor 1, output magnitude floored at 0.02
+times the noisy magnitude. The noisy phase is kept by scaling each complex
+spectrum bin with the real gain out_mag / |X| (zero where |X| is zero) rather
+than rebuilding it from magnitude and angle. Reconstruction is overlap-add on
+the same half-overlap grid, done in two hop-wide block adds so that every
+output sample sums its two frames in frame order; the periodic Hann window
+sums to exactly 1 at 50% overlap, so length is preserved. The grid's last two
+frames hold only padding; with energy 0 they are two of the 10 unless the clip
+has silent frames, so the profile is 0.8 times the 8 quietest real frames' mean.
 """
 
 from __future__ import annotations

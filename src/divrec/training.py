@@ -97,9 +97,8 @@ class EpochMetrics:
 
 
 def init_adam_state(params: NetworkParams, config: TrainingConfig) -> AdamState:
-    n = params.vector.size
-    return AdamState(m=np.zeros(n), v=np.zeros(n), scratch=np.empty((2, min(n, ADAM_CHUNK))),
-                     lr=config.learning_rate)
+    return AdamState(m=np.zeros_like(params.vector), v=np.zeros_like(params.vector),
+                     scratch=np.empty((2, ADAM_CHUNK)), lr=config.learning_rate)
 
 
 def adam_step(params: NetworkParams, grads: NetworkParams, state: AdamState) -> None:
@@ -308,8 +307,7 @@ def train(
 
 
 def write_metrics_csv(history: list[EpochMetrics], path) -> None:
-    """CSV history: epoch,train_loss,train_acc,val_loss,val_acc,lr. Written
-    whole, like the model."""
+    """CSV history: epoch,train_loss,train_acc,val_loss,val_acc,lr; written whole."""
     with write_whole(path) as raw, io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
         fh.write("epoch,train_loss,train_acc,val_loss,val_acc,lr\n")
         for m in history:
