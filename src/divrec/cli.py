@@ -2,8 +2,8 @@
 make-fixture.
 
 Every command is deterministic given identical inputs, flags, and seed.
-Exit codes are a stable contract: 0 success, 1 usage error, 2 data error,
-3 internal numeric error.
+Exit codes are a stable contract: 0 success, 1 usage error, 2 data error
+(also running out of memory), 3 internal numeric error.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _training_config(args) -> TrainingConfig:
     """TrainingConfig defaults overridden by the flags given."""
-    kwargs = {key: value for key in ("learning_rate", "batch_size", "epochs", "seed")
+    kwargs = {key: value for key in ("learning_rate", "epochs", "seed")
               if (value := getattr(args, key, None)) is not None}
     try:
         return TrainingConfig(**kwargs)
@@ -334,7 +334,6 @@ def build_parser() -> _Parser:
     p.add_argument("--metrics-out", required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--lr", dest="learning_rate", type=float)
     p.set_defaults(func=cmd_train)
 
@@ -373,6 +372,10 @@ def main(argv=None) -> int:
         return 1
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's is a subclass; a pool worker's ends the command
+        print(f"error: {args.command} ran out of memory" + (f": {exc}" if str(exc) else ""),
+              file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

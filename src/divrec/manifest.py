@@ -1,4 +1,4 @@
-"""Dataset manifest: CSV rows of (audio_path, division, speaker_id, gender).
+"""Dataset manifest: CSV rows of (audio_path, division, speaker_id).
 
 A corpus on disk is laid out as ``root/<DivisionName>/<speaker_id>/*.wav``;
 scanning walks that tree, skips directories that are not one of the eight
@@ -12,14 +12,12 @@ from __future__ import annotations
 import csv
 import io
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 from .atomic import write_whole
 from .errors import DataError
 from .evaluation import DIVISION_NAMES
-
-MANIFEST_FIELDS = ("audio_path", "division", "speaker_id", "gender")
 
 
 @dataclass
@@ -27,7 +25,6 @@ class ManifestRow:
     audio_path: str
     division: str
     speaker_id: str
-    gender: str = ""
 
     def __post_init__(self) -> None:
         # both name files, and the OS refuses a path with a NUL byte
@@ -42,8 +39,9 @@ class ManifestRow:
         if not self.speaker_id or "/" in self.speaker_id or self.speaker_id in (".", ".."):
             raise DataError(f"{self.audio_path}: speaker_id {self.speaker_id!r} is not "
                             "a single path component (empty, '.', '..' or contains '/')")
-        if self.gender not in ("", "M", "F"):
-            raise DataError(f"{self.audio_path}: gender must be M, F, or empty")
+
+
+MANIFEST_FIELDS = tuple(field.name for field in fields(ManifestRow))
 
 
 def scan_corpus(root) -> tuple[list[ManifestRow], list[str]]:
@@ -92,7 +90,7 @@ def write_manifest(rows: list[ManifestRow], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_FIELDS)
         for row in rows:
-            writer.writerow([row.audio_path, row.division, row.speaker_id, row.gender])
+            writer.writerow(astuple(row))
 
 
 def read_manifest(path) -> list[ManifestRow]:

@@ -6,8 +6,9 @@ proportional share in each of the three parts. Adam uses the standard
 bias-corrected moment updates over the parameters' one vector, in slices of
 ``ADAM_CHUNK`` values; the learning rate halves after three epochs
 without a validation-loss improvement of at least 1e-4 (reduce-on-plateau),
-floored at 1e-6. These recipe values are module constants; only the learning
-rate, batch size, epoch count and seed are settable.
+floored at 1e-6. Each epoch steps through shuffled batches of ``BATCH_SIZE``
+rows. These recipe values are module constants; only the learning rate, epoch
+count and seed are settable.
 
 Training loss and accuracy are size-weighted means over each epoch's
 batches, taken from the training-mode forward every step already runs
@@ -49,6 +50,8 @@ PLATEAU_PATIENCE = 3
 PLATEAU_MIN_DELTA = 1e-4
 MIN_LR = 1e-6
 
+BATCH_SIZE = 128
+
 # values per slice of Adam's update: a slice's six operands (theta, g, m, v
 # and two scratch buffers) take 1.5 MB and stay in a 2 MB L2 cache; over the
 # whole 0.97 MB vectors they do not, and the update was no faster than per tensor
@@ -58,15 +61,12 @@ ADAM_CHUNK = 1 << 15
 @dataclass
 class TrainingConfig:
     learning_rate: float = 0.001
-    batch_size: int = 128
     epochs: int = 35
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0 < self.learning_rate <= 1:
             raise ValueError(f"learning_rate must lie in (0, 1], got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.seed < 0:
@@ -288,8 +288,8 @@ def train(
     for epoch in range(1, config.epochs + 1):
         perm = shuffle_rng.permutation(n)
         loss_sum, correct = 0.0, 0
-        for start in range(0, n, config.batch_size):
-            batch = perm[start : start + config.batch_size]
+        for start in range(0, n, BATCH_SIZE):
+            batch = perm[start : start + BATCH_SIZE]
             targets = t_train[batch]
             probs, cache = forward(x_train[batch], params, mode="train", rng=dropout_rng)
             loss_sum += cross_entropy(probs, targets) * len(batch)

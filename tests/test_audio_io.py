@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from divrec.audio_io import encode_pcm16, ingest, pcm16_round_trip, read_wav, write_wav
 from divrec.errors import DataError
 
-from conftest import build_wav_bytes, chunk_bytes, riff_bytes
+from testlib import build_wav_bytes, chunk_bytes, riff_bytes
 
 
 def test_one_second_mono_fixture_sample_count(tmp_path):

@@ -1,6 +1,8 @@
 import argparse
+import csv
 import errno
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -31,8 +33,8 @@ from divrec.manifest import ManifestRow, read_manifest, write_manifest
 from divrec.network import load_model, save_model
 from divrec.training import TrainingConfig
 
-from conftest import (BAD_MODELS, build_model_bytes, build_wav_bytes, chunk_bytes,
-                      passthrough_params, riff_bytes, sine_clip, synthesize_utterance)
+from testlib import (BAD_MODELS, build_model_bytes, build_wav_bytes, chunk_bytes,
+                     passthrough_params, riff_bytes, sine_clip, synthesize_utterance)
 
 SR = 16000
 REPO = Path(__file__).resolve().parent.parent
@@ -281,8 +283,8 @@ def test_44k_failure_line_names_the_path_once(tmp_path, capsys, command):
     write_wav(sine_clip(seconds=10.0), good)
     cd.write_bytes(build_wav_bytes(np.zeros(10 * 44100), sample_rate=44100))
     manifest = tmp_path / "m.csv"
-    manifest.write_text("audio_path,division,speaker_id,gender\n"
-                        f"{good},Dhaka,spk1,\n{cd},Dhaka,spk1,\n")
+    manifest.write_text("audio_path,division,speaker_id\n"
+                        f"{good},Dhaka,spk1\n{cd},Dhaka,spk1\n")
     outputs = {"preprocess": ["--out-dir", str(tmp_path / "seg"), "--out", str(tmp_path / "s.csv")],
                "extract": ["--out", str(tmp_path / "c.feat")]}[command]
     assert main([command, str(manifest), *outputs]) == 0
@@ -329,8 +331,8 @@ def test_preprocess_refuses_rows_that_share_segment_names(tmp_path, capsys):
         path.parent.mkdir()
         write_wav(sine_clip(seconds=10.0), path)
     manifest = tmp_path / "m.csv"
-    manifest.write_text("audio_path,division,speaker_id,gender\n"
-                        + "".join(f"{path},Dhaka,s1,\n" for path in paths))
+    manifest.write_text("audio_path,division,speaker_id\n"
+                        + "".join(f"{path},Dhaka,s1\n" for path in paths))
     rc = main(["preprocess", str(manifest),
                "--out-dir", str(tmp_path / "seg"), "--out", str(tmp_path / "s.csv")])
     err = capsys.readouterr().err
@@ -351,9 +353,9 @@ def test_preprocess_refuses_speaker_id_that_is_not_one_path_component(tmp_path, 
         path = tmp_path / "in" / name
         path.parent.mkdir(parents=True, exist_ok=True)
         write_wav(sine_clip(seconds=10.0), path)
-        lines.append(f"{path},Dhaka,{speaker_id},\n")
+        lines.append(f"{path},Dhaka,{speaker_id}\n")
     manifest = tmp_path / "m.csv"
-    manifest.write_text("audio_path,division,speaker_id,gender\n" + "".join(lines))
+    manifest.write_text("audio_path,division,speaker_id\n" + "".join(lines))
     rc = main(["preprocess", str(manifest),
                "--out-dir", str(tmp_path / "out" / "segs"), "--out", str(tmp_path / "s.csv")])
     err = capsys.readouterr().err
@@ -367,7 +369,7 @@ def test_preprocess_refuses_speaker_id_that_is_not_one_path_component(tmp_path, 
 def test_nul_in_audio_path_is_data_error(tmp_path, capsys, command):
     # the NUL would reach open() in a pool worker as a ValueError
     manifest = tmp_path / "m.csv"
-    manifest.write_text("audio_path,division,speaker_id,gender\na\0b.wav,Dhaka,spk1,\n")
+    manifest.write_text("audio_path,division,speaker_id\na\0b.wav,Dhaka,spk1\n")
     outputs = {"preprocess": ["--out-dir", str(tmp_path / "seg"), "--out", str(tmp_path / "s.csv")],
                "extract": ["--out", str(tmp_path / "c.feat")]}[command]
     rc = main([command, str(manifest), *outputs])
@@ -380,8 +382,8 @@ def test_nul_in_audio_path_is_data_error(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["preprocess", "extract"])
 def test_unknown_division_names_its_row(tmp_path, capsys, command):
     manifest = tmp_path / "m.csv"
-    manifest.write_text("audio_path,division,speaker_id,gender\n"
-                        "a.wav,Dhaka,s,\nx.wav,Nowhere,s,\n")
+    manifest.write_text("audio_path,division,speaker_id\n"
+                        "a.wav,Dhaka,s\nx.wav,Nowhere,s\n")
     outputs = {"preprocess": ["--out-dir", str(tmp_path / "seg"), "--out", str(tmp_path / "s.csv")],
                "extract": ["--out", str(tmp_path / "c.feat")]}[command]
     assert main([command, str(manifest), *outputs]) == 2
@@ -394,8 +396,8 @@ def _manifest_with_missing_file(tmp_path) -> tuple[Path, Path]:
     write_wav(sine_clip(seconds=10.0), good)
     missing = tmp_path / "missing.wav"
     manifest = tmp_path / "m.csv"
-    manifest.write_text("audio_path,division,speaker_id,gender\n"
-                        f"{good},Dhaka,spk1,\n{missing},Dhaka,spk1,\n")
+    manifest.write_text("audio_path,division,speaker_id\n"
+                        f"{good},Dhaka,spk1\n{missing},Dhaka,spk1\n")
     return manifest, missing
 
 
@@ -414,7 +416,7 @@ def test_preprocess_failed_segment_write_prints_only_its_lines(tmp_path):
     clip = tmp_path / "clip.wav"
     write_wav(sine_clip(seconds=10.0), clip)
     manifest = tmp_path / "m.csv"
-    manifest.write_text(f"audio_path,division,speaker_id,gender\n{clip},Dhaka,spk1,\n")
+    manifest.write_text(f"audio_path,division,speaker_id\n{clip},Dhaka,spk1\n")
     blocker = tmp_path / "seg" / "Dhaka" / "spk1" / "clip_seg000.wav"
     blocker.mkdir(parents=True)
     # a subprocess, so that anything printed when objects are collected is seen
@@ -444,7 +446,7 @@ def test_preprocess_worker_count_does_not_change_output(workspace, tmp_path):
 
 def test_preprocess_non_utf8_manifest_is_data_error(tmp_path, capsys):
     manifest = tmp_path / "latin1.csv"
-    manifest.write_bytes(b"audio_path,division,speaker_id,gender\ncaf\xe9.wav,Dhaka,spk1,\n")
+    manifest.write_bytes(b"audio_path,division,speaker_id\ncaf\xe9.wav,Dhaka,spk1\n")
     rc = main(["preprocess", str(manifest),
                "--out-dir", str(tmp_path / "seg"), "--out", str(tmp_path / "s.csv")])
     assert rc == 2
@@ -463,7 +465,7 @@ def test_preprocess_all_failures_is_data_error(tmp_path, capsys):
 
 def test_preprocess_header_only_manifest_says_it_lists_no_files(tmp_path, capsys):
     manifest = tmp_path / "empty.csv"
-    manifest.write_text("audio_path,division,speaker_id,gender\n")
+    manifest.write_text("audio_path,division,speaker_id\n")
     rc = main(["preprocess", str(manifest),
                "--out-dir", str(tmp_path / "seg"), "--out", str(tmp_path / "s.csv")])
     assert rc == 2
@@ -476,13 +478,37 @@ def test_preprocess_header_only_manifest_says_it_lists_no_files(tmp_path, capsys
 def test_manifest_field_over_csv_limit_is_data_error(tmp_path, capsys, command):
     # the csv module refuses a field longer than 131,072 characters
     manifest = tmp_path / "long.csv"
-    manifest.write_text("audio_path,division,speaker_id,gender\n"
-                        + "a" * 131_073 + ",Dhaka,spk1,\n")
+    manifest.write_text("audio_path,division,speaker_id\n"
+                        + "a" * 131_073 + ",Dhaka,spk1\n")
     outputs = {"preprocess": ["--out-dir", str(tmp_path / "seg"), "--out", str(tmp_path / "s.csv")],
                "extract": ["--out", str(tmp_path / "c.feat")]}[command]
     assert main([command, str(manifest), *outputs]) == 2
     err = capsys.readouterr().err
     assert "long.csv" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["preprocess", "extract"])
+def test_manifest_with_a_gender_column_is_refused(tmp_path, capsys, command):
+    # the fourth column of older manifests; the conversion in docs/formats.md
+    # (keep each row's first three fields) makes the file readable
+    good = tmp_path / "good.wav"
+    write_wav(sine_clip(seconds=10.0), good)
+    old = tmp_path / "old.csv"
+    old.write_text(f"audio_path,division,speaker_id,gender\n{good},Dhaka,spk1,M\n")
+    out = tmp_path / "out"
+    outputs = {"preprocess": ["--out-dir", str(tmp_path / "seg"), "--out", str(out)],
+               "extract": ["--out", str(out)]}[command]
+    assert main([command, str(old), *outputs]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {old}: not a manifest (expected header audio_path,division,speaker_id)\n")
+    assert not out.exists()
+
+    new = tmp_path / "new.csv"
+    with open(old, newline="", encoding="utf-8") as src, \
+         open(new, "w", newline="", encoding="utf-8") as dst:
+        csv.writer(dst).writerows(row[:3] for row in csv.reader(src))
+    assert read_manifest(new) == [ManifestRow(str(good), "Dhaka", "spk1")]
+    assert main([command, str(new), *outputs]) == 0
 
 
 def _seconds(path) -> float:
@@ -532,7 +558,7 @@ def test_extract_logs_missing_file_and_continues(tmp_path, capsys):
 
 def test_extract_header_only_manifest_says_it_lists_no_files(tmp_path, capsys):
     manifest = tmp_path / "empty.csv"
-    manifest.write_text("audio_path,division,speaker_id,gender\n")
+    manifest.write_text("audio_path,division,speaker_id\n")
     assert main(["extract", str(manifest), "--out", str(tmp_path / "c.feat")]) == 2
     assert capsys.readouterr().err == f"error: {manifest}: the manifest lists no files\n"
     assert not (tmp_path / "c.feat").exists()
@@ -631,7 +657,7 @@ def blas_threads():
 
 
 def _rows(count: int) -> list[ManifestRow]:
-    return [ManifestRow(audio_path=f"r{i}.wav", division="Dhaka", speaker_id="s1", gender="")
+    return [ManifestRow(audio_path=f"r{i}.wav", division="Dhaka", speaker_id="s1")
             for i in range(count)]
 
 
@@ -676,7 +702,6 @@ def test_default_flags_reproduce_training_defaults():
     training = _training_config(args)
     assert training == TrainingConfig()
     assert training.learning_rate == 0.001
-    assert training.batch_size == 128
     assert training.epochs == 35
 
 
@@ -1267,7 +1292,7 @@ def test_make_fixture_write_failure_is_exit_2(tmp_path, capsys, blocker, kind):
         "fixture-seconds-no-sample"])
 def test_invalid_value_is_usage_error(tmp_path, capsys, command, flags, named):
     manifest = tmp_path / "m.csv"
-    manifest.write_text("audio_path,division,speaker_id,gender\n")
+    manifest.write_text("audio_path,division,speaker_id\n")
     positional = {
         "train": [str(tmp_path / "c.feat"), "--model-out", str(tmp_path / "m.bin"),
                   "--metrics-out", str(tmp_path / "metrics.csv")],
@@ -1295,8 +1320,11 @@ def test_invalid_value_is_usage_error(tmp_path, capsys, command, flags, named):
      "--checkpoint-every", "2"],
     ["train", "c.feat", "--model-out", "m.bin", "--metrics-out", "m.csv",
      "--checkpoint-dir", "d"],
+    ["train", "c.feat", "--model-out", "m.bin", "--metrics-out", "m.csv",
+     "--batch-size", "64"],
 ], ids=["train", "evaluate", "extract-csv", "train-checkpoint-every-0",
-        "train-checkpoint-every-negative", "train-checkpoint-every", "train-checkpoint-dir"])
+        "train-checkpoint-every-negative", "train-checkpoint-every", "train-checkpoint-dir",
+        "train-batch-size"])
 def test_config_flag_is_gone(argv):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
@@ -1314,7 +1342,7 @@ def test_cli_options_are_pinned():
         "preprocess": {"-h", "--help", "--out-dir", "--out", "--workers"},
         "extract": {"-h", "--help", "--out", "--workers"},
         "train": {"-h", "--help", "--model-out", "--metrics-out", "--seed", "--epochs",
-                  "--batch-size", "--lr"},
+                  "--lr"},
         "evaluate": {"-h", "--help", "--split", "--seed", "--out", "--confusion-csv"},
         "predict": {"-h", "--help"},
         "make-fixture": {"-h", "--help", "--out", "--seed", "--speakers-per-class",
@@ -1332,3 +1360,44 @@ def test_unknown_command_exits_one():
     with pytest.raises(SystemExit) as excinfo:
         main(["transmogrify"])
     assert excinfo.value.code == 1
+
+
+def test_memory_error_in_a_pool_worker_is_data_error(tmp_path, capsys, monkeypatch):
+    # one row of three runs out of memory under two workers: the command ends,
+    # rather than skipping the row as it does a bad file
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    clips = [tmp_path / f"clip{i}.wav" for i in range(3)]
+    for clip in clips:
+        write_wav(sine_clip(seconds=10.0), clip)
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("audio_path,division,speaker_id\n"
+                        + "".join(f"{clip},Dhaka,spk1\n" for clip in clips))
+    calls = itertools.count()
+    real_reduce_noise = cli.reduce_noise
+
+    def reduce_noise(chunk):
+        if next(calls) == 1:
+            raise MemoryError
+        return real_reduce_noise(chunk)
+
+    monkeypatch.setattr(cli, "reduce_noise", reduce_noise)
+    out = tmp_path / "s.csv"
+    assert main(["preprocess", str(manifest), "--out-dir", str(tmp_path / "seg"),
+                 "--out", str(out), "--workers", "2"]) == 2
+    assert capsys.readouterr().err == "error: preprocess ran out of memory\n"
+    assert not out.exists()
+
+
+def test_numpy_memory_error_in_train_is_data_error(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "c.feat"
+    write_feature_cache([AggregatedFeature(np.zeros(26), label, f"s{label}")
+                         for label in range(8)], cache)
+    # a 4 EiB request: numpy's _ArrayMemoryError, raised before anything is allocated
+    monkeypatch.setattr(cli, "train", lambda records, config: np.empty(1 << 62, np.uint8))
+    model, metrics = tmp_path / "m.bin", tmp_path / "metrics.csv"
+    assert main(["train", str(cache), "--model-out", str(model),
+                 "--metrics-out", str(metrics)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: train ran out of memory: Unable to allocate 4.00 EiB")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not model.exists() and not metrics.exists()

@@ -25,7 +25,7 @@ from divrec.cli import main
 from divrec.features import AggregatedFeature, write_feature_cache
 from divrec.network import init_params, save_model
 
-from conftest import synthesize_utterance
+from testlib import synthesize_utterance
 
 VALUES = ["-1", "0", "1", "2", "nan", "inf", "abc"]
 COMMANDS = ["scan", "preprocess", "extract", "train", "evaluate", "predict"]
@@ -63,7 +63,7 @@ def _inputs(draw, originals: dict, d: Path) -> None:
     """Write each input kind into ``d``; at most one of them is damaged."""
     wav = d / "corpus" / "Dhaka" / "spk1" / "a.wav"
     wav.parent.mkdir(parents=True)
-    manifest = f"audio_path,division,speaker_id,gender\n{wav},Dhaka,spk1,\n"
+    manifest = f"audio_path,division,speaker_id\n{wav},Dhaka,spk1\n"
     files = {
         wav: originals["clip.wav"],
         d / "manifest.csv": manifest.encode(),
@@ -90,8 +90,7 @@ def _argv(draw, command: str, d: Path) -> list[str]:
     if command == "train":
         return ["train", str(d / "cache.feat"), "--model-out", str(d / "out.bin"),
                 "--metrics-out", str(d / "metrics.csv"),
-                "--epochs", _value(draw), *maybe("--seed"),
-                *maybe("--batch-size"), *maybe("--lr")]
+                "--epochs", _value(draw), *maybe("--seed"), *maybe("--lr")]
     if command == "evaluate":
         return ["evaluate", str(d / "model.bin"), str(d / "cache.feat"),
                 "--split", draw(st.sampled_from(["full", "train", "test", "val"])),

@@ -17,7 +17,7 @@ from divrec.features import CACHE_MAGIC, FEATURE_DIM, read_feature_cache
 from divrec.manifest import MANIFEST_FIELDS, read_manifest
 from divrec.network import MODEL_MAGIC, load_model
 
-from conftest import chunk_bytes, riff_bytes
+from testlib import chunk_bytes, riff_bytes
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
 

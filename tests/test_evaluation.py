@@ -14,7 +14,7 @@ from divrec.evaluation import (
 from divrec.features import AggregatedFeature
 from divrec.network import forward, init_params
 
-from conftest import passthrough_params
+from testlib import passthrough_params
 
 
 def zeroed_params():

@@ -25,7 +25,7 @@ from divrec.features import (
     write_feature_cache,
 )
 
-from conftest import traced_peak
+from testlib import traced_peak
 
 SR = 16000
 BANK = build_filterbank()

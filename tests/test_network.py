@@ -27,7 +27,7 @@ from divrec.network import (
 )
 from divrec.training import one_hot
 
-from conftest import BAD_MODELS, build_model_bytes, traced_peak
+from testlib import BAD_MODELS, build_model_bytes, traced_peak
 
 
 # --- architecture golden values ---

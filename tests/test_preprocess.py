@@ -22,7 +22,7 @@ from divrec.preprocess import (
     segment,
 )
 
-from conftest import sine_clip, synthesize_utterance
+from testlib import sine_clip, synthesize_utterance
 
 SR = 16000
 
@@ -49,8 +49,7 @@ def test_7s_yields_nothing():
 
 def test_segment_ids_are_suffixed(tmp_path):
     write_wav(_clip(20.0), tmp_path / "clip.wav")
-    row = ManifestRow(audio_path=str(tmp_path / "clip.wav"), division="Dhaka",
-                      speaker_id="s1", gender="M")
+    row = ManifestRow(audio_path=str(tmp_path / "clip.wav"), division="Dhaka", speaker_id="s1")
     rows = _preprocess_one(row, tmp_path / "seg")
     assert [Path(r.audio_path).name for r in rows] == ["clip_seg000.wav", "clip_seg001.wav"]
 

@@ -12,7 +12,7 @@ from divrec.manifest import ManifestRow
 from divrec.network import init_params, save_model
 from divrec.preprocess import reduce_noise
 
-from conftest import synthesize_utterance, traced_peak
+from testlib import synthesize_utterance, traced_peak
 
 SR = 16000
 

@@ -24,7 +24,7 @@ from divrec.training import (
     write_metrics_csv,
 )
 
-from conftest import traced_peak
+from testlib import traced_peak
 from test_network import _preactivation_gated_backward
 
 
@@ -90,14 +90,13 @@ def test_split_too_few_samples_raises():
 
 def test_config_has_only_the_settable_fields():
     names = [f.name for f in dataclasses.fields(TrainingConfig)]
-    assert names == ["learning_rate", "batch_size", "epochs", "seed"]
+    assert names == ["learning_rate", "epochs", "seed"]
 
 
 @pytest.mark.parametrize("kwargs", [
     {"seed": -1},
     {"learning_rate": math.nan},
-    {"batch_size": 0},
-], ids=["seed", "nan-learning-rate", "batch-size-0"])
+], ids=["seed", "nan-learning-rate"])
 def test_config_rejects_invalid_values(kwargs):
     with pytest.raises(ValueError):
         TrainingConfig(**kwargs)
@@ -327,7 +326,8 @@ def _reference_adam_step(params, grads, state):
 def test_train_bytes_equal_the_per_tensor_reference(monkeypatch):
     # 192 training rows in batches of 40, so each epoch ends on a short batch
     records = make_records([30] * 8, rng=np.random.default_rng(14))
-    config = TrainingConfig(seed=15, epochs=4, batch_size=40)
+    monkeypatch.setattr(training, "BATCH_SIZE", 40)
+    config = TrainingConfig(seed=15, epochs=4)
     params, history = train(records, config)
     monkeypatch.setattr(training, "backward", lambda params, cache, targets, out=None:
                         _preactivation_gated_backward(params, cache, targets))
@@ -415,7 +415,7 @@ def test_memorizes_single_repeated_sample():
     assert cross_entropy(probs, one_hot(np.array([rec.label for rec in train_set]))) < 1e-3
 
 
-def test_training_deterministic_and_metrics_counted_independently(tmp_path):
+def test_training_deterministic_and_metrics_counted_independently(tmp_path, monkeypatch):
     rng = np.random.default_rng(10)
     records = make_records([25] * 8, rng=rng)
     config = TrainingConfig(seed=11, epochs=6)
@@ -443,7 +443,8 @@ def test_training_deterministic_and_metrics_counted_independently(tmp_path):
     # forwards: with one batch per epoch, that is one forward of the initial
     # weights over the shuffled training set, with the run's dropout stream
     n = len(train_set)
-    _, one_epoch = train(records, dataclasses.replace(config, epochs=1, batch_size=n))
+    monkeypatch.setattr(training, "BATCH_SIZE", n)
+    _, one_epoch = train(records, dataclasses.replace(config, epochs=1))
     perm = np.random.default_rng([config.seed, 1]).permutation(n)
     x = np.stack([rec.vector for rec in train_set])[perm]
     y = np.array([rec.label for rec in train_set])[perm]
