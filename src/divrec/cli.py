@@ -13,8 +13,9 @@ import ctypes
 import json
 import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -108,17 +109,17 @@ def _map_rows(rows: list[ManifestRow], fn, workers: int) -> tuple[list, int]:
     """Run ``fn`` over ``rows`` on ``workers`` threads; returns the results in
     manifest order and the count of rows that raised DataError or OSError
     (a missing or unreadable file), each logged on stderr as one line that
-    starts with the row's path. ``workers`` above the cores this process may
-    run on is cut to that count, with one stderr line saying so; each worker
-    holds a whole recording, and the results do not depend on the count.
+    starts with the row's path. Any other exception ends the call: no row
+    starts after it is raised, the rows already running finish, and it is
+    raised again in manifest order. ``workers`` above the cores this process
+    may run on is cut to that count, with one stderr line saying so; each
+    worker holds a whole recording, and the results do not depend on the count.
 
-    With two or more workers, OpenBLAS is held at one thread until the last
-    worker has finished, so the pool's threads do not each start BLAS threads
-    that compete for the same cores; the previous count is restored afterwards,
-    also when a row raised. The count is process-wide, so two concurrent calls
-    (from library code; the CLI makes one at a time) are not supported."""
-    if workers < 1:
-        raise UsageError(f"--workers must be at least 1, got {workers}")
+    OpenBLAS is held at one thread until the last worker has finished, so the
+    pool's threads do not each start BLAS threads that compete for the same
+    cores; the previous count is restored afterwards, also when a row raised.
+    The count is process-wide, so two concurrent calls (from library code; the
+    CLI makes one at a time) are not supported."""
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
     if workers > cores:
@@ -126,7 +127,13 @@ def _map_rows(rows: list[ManifestRow], fn, workers: int) -> tuple[list, int]:
               f"running {cores}", file=sys.stderr)
         workers = cores
 
+    stop = threading.Event()
+
     def attempt(row: ManifestRow):
+        # a skipped row comes after the one that set ``stop``, whose exception
+        # the loop below raises first, so what it returns is never read
+        if stop.is_set():
+            return None, None
         try:
             return fn(row), None
         except (DataError, OSError) as exc:
@@ -135,11 +142,13 @@ def _map_rows(rows: list[ManifestRow], fn, workers: int) -> tuple[list, int]:
             if not message.startswith(row.audio_path):
                 message = f"{row.audio_path}: {message}"
             return None, message
+        except BaseException:
+            stop.set()
+            raise
 
     results = []
     failures = 0
-    blas = _single_threaded_blas() if workers > 1 else nullcontext()
-    with blas, ThreadPoolExecutor(max_workers=workers) as pool:
+    with _single_threaded_blas(), ThreadPoolExecutor(max_workers=workers) as pool:
         for result, err in pool.map(attempt, rows):
             if err is not None:
                 failures += 1
@@ -191,10 +200,6 @@ def cmd_preprocess(args) -> int:
             raise DataError(f"{first} and {row.audio_path} would both write {name}_segNNN.wav")
     out_dir = Path(args.out_dir)
     per_file, failures = _map_rows(rows, lambda row: _preprocess_one(row, out_dir), args.workers)
-    if not rows:
-        raise DataError(f"{args.manifest}: the manifest lists no files")
-    if failures == len(rows):
-        raise DataError("all input files failed preprocessing")
     out_rows = [seg_row for seg_rows in per_file for seg_row in seg_rows]
     if not out_rows:
         raise DataError(f"no input file yielded a segment: {failures} failed, "
@@ -221,8 +226,6 @@ def cmd_extract(args) -> int:
         )
 
     records, failures = _map_rows(rows, featurize, args.workers)
-    if not rows:
-        raise DataError(f"{args.manifest}: the manifest lists no files")
     if not records:
         raise DataError("no segments could be extracted")
     write_feature_cache(records, args.out)
@@ -366,6 +369,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # before the command reads its input, so the exit code does not depend on it
+        if getattr(args, "workers", 1) < 1:
+            raise UsageError(f"--workers must be at least 1, got {args.workers}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -114,4 +114,6 @@ def read_manifest(path) -> list[ManifestRow]:
             raise DataError(f"{path}: duplicate path {row.audio_path}")
         seen.add(row.audio_path)
         rows.append(row)
+    if not rows:
+        raise DataError(f"{path}: the manifest lists no files")
     return rows

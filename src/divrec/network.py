@@ -4,8 +4,8 @@ ReLU on every hidden layer, softmax at the output, inverted dropout (rate
 0.2) after the third and fourth dense layers; 121,064 float64 scalars, held
 as views of one vector in the model file's order. Each layer is computed in
 place in the product it has just made, in forward and backward alike. Only a
-training-mode forward keeps per-layer arrays (with bool dropout masks), and
-only those backward reads.
+training-mode forward draws dropout masks and keeps per-layer arrays (with
+those bool masks), and only those backward reads.
 """
 
 from __future__ import annotations
@@ -118,28 +118,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def dropout(
-    x: np.ndarray,
-    rate: float = 0.2,
-    mode: str = "train",
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Inverted dropout: returns (output, bool mask).
-
-    Training mode draws a fresh mask from ``rng``, zeroing each unit with
-    probability ``rate`` and scaling survivors by 1/(1-rate); inference mode
-    is the identity (mask None).
-    """
-    if mode != "train":
-        return x, None
-    if rng is None:
-        raise ValueError("training-mode dropout needs an rng")
-    mask = rng.random(x.shape) >= rate
-    out = x * mask
-    out *= 1.0 / (1.0 - rate)
-    return out, mask
-
-
 def forward(
     x: np.ndarray,
     params: NetworkParams,
@@ -148,8 +126,9 @@ def forward(
 ) -> tuple[np.ndarray, ForwardCache | None]:
     """Run the layer chain over a (batch, 26) matrix; returns the (batch, 8)
     probabilities and, in training mode, the cache for ``backward`` (None in
-    inference mode, which keeps no per-layer arrays). Training mode draws
-    fresh dropout masks from ``rng``. Any input shape other than (batch, 26),
+    inference mode, which keeps no per-layer arrays and applies no dropout).
+    Training mode needs ``rng`` (a ValueError without it) and draws fresh
+    inverted-dropout masks from it. Any input shape other than (batch, 26),
     a single 1-D vector included, is a DataError; an output holding NaN or
     infinity is a NumericError.
     """
@@ -157,7 +136,11 @@ def forward(
     if x.ndim != 2 or x.shape[1] != INPUT_DIM:
         raise DataError(f"expected a (batch, {INPUT_DIM}) matrix, got shape {x.shape}")
 
-    cache = ForwardCache(inputs=x, activations=[], dropout_masks=[]) if mode == "train" else None
+    cache = None
+    if mode == "train":
+        if rng is None:
+            raise ValueError("training-mode forward needs an rng")
+        cache = ForwardCache(inputs=x, activations=[], dropout_masks=[])
     a = x
     # an overflow shows up as a non-finite output, refused below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -165,10 +148,12 @@ def forward(
             z = a @ params.weights[i].T
             z += params.biases[i]
             a = np.maximum(z, 0.0, out=z) if spec.activation == "relu" else softmax(z)
-            mask = None
-            if spec.dropout_after is not None:
-                a, mask = dropout(a, spec.dropout_after, mode, rng)
             if cache is not None:
+                mask = None
+                if (rate := spec.dropout_after) is not None:
+                    mask = rng.random(a.shape) >= rate
+                    a = a * mask
+                    a *= 1.0 / (1.0 - rate)
                 cache.activations.append(a)
                 cache.dropout_masks.append(mask)
     if not np.all(np.isfinite(a)):
@@ -212,13 +197,12 @@ def backward(
         if i == 0:
             break
         dz = dz @ params.weights[i]  # now at layer i - 1's output
-        spec_prev = ARCHITECTURE[i - 1]
         mask = cache.dropout_masks[i - 1]
         if mask is not None:
             dz *= mask
-            dz *= 1.0 / (1.0 - spec_prev.dropout_after)
-        if spec_prev.activation == "relu":
-            dz *= a_prev > 0
+            dz *= 1.0 / (1.0 - ARCHITECTURE[i - 1].dropout_after)
+        # layer i - 1 is one of layers 0-4, and every one of them is ReLU
+        dz *= a_prev > 0
     return grads
 
 

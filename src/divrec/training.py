@@ -237,20 +237,20 @@ def split_dataset(
 class PlateauScheduler:
     """Halve the rate after PLATEAU_PATIENCE epochs without val-loss improvement."""
 
-    lr: float
     best: float = float("inf")
     bad_epochs: int = 0
 
-    def update(self, val_loss: float) -> float:
+    def update(self, val_loss: float, lr: float) -> float:
+        """The rate for the next epoch, given this epoch's ``val_loss`` and ``lr``."""
         if val_loss < self.best - PLATEAU_MIN_DELTA:
             self.best = val_loss
             self.bad_epochs = 0
         else:
             self.bad_epochs += 1
             if self.bad_epochs >= PLATEAU_PATIENCE:
-                self.lr = max(MIN_LR, self.lr * PLATEAU_FACTOR)
                 self.bad_epochs = 0
-        return self.lr
+                return max(MIN_LR, lr * PLATEAU_FACTOR)
+        return lr
 
 
 def _dataset_arrays(records: list[AggregatedFeature]) -> tuple[np.ndarray, np.ndarray]:
@@ -279,7 +279,7 @@ def train(
     params = init_params(config.seed)
     state = init_adam_state(params, config)
     grads = NetworkParams(np.empty_like(params.vector))  # every step's gradients
-    sched = PlateauScheduler(lr=config.learning_rate)
+    sched = PlateauScheduler()
     shuffle_rng = np.random.default_rng([config.seed, 1])
     dropout_rng = np.random.default_rng([config.seed, 2])
 
@@ -297,12 +297,9 @@ def train(
             grads = backward(params, cache, targets, out=grads)
             adam_step(params, grads, state)
 
-        lr_in_effect = state.lr
         val_loss, val_acc = _evaluate_arrays(params, x_val, y_val)
-        history.append(
-            EpochMetrics(epoch, loss_sum / n, correct / n, val_loss, val_acc, lr_in_effect)
-        )
-        state.lr = sched.update(val_loss)
+        history.append(EpochMetrics(epoch, loss_sum / n, correct / n, val_loss, val_acc, state.lr))
+        state.lr = sched.update(val_loss, state.lr)
     return params, history
 
 

@@ -2,7 +2,6 @@ import argparse
 import csv
 import errno
 import hashlib
-import itertools
 import json
 import os
 import re
@@ -427,7 +426,7 @@ def test_preprocess_failed_segment_write_prints_only_its_lines(tmp_path):
     assert result.returncode == 2
     assert result.stderr.splitlines() == [
         f"{clip}: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{blocker}'",
-        "error: all input files failed preprocessing",
+        "error: no input file yielded a segment: 1 failed, 0 shorter than 8 s",
     ]
 
 
@@ -688,10 +687,31 @@ def test_map_rows_restores_blas_threads_after_a_row_raises(blas_threads, capsys)
     assert blas_threads() == before
 
 
-def test_map_rows_one_worker_leaves_blas_threads_alone(blas_threads):
+def test_map_rows_one_worker_also_holds_blas_at_one_thread(blas_threads):
     before = blas_threads()
-    assert _map_rows(_rows(2), lambda row: blas_threads(), workers=1) == ([before, before], 0)
+    assert _map_rows(_rows(2), lambda row: blas_threads(), workers=1) == ([1, 1], 0)
     assert blas_threads() == before
+
+
+def test_map_rows_starts_no_row_after_one_that_ends_the_call():
+    # r0 stays running until r1 has raised and r2 would have started on the
+    # other worker; r2 and r3 must not start at all
+    called, fatal_raised, later_started = [], threading.Event(), threading.Event()
+
+    def fn(row):
+        called.append(row.audio_path)
+        if row.audio_path == "r0.wav":
+            assert fatal_raised.wait(10)
+            later_started.wait(0.5)
+        elif row.audio_path == "r1.wav":
+            fatal_raised.set()
+            raise MemoryError
+        else:
+            later_started.set()
+
+    with pytest.raises(MemoryError):
+        _map_rows(_rows(4), fn, workers=2)
+    assert sorted(called) == ["r0.wav", "r1.wav"]
 
 
 # --- train ---
@@ -1308,6 +1328,17 @@ def test_invalid_value_is_usage_error(tmp_path, capsys, command, flags, named):
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, outputs", [
+    ("preprocess", ["--out-dir", "seg", "--out", "s.csv"]),
+    ("extract", ["--out", "c.feat"]),
+])
+def test_workers_below_one_is_refused_before_the_manifest_is_read(tmp_path, capsys,
+                                                                  command, outputs):
+    missing = tmp_path / "missing.csv"
+    assert main([command, str(missing), *outputs, "--workers", "0"]) == 1
+    assert capsys.readouterr().err == "error: --workers must be at least 1, got 0\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "c.feat", "--model-out", "m.bin", "--metrics-out", "m.csv", "--config", "x"],
     ["evaluate", "m.bin", "c.feat", "--config", "x"],
@@ -1363,29 +1394,41 @@ def test_unknown_command_exits_one():
 
 
 def test_memory_error_in_a_pool_worker_is_data_error(tmp_path, capsys, monkeypatch):
-    # one row of three runs out of memory under two workers: the command ends,
-    # rather than skipping the row as it does a bad file
+    # the middle row of three runs out of memory under two workers while the
+    # first is still running: the command ends, rather than skipping the row
+    # as it does a bad file, and the third row never starts
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     clips = [tmp_path / f"clip{i}.wav" for i in range(3)]
-    for clip in clips:
-        write_wav(sine_clip(seconds=10.0), clip)
+    for clip, seconds in zip(clips, (10.0, 9.0, 10.0)):
+        write_wav(sine_clip(seconds=seconds), clip)
     manifest = tmp_path / "m.csv"
     manifest.write_text("audio_path,division,speaker_id\n"
                         + "".join(f"{clip},Dhaka,spk1\n" for clip in clips))
-    calls = itertools.count()
-    real_reduce_noise = cli.reduce_noise
+    failed, later_started = threading.Event(), threading.Event()
+    real_ingest, real_reduce_noise = cli.ingest, cli.reduce_noise
+
+    def ingest(path):
+        if path == str(clips[0]):  # held until clip1 has failed and clip2 would have started
+            assert failed.wait(10)
+            later_started.wait(0.5)
+        elif path == str(clips[2]):
+            later_started.set()
+        return real_ingest(path)
 
     def reduce_noise(chunk):
-        if next(calls) == 1:
+        if len(chunk) == 9 * SR:  # clip1's one segment
+            failed.set()
             raise MemoryError
         return real_reduce_noise(chunk)
 
+    monkeypatch.setattr(cli, "ingest", ingest)
     monkeypatch.setattr(cli, "reduce_noise", reduce_noise)
-    out = tmp_path / "s.csv"
+    out, seg_dir = tmp_path / "s.csv", tmp_path / "seg" / "Dhaka" / "spk1"
     assert main(["preprocess", str(manifest), "--out-dir", str(tmp_path / "seg"),
                  "--out", str(out), "--workers", "2"]) == 2
     assert capsys.readouterr().err == "error: preprocess ran out of memory\n"
     assert not out.exists()
+    assert sorted(path.name for path in seg_dir.iterdir()) == ["clip0_seg000.wav"]
 
 
 def test_numpy_memory_error_in_train_is_data_error(tmp_path, capsys, monkeypatch):

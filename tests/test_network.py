@@ -16,7 +16,6 @@ from divrec.network import (
     PARAM_COUNT,
     NetworkParams,
     backward,
-    dropout,
     forward,
     init_params,
     layer_param_counts,
@@ -109,33 +108,6 @@ def test_softmax_normalized_and_positive(rng):
     assert np.all(probs > 0) and np.all(probs < 1)
 
 
-# --- dropout ---
-
-def test_dropout_inference_is_identity(rng):
-    x = rng.normal(0, 1, 64)
-    out, mask = dropout(x, 0.2, mode="infer")
-    assert out is x
-    assert mask is None
-
-
-def test_dropout_survivors_scaled_by_1_25(rng):
-    x = rng.uniform(0.5, 1.0, 256)
-    out, mask = dropout(x, 0.2, mode="train", rng=rng)
-    kept = mask == 1.0
-    np.testing.assert_array_equal(out[kept], x[kept] * 1.25)
-    np.testing.assert_array_equal(out[~kept], 0.0)
-
-
-def test_dropout_preserves_mean_in_expectation():
-    rng = np.random.default_rng(0)
-    x = np.full(16, 2.0)
-    total = 0.0
-    trials = 100_000
-    outs, _ = dropout(np.tile(x, (trials, 1)), 0.2, mode="train", rng=rng)
-    total = outs.mean()
-    assert total == pytest.approx(x.mean(), rel=0.01)
-
-
 # --- forward ---
 
 def test_forward_output_sums_to_one(rng):
@@ -179,16 +151,33 @@ def test_forward_refuses_non_finite_output(rng, mode):
 
 
 def test_network_signatures_are_pinned():
-    # forward and dropout draw fresh masks only; a mask-replay parameter has to
-    # edit this table to come back
+    # forward draws fresh masks only; a mask-replay parameter has to edit this
+    # table to come back
     def parameters(fn):
         return [(p.name, p.default) for p in inspect.signature(fn).parameters.values()]
 
     empty = inspect.Parameter.empty
     assert parameters(forward) == [("x", empty), ("params", empty), ("mode", "infer"),
                                    ("rng", None)]
-    assert parameters(dropout) == [("x", empty), ("rate", 0.2), ("mode", "train"),
-                                   ("rng", None)]
+
+
+def test_training_forward_without_rng_is_refused_before_any_layer(rng, monkeypatch):
+    params = init_params(0)
+    monkeypatch.setattr(params, "weights", None)  # a layer would index this
+    with pytest.raises(ValueError, match="training-mode forward needs an rng"):
+        forward(rng.normal(0, 1, (3, 26)), params, mode="train")
+
+
+def test_inference_forward_never_touches_its_rng(rng):
+    class Untouchable:
+        def random(self, *args, **kwargs):
+            raise AssertionError("inference mode drew from its rng")
+
+    params = init_params(5)
+    x = rng.normal(0, 1, (4, 26))
+    probs, cache = forward(x, params, mode="infer", rng=Untouchable())
+    assert cache is None
+    assert probs.tobytes() == forward(x, params)[0].tobytes()
 
 
 # --- backward ---

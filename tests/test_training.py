@@ -343,10 +343,10 @@ def test_train_bytes_equal_the_per_tensor_reference(monkeypatch):
 
 def _rate_after(val_losses: list[float]) -> float:
     """Feed a validation-loss history to the scheduler, configured as ``train`` does."""
-    sched = PlateauScheduler(lr=TrainingConfig().learning_rate)
+    sched, lr = PlateauScheduler(), TrainingConfig().learning_rate
     for loss in val_losses:
-        sched.update(loss)
-    return sched.lr
+        lr = sched.update(loss, lr)
+    return lr
 
 
 def test_decreasing_loss_keeps_rate():
