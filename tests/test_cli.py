@@ -1331,7 +1331,7 @@ def test_invalid_value_is_usage_error(tmp_path, capsys, command, flags, named):
 @pytest.mark.parametrize("command, outputs", [
     ("preprocess", ["--out-dir", "seg", "--out", "s.csv"]),
     ("extract", ["--out", "c.feat"]),
-])
+], ids=["preprocess", "extract"])
 def test_workers_below_one_is_refused_before_the_manifest_is_read(tmp_path, capsys,
                                                                   command, outputs):
     missing = tmp_path / "missing.csv"

@@ -161,9 +161,9 @@ def test_network_signatures_are_pinned():
                                    ("rng", None)]
 
 
-def test_training_forward_without_rng_is_refused_before_any_layer(rng, monkeypatch):
+def test_training_forward_without_rng_is_refused_before_any_layer(rng):
     params = init_params(0)
-    monkeypatch.setattr(params, "weights", None)  # a layer would index this
+    params.weights = None  # a layer would index this
     with pytest.raises(ValueError, match="training-mode forward needs an rng"):
         forward(rng.normal(0, 1, (3, 26)), params, mode="train")
 
