@@ -2,8 +2,13 @@
 
 Raw int16 samples are normalized by dividing by 32768 on read and encoded as
 round(a * 32767) on write (the standard asymmetric int16 convention: -32768
-maps to -1.0 but 1.0 maps to 32767). ``read_wav`` says which checks ``wave``
+maps to -1.0 but 1.0 maps to 32767). ``WavReader`` says which checks ``wave``
 makes and which this module adds; docs/formats.md gives the file layout.
+
+``preprocess`` and ``predict`` decode one segment's block at a time, so no
+array grows with the recording. With glibc's default thresholds, which follow
+the largest block freed so far, each freed block would go back to the kernel
+and be faulted in again for the next; ``cli.main`` fixes them once per command.
 """
 
 from __future__ import annotations
@@ -19,49 +24,82 @@ TARGET_SAMPLE_RATE = 16000
 ENCODE_BLOCK = 1 << 16  # samples encoded per write, so the writer's memory stays flat
 
 
-def read_wav(path) -> tuple[np.ndarray, int]:
-    """Decode a RIFF/WAVE PCM16 LE file into (samples, sample rate).
+class WavReader:
+    """A RIFF/WAVE PCM16 LE file, opened to be decoded a block at a time.
 
-    ``samples`` are float64 in [-1.0, 1.0]: 1-D for a mono file, (n, channels)
-    otherwise.
-
-    Raises DataError naming the file and the reason. ``wave`` refuses a
-    container that is not RIFF/WAVE, a format tag other than PCM, zero
-    channels, ``data`` before ``fmt ``, and a chunk cut short or running past
-    the RIFF size; checked here are a sample width other than 16 bits, a
-    sample rate of 0, and a data chunk shorter than its declared size.
+    Opening makes every check, so a file is refused before any sample is
+    decoded; ``frames``, ``channels`` and ``sample_rate`` come from its header.
+    ``wave`` refuses a container that is not RIFF/WAVE, a format tag other than
+    PCM, zero channels, ``data`` before ``fmt ``, and a chunk cut short or
+    running past the RIFF size; checked here are a sample width other than 16
+    bits, a sample rate of 0 (or other than ``rate``, when given), and a data
+    chunk shorter than its declared size. Each refusal is a DataError naming
+    the file and the reason.
     """
-    with open(path, "rb") as fh:
+
+    def __init__(self, path, rate: int | None = None):
+        self.path = path
+        self._fh = open(path, "rb")
         try:
-            with wave.open(fh) as wav:
-                channels, width, sample_rate, frames = wav.getparams()[:4]
-                if width != 2:
-                    raise DataError(f"{path}: {8 * width}-bit samples, only 16-bit supported")
-                if sample_rate == 0:
-                    raise DataError(f"{path}: sample rate 0")
-                # the declared size is outside input: ask for no more than the
-                # file holds, since a read allocates what it is asked for
-                data = wav.readframes(min(frames, os.fstat(fh.fileno()).st_size // (2 * channels)))
-        # wave raises EOFError and RuntimeError without a message
-        except (wave.Error, EOFError, RuntimeError) as exc:
-            reason = str(exc) or "a chunk is cut short or runs past the RIFF size"
-            raise DataError(f"{path}: {reason}") from exc
-    if len(data) < frames * 2 * channels:
-        raise DataError(f"{path}: data chunk declares {frames * 2 * channels} bytes, "
-                        f"only {len(data)} present")
-    # wave hands over samples in the host's byte order
-    samples = decode_pcm16(np.frombuffer(data, dtype=np.int16))
-    return (samples if channels == 1 else samples.reshape(-1, channels)), sample_rate
+            # wave reads no further than the RIFF size: data past it is not present
+            riff_end = 8 + int.from_bytes(self._fh.peek(8)[4:8], "little")
+            try:
+                self._wav = wave.open(self._fh)
+            # wave raises EOFError and RuntimeError without a message
+            except (wave.Error, EOFError, RuntimeError) as exc:
+                reason = str(exc) or "a chunk is cut short or runs past the RIFF size"
+                raise DataError(f"{path}: {reason}") from exc
+            self.channels, width, self.sample_rate, self.frames = self._wav.getparams()[:4]
+            if width != 2:
+                raise DataError(f"{path}: {8 * width}-bit samples, only 16-bit supported")
+            if self.sample_rate == 0:
+                raise DataError(f"{path}: sample rate 0")
+            if rate is not None and self.sample_rate != rate:
+                raise DataError(f"{path}: sample rate {self.sample_rate} Hz, only {rate} supported")
+            declared = self.frames * 2 * self.channels
+            present = min(os.fstat(self._fh.fileno()).st_size, riff_end) - self._fh.tell()
+            if present < declared:
+                raise DataError(f"{path}: data chunk declares {declared} bytes, "
+                                f"only {present} present")
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def __enter__(self) -> WavReader:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._fh.close()
+
+    def read(self, n: int) -> np.ndarray:
+        """The next ``n`` frames (fewer at the end of the data) as float64 in
+        [-1.0, 1.0]: 1-D for a mono file, (n, channels) otherwise."""
+        n = min(n, self.frames - self._wav.tell())
+        data = self._wav.readframes(n)
+        if len(data) < n * 2 * self.channels:  # the file shrank after it was opened
+            raise DataError(f"{self.path}: data chunk cut short while being read")
+        # wave hands over samples in the host's byte order
+        samples = decode_pcm16(np.frombuffer(data, dtype=np.int16))
+        return samples if self.channels == 1 else samples.reshape(-1, self.channels)
+
+    def read_mono(self, n: int) -> np.ndarray:
+        """``read(n)`` with the channels averaged, within this block only."""
+        block = self.read(n)
+        return block if block.ndim == 1 else block.mean(axis=1)
+
+
+def read_wav(path, rate: int | None = None) -> tuple[np.ndarray, int]:
+    """Decode a whole file into (samples, sample rate), with ``WavReader``'s
+    checks and layout."""
+    with WavReader(path, rate) as wav:
+        return wav.read(wav.frames), wav.sample_rate
 
 
 def ingest(path) -> np.ndarray:
-    """The file's mono samples, channels averaged; any sample rate other than
-    16 kHz is refused."""
-    samples, sample_rate = read_wav(path)
-    if sample_rate != TARGET_SAMPLE_RATE:
-        raise DataError(
-            f"{path}: sample rate {sample_rate} Hz, only {TARGET_SAMPLE_RATE} supported"
-        )
+    """The whole file's mono samples, channels averaged; any sample rate other
+    than 16 kHz is refused. The commands read recordings of any length a
+    segment at a time instead, through ``WavReader``."""
+    samples, _ = read_wav(path, TARGET_SAMPLE_RATE)
     return samples if samples.ndim == 1 else samples.mean(axis=1)
 
 

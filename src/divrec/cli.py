@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .atomic import write_whole
-from .audio_io import TARGET_SAMPLE_RATE, ingest, pcm16_round_trip, write_wav
+from .audio_io import TARGET_SAMPLE_RATE, WavReader, ingest, pcm16_round_trip, write_wav
 from .errors import DataError, NumericError
 from .evaluation import (
     DIVISION_NAMES,
@@ -88,6 +88,31 @@ def _openblas():
     return None
 
 
+# glibc's malloc.h: mallopt parameters and the values fixed for every command
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 << 20  # the ceiling of glibc's own dynamic threshold on 64-bit hosts
+TRIM_THRESHOLD = 64 << 20  # twice that, the ratio glibc's dynamic rule keeps
+
+
+def _steady_malloc() -> None:
+    """Fix glibc's mmap and trim thresholds, so that the arrays each segment or
+    training step frees stay in the heap for the next one instead of going back
+    to the kernel and being faulted in again; does nothing when the C library
+    has no ``mallopt``.
+
+    By default glibc raises both thresholds to the largest block freed so far,
+    so its behaviour would depend on which arrays a command happened to free
+    first."""
+    try:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    except OSError:
+        return
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
 @contextmanager
 def _single_threaded_blas():
     """Hold OpenBLAS at one thread inside the block and restore the previous
@@ -113,7 +138,8 @@ def _map_rows(rows: list[ManifestRow], fn, workers: int) -> tuple[list, int]:
     starts after it is raised, the rows already running finish, and it is
     raised again in manifest order. ``workers`` above the cores this process
     may run on is cut to that count, with one stderr line saying so; each
-    worker holds a whole recording, and the results do not depend on the count.
+    worker holds one segment at a time, and the results do not depend on the
+    count.
 
     OpenBLAS is held at one thread until the last worker has finished, so the
     pool's threads do not each start BLAS threads that compete for the same
@@ -172,21 +198,21 @@ def cmd_scan(args) -> int:
 
 
 def _preprocess_one(row: ManifestRow, out_dir: Path) -> list[ManifestRow]:
-    samples = ingest(row.audio_path)
-    segments = segment(samples)
-    if not segments:  # logged, not counted as a failure
-        print(f"{row.audio_path}: {len(samples) / TARGET_SAMPLE_RATE:g} s long, "
-              "too short for one 8-10 s segment; skipped", file=sys.stderr)
-        return []
-    stem = Path(row.audio_path).stem
-    seg_dir = out_dir / row.division / row.speaker_id
-    seg_dir.mkdir(parents=True, exist_ok=True)
-    out_rows = []
-    for i, chunk in enumerate(segments):
-        chunk = reduce_noise(chunk)
-        seg_path = seg_dir / f"{stem}_seg{i:03d}.wav"
-        write_wav(chunk, seg_path)
-        out_rows.append(replace(row, audio_path=str(seg_path)))
+    with WavReader(row.audio_path, TARGET_SAMPLE_RATE) as wav:
+        lengths = segment(wav.frames)
+        if not lengths:  # logged, not counted as a failure
+            print(f"{row.audio_path}: {wav.frames / TARGET_SAMPLE_RATE:g} s long, "
+                  "too short for one 8-10 s segment; skipped", file=sys.stderr)
+            return []
+        stem = Path(row.audio_path).stem
+        seg_dir = out_dir / row.division / row.speaker_id
+        seg_dir.mkdir(parents=True, exist_ok=True)
+        out_rows = []
+        for i, n in enumerate(lengths):
+            chunk = reduce_noise(wav.read_mono(n))
+            seg_path = seg_dir / f"{stem}_seg{i:03d}.wav"
+            write_wav(chunk, seg_path)
+            out_rows.append(replace(row, audio_path=str(seg_path)))
     return out_rows
 
 
@@ -215,10 +241,12 @@ def cmd_extract(args) -> int:
     bank = build_filterbank()
 
     def featurize(row: ManifestRow) -> AggregatedFeature:
+        # the header alone settles the length, so a long file is never decoded
+        with WavReader(row.audio_path, TARGET_SAMPLE_RATE) as wav:
+            if not MIN_TAIL_SAMPLES <= wav.frames <= CHUNK_SAMPLES:
+                raise DataError(f"{row.audio_path}: {wav.frames / TARGET_SAMPLE_RATE:g} s long, "
+                                "not an 8-10 s segment from preprocess")
         samples = ingest(row.audio_path)
-        if not MIN_TAIL_SAMPLES <= len(samples) <= CHUNK_SAMPLES:
-            raise DataError(f"{row.audio_path}: {len(samples) / TARGET_SAMPLE_RATE:g} s long, "
-                            "not an 8-10 s segment from preprocess")
         return AggregatedFeature(
             vector=aggregate(extract(samples, bank=bank)),
             label=label_from_name(row.division),
@@ -272,22 +300,23 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     params = load_model(args.model)
-    samples = ingest(args.wav)
-    segments = segment(samples)
-    if not segments:
-        seconds = len(samples) / TARGET_SAMPLE_RATE
-        raise DataError(f"{args.wav}: too short ({seconds:.2f} s) for one 8-10 s segment")
-    bank = build_filterbank()
-    # the PCM16 rounding a segment file goes through between preprocess and extract
-    x = np.stack([aggregate(extract(pcm16_round_trip(reduce_noise(chunk)), bank=bank))
-                  for chunk in segments])
+    with WavReader(args.wav, TARGET_SAMPLE_RATE) as wav:
+        lengths = segment(wav.frames)
+        if not lengths:
+            seconds = wav.frames / TARGET_SAMPLE_RATE
+            raise DataError(f"{args.wav}: too short ({seconds:.2f} s) for one 8-10 s segment")
+        bank = build_filterbank()
+        # the PCM16 rounding a segment file goes through between preprocess and extract
+        x = np.stack([aggregate(extract(pcm16_round_trip(reduce_noise(wav.read_mono(n))),
+                                        bank=bank))
+                      for n in lengths])
     labels, probs = predict(params, x)
     for i, (label, p) in enumerate(zip(labels, probs)):
         print(f"{args.wav}_seg{i:03d}: {DIVISION_NAMES[label]} p={p[label]:.4f}")
     votes = np.bincount(labels, minlength=len(DIVISION_NAMES))
     winner = int(np.argmax(votes))  # ties resolve to the lowest label index
     print(f"prediction: {DIVISION_NAMES[winner]} "
-          f"({votes[winner]}/{len(segments)} segments)")
+          f"({votes[winner]}/{len(lengths)} segments)")
     return 0
 
 
@@ -372,6 +401,7 @@ def main(argv=None) -> int:
         # before the command reads its input, so the exit code does not depend on it
         if getattr(args, "workers", 1) < 1:
             raise UsageError(f"--workers must be at least 1, got {args.workers}")
+        _steady_malloc()
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,14 @@ Every recipe value is a module constant, and so are the operands built from
 them (``CHUNK_SAMPLES``, ``MIN_TAIL_SAMPLES``, ``NR_WINDOW``), built once at
 import. Segmentation greedily cuts 10 s chunks from the start and keeps the
 remainder only when it is at least 8 s long, so every emitted chunk lies in
-[8 s, 10 s].
+[8 s, 10 s]. It is a rule over the header's frame count: the commands read
+each chunk from the file just before denoising it, so a worker holds one
+segment at a time, whatever the length of the recording.
+
+That memory stays put because ``cli.main`` fixes glibc's mmap and trim
+thresholds: by default they follow the largest block freed so far, and without
+a whole-file array to push them up, each worker would hand its ~10 MB of
+segment arrays back to the kernel after every segment and fault them in again.
 
 Noise reduction is classical magnitude spectral subtraction: Hann-windowed
 frames (512 samples, hop 256), noise magnitude profile estimated as the mean
@@ -42,18 +49,13 @@ SPECTRAL_FLOOR = 0.02  # beta
 NR_WINDOW = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(NR_FRAME_LEN) / NR_FRAME_LEN)
 
 
-def segment(samples: np.ndarray) -> list[np.ndarray]:
-    """Cut consecutive non-overlapping chunks from 16 kHz samples, as views of
-    the input (no stage writes into its input); short input yields an empty
-    list."""
-    out: list[np.ndarray] = []
-    start = 0
-    while start + CHUNK_SAMPLES <= samples.shape[0]:
-        out.append(samples[start : start + CHUNK_SAMPLES])
-        start += CHUNK_SAMPLES
-    if samples.shape[0] - start >= MIN_TAIL_SAMPLES:
-        out.append(samples[start:])
-    return out
+def segment(frames: int) -> list[int]:
+    """The lengths of the consecutive non-overlapping chunks cut from a
+    recording of ``frames`` 16 kHz samples, in order from its start: 10 s
+    each, then the remainder if it is at least 8 s. Too short a recording
+    gives an empty list."""
+    full, tail = divmod(frames, CHUNK_SAMPLES)
+    return [CHUNK_SAMPLES] * full + ([tail] if tail >= MIN_TAIL_SAMPLES else [])
 
 
 def _overlap_add(frames: np.ndarray) -> np.ndarray:

@@ -1,0 +1,55 @@
+"""scripts/bench_pairs.py --summary on two small files in its layout."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _record(bench_pairs, parent: str, parent_rss: list, change_rss: list) -> dict:
+    digests = {"cache": "c0", "model.bin": "m0"}
+    runs = {side: [{"seed": 7 + k, "metrics": {"peak_rss_mb": rss, "accuracy": 1.0},
+                    "attempted": 10, "failed": 0, "digests": digests}
+                   for k, rss in enumerate(values)]
+            for side, values in (("parent", parent_rss), ("change", change_rss))}
+    return {
+        "layout": bench_pairs.LAYOUT, "parent": parent, "change": "def5678",
+        "command": "python3 perfbench/run.py --workload W --seed S --seconds 1 --trace 0",
+        "environment": {},
+        "workloads": {"pipeline-480": {
+            "seeds": [7, 8, 9], "first": ["parent", "change", "parent"], "runs": runs,
+            "metrics": bench_pairs.summarize(runs, {"peak_rss_mb": "lower",
+                                                    "accuracy": "higher"}),
+            "no_failures": True, "digests_equal": True,
+        }},
+    }
+
+
+def test_summary_prints_one_line_per_file_workload_and_metric(bench_pairs, tmp_path, capsys):
+    first, second, old = tmp_path / "BENCH_1.json", tmp_path / "BENCH_2.json", tmp_path / "old.json"
+    first.write_text(json.dumps(_record(bench_pairs, "abc1234", [90, 91, 92], [79, 80, 93])))
+    second.write_text(json.dumps(_record(bench_pairs, "def5678", [80, 80, 80], [80, 80, 80])))
+    old.write_text(json.dumps({"summary": {}}))
+    assert bench_pairs.main(["--summary", str(first), str(second), str(old)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "BENCH_1.json abc1234 pipeline-480 peak_rss_mb (lower): parent 91 [90.5, 91.5] "
+        "change 80 [79.5, 86.5] won 2/3; failures none, digests equal",
+        "BENCH_1.json abc1234 pipeline-480 accuracy (higher): parent 1 [1, 1] "
+        "change 1 [1, 1] won 0/3; failures none, digests equal",
+        "BENCH_2.json def5678 pipeline-480 peak_rss_mb (lower): parent 80 [80, 80] "
+        "change 80 [80, 80] won 0/3; failures none, digests equal",
+        "BENCH_2.json def5678 pipeline-480 accuracy (higher): parent 1 [1, 1] "
+        "change 1 [1, 1] won 0/3; failures none, digests equal",
+        f"{old}: not a bench_pairs/1 file; skipped",
+    ]

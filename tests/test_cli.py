@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from divrec.audio_io import ingest, read_wav, write_wav
-from divrec import cli
+from divrec import audio_io, cli
 from divrec.cli import _map_rows, _training_config, build_parser, main
 from divrec.errors import DataError
 from divrec.evaluation import predict
@@ -597,6 +597,21 @@ def test_extract_takes_exactly_8_to_10_second_segments(tmp_path, capsys):
         str(tmp_path / "n128000.wav"), str(tmp_path / "n160000.wav")]
 
 
+def test_extract_refuses_a_600_s_file_without_decoding_it(tmp_path, capsys, monkeypatch):
+    # the header's frame count settles the length; decoding 600 s would take 96 MB
+    path = tmp_path / "long.wav"
+    path.write_bytes(build_wav_bytes(np.zeros(600 * SR, dtype=np.int16)))
+    write_manifest([ManifestRow(audio_path=str(path), division="Dhaka", speaker_id="s")],
+                   tmp_path / "m.csv")
+    decoded = []
+    monkeypatch.setattr(audio_io, "decode_pcm16", lambda ints: decoded.append(len(ints)))
+    assert main(["extract", str(tmp_path / "m.csv"), "--out", str(tmp_path / "c.feat")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"{path}: 600 s long, not an 8-10 s segment from preprocess",
+        "error: no segments could be extracted"]
+    assert decoded == []
+
+
 def test_extract_worker_count_does_not_change_output(workspace, tmp_path):
     # the worker pool merges results in manifest order, so the cache bytes
     # are independent of parallelism
@@ -637,6 +652,31 @@ def test_extract_without_blas_library_writes_same_cache(workspace, tmp_path, mon
     assert main(["extract", str(workspace / "segments.csv"),
                  "--out", str(out), "--workers", "2"]) == 0
     assert out.read_bytes() == (workspace / "cache.feat").read_bytes()
+
+
+def test_a_command_fixes_the_malloc_thresholds_before_it_runs(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: argparse.Namespace(
+        mallopt=lambda param, value: calls.append((param, value))))
+    # a missing model: the thresholds are fixed before the command reads anything
+    assert main(["evaluate", str(tmp_path / "m.bin"), str(tmp_path / "c.feat")]) == 2
+    # M_MMAP_THRESHOLD (-3) at 32 MiB, then M_TRIM_THRESHOLD (-1) at 64 MiB
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+
+def test_preprocess_without_mallopt_writes_same_segments(workspace, tmp_path, monkeypatch):
+    # a C library without mallopt: the thresholds are left alone
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: object())
+    cli._steady_malloc()
+    out_dir = tmp_path / "segments"
+    assert main(["preprocess", str(workspace / "manifest.csv"), "--out-dir", str(out_dir),
+                 "--out", str(tmp_path / "s.csv"), "--workers", "2"]) == 0
+    ours = sorted(p.relative_to(out_dir) for p in out_dir.rglob("*.wav"))
+    theirs = sorted(p.relative_to(workspace / "segments")
+                    for p in (workspace / "segments").rglob("*.wav"))
+    assert ours == theirs and len(ours) == 160
+    assert all((out_dir / p).read_bytes() == (workspace / "segments" / p).read_bytes()
+               for p in ours)
 
 
 # --- BLAS threads under the worker pool ---
@@ -1405,15 +1445,15 @@ def test_memory_error_in_a_pool_worker_is_data_error(tmp_path, capsys, monkeypat
     manifest.write_text("audio_path,division,speaker_id\n"
                         + "".join(f"{clip},Dhaka,spk1\n" for clip in clips))
     failed, later_started = threading.Event(), threading.Event()
-    real_ingest, real_reduce_noise = cli.ingest, cli.reduce_noise
+    real_reader, real_reduce_noise = cli.WavReader, cli.reduce_noise
 
-    def ingest(path):
+    def reader(path, rate):
         if path == str(clips[0]):  # held until clip1 has failed and clip2 would have started
             assert failed.wait(10)
             later_started.wait(0.5)
         elif path == str(clips[2]):
             later_started.set()
-        return real_ingest(path)
+        return real_reader(path, rate)
 
     def reduce_noise(chunk):
         if len(chunk) == 9 * SR:  # clip1's one segment
@@ -1421,7 +1461,7 @@ def test_memory_error_in_a_pool_worker_is_data_error(tmp_path, capsys, monkeypat
             raise MemoryError
         return real_reduce_noise(chunk)
 
-    monkeypatch.setattr(cli, "ingest", ingest)
+    monkeypatch.setattr(cli, "WavReader", reader)
     monkeypatch.setattr(cli, "reduce_noise", reduce_noise)
     out, seg_dir = tmp_path / "s.csv", tmp_path / "seg" / "Dhaka" / "spk1"
     assert main(["preprocess", str(manifest), "--out-dir", str(tmp_path / "seg"),

@@ -7,11 +7,13 @@ Every test is derandomized, so tier-1 runs the same examples each time.
 import struct
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from divrec.audio_io import read_wav
+from divrec.audio_io import WavReader, read_wav, write_wav
+from divrec.cli import main
 from divrec.errors import DataError
 from divrec.features import CACHE_MAGIC, FEATURE_DIM, read_feature_cache
 from divrec.manifest import MANIFEST_FIELDS, read_manifest
@@ -72,6 +74,47 @@ def wav_files(draw):
 @given(st.one_of(st.binary(max_size=300), _with_magic(b"RIFF\0\0\0\0WAVE"), wav_files()))
 def test_read_wav_decodes_or_rejects(scratch, data):
     _decode_or_reject(read_wav, scratch, data)
+
+
+def _blocks(path, size: int, mono: bool) -> bytes:
+    """The file's blocks of ``size`` frames, from ``read_mono`` or ``read``, joined."""
+    with WavReader(path) as wav:
+        read = wav.read_mono if mono else wav.read
+        return b"".join(read(size).tobytes() for _ in range(0, wav.frames, size))
+
+
+@FUZZ
+@given(st.one_of(st.binary(max_size=300), _with_magic(b"RIFF\0\0\0\0WAVE"), wav_files()),
+       st.integers(1, 7))
+def test_blocks_agree_with_read_wav(scratch, data, size):
+    # block sizes that rarely divide the frame count, so the last block is short
+    scratch.write_bytes(data)
+    try:
+        whole, _ = read_wav(scratch)
+    except DataError:
+        with pytest.raises(DataError):
+            _blocks(scratch, size, mono=False)
+        return
+    assert _blocks(scratch, size, mono=False) == whole.tobytes()
+    mono = whole if whole.ndim == 1 else whole.mean(axis=1)
+    assert _blocks(scratch, size, mono=True) == mono.tobytes()
+
+
+@pytest.mark.parametrize("cut", ["file", "riff-size"])
+def test_truncated_recording_writes_no_segment(tmp_path, capsys, cut):
+    # 25 s declared, 15 s present in the file or inside the RIFF size:
+    # refused before the first 10 s segment is written
+    path = tmp_path / "cut.wav"
+    write_wav(np.full(25 * 16000, 0.25), path)
+    raw, present = path.read_bytes(), 2 * 15 * 16000
+    path.write_bytes(raw[: 44 + present] if cut == "file"
+                     else raw[:4] + struct.pack("<I", 36 + present) + raw[8:])
+    (tmp_path / "m.csv").write_text(f"audio_path,division,speaker_id\n{path},Dhaka,s1\n")
+    assert main(["preprocess", str(tmp_path / "m.csv"), "--out-dir", str(tmp_path / "seg"),
+                 "--out", str(tmp_path / "s.csv")]) == 2
+    assert f"{path}: data chunk declares 800000 bytes, only {present} present" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "seg").exists()
 
 
 # --- feature cache ---

@@ -33,18 +33,15 @@ def _clip(seconds: float) -> np.ndarray:
 
 
 def test_25s_yields_two_chunks_tail_discarded():
-    chunks = segment(_clip(25.0))
-    assert len(chunks) == 2
-    assert all(len(c) == 10 * SR for c in chunks)
+    assert segment(25 * SR) == [10 * SR, 10 * SR]
 
 
 def test_18s_yields_10s_plus_8s():
-    chunks = segment(_clip(18.0))
-    assert [len(c) for c in chunks] == [10 * SR, 8 * SR]
+    assert segment(18 * SR) == [10 * SR, 8 * SR]
 
 
 def test_7s_yields_nothing():
-    assert segment(_clip(7.0)) == []
+    assert segment(7 * SR) == []
 
 
 def test_segment_ids_are_suffixed(tmp_path):
@@ -57,18 +54,13 @@ def test_segment_ids_are_suffixed(tmp_path):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=35 * SR))
 def test_segments_are_prefix_partition(n_samples):
-    samples = np.arange(n_samples, dtype=np.float64) / (40 * SR)
-    chunks = segment(samples)
-    lengths = [len(c) for c in chunks]
+    lengths = segment(n_samples)
     assert all(8 * SR <= n <= 10 * SR for n in lengths)
+    # every chunk but the last is a full 10 s, so the chunks tile a prefix
+    assert all(n == 10 * SR for n in lengths[:-1])
     covered = sum(lengths)
     assert covered <= n_samples
     assert n_samples - covered < 10 * SR  # shortfall is a sub-chunk tail
-    if chunks:
-        rebuilt = np.concatenate(chunks)
-        np.testing.assert_array_equal(rebuilt, samples[:covered])
-        # chunks are views of the input, not copies
-        assert all(np.shares_memory(c, samples) for c in chunks)
     # any discarded tail is below the keep threshold
     if n_samples % (10 * SR) and covered < n_samples:
         assert n_samples - covered < 8 * SR
