@@ -13,11 +13,11 @@ directory (``git archive``), then runs ``perfbench/run.py`` on each workload
 seed ``--first-seed + k``; the parent runs first in even pairs and the working
 tree in odd ones. The temporary directory is removed on exit, on SIGINT and on
 SIGTERM. The file written holds every run's end-to-end metrics and digests,
-each side's median and quartiles per metric, how many pairs the working tree
-won on each metric (in BENCHMARK.json's direction; ties count for neither
-side), whether every run failed no operation, whether each pair's two runs
-gave equal digests, and the environment block run.py printed for each side's
-first run.
+each side's median and quartiles per metric (the harness's own,
+``perfbench/stats.quartiles``), how many pairs the working tree won on each
+metric (in BENCHMARK.json's direction; ties count for neither side), whether
+every run failed no operation, whether each pair's two runs gave equal
+digests, and the environment block run.py printed for each side's first run.
 
 The second form prints one line per file, workload and metric.
 """
@@ -28,7 +28,6 @@ import argparse
 import io
 import json
 import signal
-import statistics
 import subprocess
 import sys
 import tarfile
@@ -36,6 +35,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import stats  # perfbench/ is a directory of scripts, not a package
+
 LAYOUT = "bench_pairs/1"
 SIDES = ("parent", "change")
 
@@ -71,12 +73,6 @@ def run_benchmark(root: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def quartiles(values: list[float]) -> dict:
-    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
-                      if len(values) > 1 else values * 3)
-    return {"q1": q1, "median": median, "q3": q3}
-
-
 def summarize(runs: dict, directions: dict) -> dict:
     """Per metric: each side's quartiles and the pairs the change won."""
     out = {}
@@ -84,7 +80,9 @@ def summarize(runs: dict, directions: dict) -> dict:
         values = {side: [r["metrics"][name] for r in runs[side]] for side in SIDES}
         sign = 1 if better == "lower" else -1
         won = sum(sign * (p - c) > 0 for p, c in zip(values["parent"], values["change"]))
-        out[name] = {"better": better, **{side: quartiles(values[side]) for side in SIDES},
+        out[name] = {"better": better,
+                     **{side: dict(zip(("q1", "median", "q3"), stats.quartiles(values[side])))
+                        for side in SIDES},
                      "change_won": won, "pairs": len(values["change"])}
     return out
 

@@ -6,9 +6,7 @@ maps to -1.0 but 1.0 maps to 32767). ``WavReader`` says which checks ``wave``
 makes and which this module adds; docs/formats.md gives the file layout.
 
 ``preprocess`` and ``predict`` decode one segment's block at a time, so no
-array grows with the recording. With glibc's default thresholds, which follow
-the largest block freed so far, each freed block would go back to the kernel
-and be faulted in again for the next; ``cli.main`` fixes them once per command.
+array grows with the recording; ``cli._steady_malloc`` keeps the freed blocks.
 """
 
 from __future__ import annotations

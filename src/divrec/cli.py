@@ -43,7 +43,7 @@ from .features import (
 from .fixture import make_fixture
 from .manifest import ManifestRow, read_manifest, scan_corpus, write_manifest
 from .network import load_model, save_model
-from .preprocess import CHUNK_SAMPLES, MIN_TAIL_SAMPLES, reduce_noise, segment
+from .preprocess import reduce_noise, segment
 from .training import TrainingConfig, split_dataset, train, write_metrics_csv
 
 
@@ -102,7 +102,9 @@ def _steady_malloc() -> None:
 
     By default glibc raises both thresholds to the largest block freed so far,
     so its behaviour would depend on which arrays a command happened to free
-    first."""
+    first. Segment-at-a-time decoding frees no whole-file array to push them up,
+    so each worker would hand its ~10 MB of segment arrays back to the kernel
+    after every segment and fault them in again."""
     try:
         mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     except OSError:
@@ -241,9 +243,9 @@ def cmd_extract(args) -> int:
     bank = build_filterbank()
 
     def featurize(row: ManifestRow) -> AggregatedFeature:
-        # the header alone settles the length, so a long file is never decoded
+        # a segment is a file ``segment`` leaves whole, told from its header before decoding
         with WavReader(row.audio_path, TARGET_SAMPLE_RATE) as wav:
-            if not MIN_TAIL_SAMPLES <= wav.frames <= CHUNK_SAMPLES:
+            if segment(wav.frames) != [wav.frames]:
                 raise DataError(f"{row.audio_path}: {wav.frames / TARGET_SAMPLE_RATE:g} s long, "
                                 "not an 8-10 s segment from preprocess")
         samples = ingest(row.audio_path)

@@ -56,8 +56,8 @@ class FilterBank:
 @dataclass
 class AggregatedFeature:
     """26-dim per-segment mean feature vector with its division label; a plain
-    record, not checked when built (the cache reader refuses a label byte
-    outside 0..7)."""
+    record, not checked when built (the cache writer refuses a vector of another
+    shape and a label outside 0..7, and the reader a label byte outside 0..7)."""
 
     vector: np.ndarray
     label: int
@@ -168,31 +168,32 @@ def aggregate(mfcc: np.ndarray) -> np.ndarray:
 _RECORD_HEADER = struct.Struct("<BH")  # label, source-id length
 _VECTOR_BYTES = 8 * FEATURE_DIM
 _MIN_RECORD = _RECORD_HEADER.size + _VECTOR_BYTES  # a record with an empty source id
+_MAX_SOURCE_ID = 0xFFFF  # bytes a u16 length can declare
 _WRITE_BLOCK = 1024  # records joined per write, so the writer's memory stays flat
 
 
 def write_feature_cache(records: list[AggregatedFeature], path) -> None:
     """Binary cache: DIVFEAT1 magic, u64 count, then per record a label byte,
-    u16 source-id length + UTF-8 bytes, 26 f64 LE values. Written whole
+    u16 source-id length + UTF-8 bytes, 26 f64 LE values. A record whose vector
+    is not 26 values, whose label is outside 0..7 or whose source id is over
+    65,535 bytes raises ``ValueError`` naming it. Written whole
     (``atomic.write_whole``): a write that raises leaves ``path`` as it was."""
     with write_whole(path) as fh:
         fh.write(CACHE_MAGIC + struct.pack("<Q", len(records)))
         for first in range(0, len(records), _WRITE_BLOCK):
-            block = records[first : first + _WRITE_BLOCK]
-            try:
-                rows = np.array([rec.vector for rec in block], dtype="<f8")
-                if rows.shape != (len(block), FEATURE_DIM):
-                    raise ValueError("a vector of another shape")
-            except ValueError:
-                # numpy names no record: name the first of another shape, else re-raise
-                for i, rec in enumerate(block, first):
-                    if np.shape(rec.vector) != (FEATURE_DIM,):
-                        raise ValueError(f"record {i}: expected {FEATURE_DIM} values, "
-                                         f"got shape {np.shape(rec.vector)}") from None
-                raise
             parts = []
-            for rec, row in zip(block, rows):
+            for i, rec in enumerate(records[first : first + _WRITE_BLOCK], first):
+                row = np.asarray(rec.vector, dtype="<f8")
+                if row.shape != (FEATURE_DIM,):
+                    raise ValueError(f"record {i}: expected {FEATURE_DIM} values, "
+                                     f"got shape {row.shape}")
+                if not 0 <= rec.label < NUM_CLASSES:
+                    raise ValueError(f"record {i}: label must be an int in "
+                                     f"0..{NUM_CLASSES - 1}, got {rec.label}")
                 sid = rec.source_id.encode("utf-8")
+                if len(sid) > _MAX_SOURCE_ID:
+                    raise ValueError(f"record {i}: source id is {len(sid)} bytes of UTF-8, "
+                                     f"over {_MAX_SOURCE_ID}")
                 parts += (_RECORD_HEADER.pack(rec.label, len(sid)), sid, row.tobytes())
             fh.write(b"".join(parts))
 

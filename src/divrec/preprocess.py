@@ -6,12 +6,8 @@ import. Segmentation greedily cuts 10 s chunks from the start and keeps the
 remainder only when it is at least 8 s long, so every emitted chunk lies in
 [8 s, 10 s]. It is a rule over the header's frame count: the commands read
 each chunk from the file just before denoising it, so a worker holds one
-segment at a time, whatever the length of the recording.
-
-That memory stays put because ``cli.main`` fixes glibc's mmap and trim
-thresholds: by default they follow the largest block freed so far, and without
-a whole-file array to push them up, each worker would hand its ~10 MB of
-segment arrays back to the kernel after every segment and fault them in again.
+segment at a time, whatever the length of the recording; ``cli._steady_malloc``
+keeps that memory in the worker heaps.
 
 Noise reduction is classical magnitude spectral subtraction: Hann-windowed
 frames (512 samples, hop 256), noise magnitude profile estimated as the mean
@@ -53,7 +49,8 @@ def segment(frames: int) -> list[int]:
     """The lengths of the consecutive non-overlapping chunks cut from a
     recording of ``frames`` 16 kHz samples, in order from its start: 10 s
     each, then the remainder if it is at least 8 s. Too short a recording
-    gives an empty list."""
+    gives an empty list, and a recording is one segment exactly when this
+    returns ``[frames]`` (the test ``extract`` makes)."""
     full, tail = divmod(frames, CHUNK_SAMPLES)
     return [CHUNK_SAMPLES] * full + ([tail] if tail >= MIN_TAIL_SAMPLES else [])
 

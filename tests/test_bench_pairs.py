@@ -17,12 +17,14 @@ def bench_pairs():
     return module
 
 
-def _record(bench_pairs, parent: str, parent_rss: list, change_rss: list) -> dict:
+def _record(bench_pairs, parent: str, parent_rss: list, change_rss: list,
+            parent_acc=(1.0,) * 3, change_acc=(1.0,) * 3) -> dict:
     digests = {"cache": "c0", "model.bin": "m0"}
-    runs = {side: [{"seed": 7 + k, "metrics": {"peak_rss_mb": rss, "accuracy": 1.0},
+    runs = {side: [{"seed": 7 + k, "metrics": {"peak_rss_mb": rss, "accuracy": acc},
                     "attempted": 10, "failed": 0, "digests": digests}
-                   for k, rss in enumerate(values)]
-            for side, values in (("parent", parent_rss), ("change", change_rss))}
+                   for k, (rss, acc) in enumerate(zip(rss_values, acc_values))]
+            for side, rss_values, acc_values in (("parent", parent_rss, parent_acc),
+                                                 ("change", change_rss, change_acc))}
     return {
         "layout": bench_pairs.LAYOUT, "parent": parent, "change": "def5678",
         "command": "python3 perfbench/run.py --workload W --seed S --seconds 1 --trace 0",
@@ -38,15 +40,18 @@ def _record(bench_pairs, parent: str, parent_rss: list, change_rss: list) -> dic
 
 def test_summary_prints_one_line_per_file_workload_and_metric(bench_pairs, tmp_path, capsys):
     first, second, old = tmp_path / "BENCH_1.json", tmp_path / "BENCH_2.json", tmp_path / "old.json"
-    first.write_text(json.dumps(_record(bench_pairs, "abc1234", [90, 91, 92], [79, 80, 93])))
+    # quartiles are perfbench/stats.py's (exclusive method); the change wins
+    # accuracy, a higher-is-better metric, in two pairs and ties the third
+    first.write_text(json.dumps(_record(bench_pairs, "abc1234", [90, 91, 92], [79, 80, 93],
+                                        [0.8, 0.8, 0.9], [0.9, 0.85, 0.9])))
     second.write_text(json.dumps(_record(bench_pairs, "def5678", [80, 80, 80], [80, 80, 80])))
     old.write_text(json.dumps({"summary": {}}))
     assert bench_pairs.main(["--summary", str(first), str(second), str(old)]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "BENCH_1.json abc1234 pipeline-480 peak_rss_mb (lower): parent 91 [90.5, 91.5] "
-        "change 80 [79.5, 86.5] won 2/3; failures none, digests equal",
-        "BENCH_1.json abc1234 pipeline-480 accuracy (higher): parent 1 [1, 1] "
-        "change 1 [1, 1] won 0/3; failures none, digests equal",
+        "BENCH_1.json abc1234 pipeline-480 peak_rss_mb (lower): parent 91 [90, 92] "
+        "change 80 [79, 93] won 2/3; failures none, digests equal",
+        "BENCH_1.json abc1234 pipeline-480 accuracy (higher): parent 0.8 [0.8, 0.9] "
+        "change 0.9 [0.85, 0.9] won 2/3; failures none, digests equal",
         "BENCH_2.json def5678 pipeline-480 peak_rss_mb (lower): parent 80 [80, 80] "
         "change 80 [80, 80] won 0/3; failures none, digests equal",
         "BENCH_2.json def5678 pipeline-480 accuracy (higher): parent 1 [1, 1] "

@@ -579,7 +579,8 @@ def test_extract_refuses_audio_that_skipped_preprocess(tmp_path, capsys):
 
 
 def test_extract_takes_exactly_8_to_10_second_segments(tmp_path, capsys):
-    lengths = [127_999, 128_000, 160_000, 160_001]  # samples at 16 kHz
+    # samples at 16 kHz; 10.5 s and 18 s are cut by ``segment`` but not left whole
+    lengths = [127_999, 128_000, 160_000, 160_001, 168_000, 288_000]
     rows = []
     for n in lengths:
         path = tmp_path / f"n{n}.wav"
@@ -588,10 +589,12 @@ def test_extract_takes_exactly_8_to_10_second_segments(tmp_path, capsys):
     write_manifest(rows, tmp_path / "m.csv")
     assert main(["extract", str(tmp_path / "m.csv"), "--out", str(tmp_path / "c.feat")]) == 0
     out, err = capsys.readouterr()
-    assert "(2/4 segments failed)" in out
+    assert "(4/6 segments failed)" in out
     assert err.splitlines() == [
         f"{tmp_path / 'n127999.wav'}: 7.99994 s long, not an 8-10 s segment from preprocess",
         f"{tmp_path / 'n160001.wav'}: 10.0001 s long, not an 8-10 s segment from preprocess",
+        f"{tmp_path / 'n168000.wav'}: 10.5 s long, not an 8-10 s segment from preprocess",
+        f"{tmp_path / 'n288000.wav'}: 18 s long, not an 8-10 s segment from preprocess",
     ]
     assert [rec.source_id for rec in read_feature_cache(tmp_path / "c.feat")] == [
         str(tmp_path / "n128000.wav"), str(tmp_path / "n160000.wav")]

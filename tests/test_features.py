@@ -442,10 +442,34 @@ def test_failed_write_names_the_ragged_record_and_leaves_no_file(tmp_path):
 
 
 def test_failed_write_of_another_kind_keeps_numpy_error(tmp_path):
-    vector = np.full(26, "x", dtype=object)
-    with pytest.raises(ValueError, match="could not convert string to float"):
-        write_feature_cache([AggregatedFeature(vector, 0, "s")], tmp_path / "c.feat")
+    for vector in (np.full(26, "x", dtype=object), ["x"] * 26):
+        with pytest.raises(ValueError, match="could not convert string to float"):
+            write_feature_cache([AggregatedFeature(vector, 0, "s")], tmp_path / "c.feat")
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("label, source_id, message", [
+    (8, "s", "label must be an int in 0..7, got 8"),
+    (255, "s", "label must be an int in 0..7, got 255"),
+    (-1, "s", "label must be an int in 0..7, got -1"),
+    (3, "x" * 65_536, "source id is 65536 bytes of UTF-8, over 65535"),
+])
+def test_writer_refuses_what_the_reader_would_not_read_back(tmp_path, label, source_id, message):
+    # a label the reader refuses, or an id a u16 length cannot declare, after two good records
+    records = [AggregatedFeature(np.zeros(26), 0, "ok") for _ in range(2)]
+    records.append(AggregatedFeature(np.zeros(26), label, source_id))
+    with pytest.raises(ValueError, match=re.escape(f"record 2: {message}")):
+        write_feature_cache(records, tmp_path / "c.feat")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_writer_takes_the_widest_source_id_and_every_label(tmp_path):
+    records = [AggregatedFeature(np.zeros(26), label, "x" * 65_535 if label == 7 else "s")
+               for label in range(8)]
+    write_feature_cache(records, tmp_path / "c.feat")
+    back = read_feature_cache(tmp_path / "c.feat")
+    assert [rec.label for rec in back] == list(range(8))
+    assert len(back[7].source_id) == 65_535
 
 
 def test_writes_leave_a_file_named_like_a_temporary_alone(tmp_path, rng):
