@@ -19,7 +19,9 @@ metric (in BENCHMARK.json's direction; ties count for neither side), whether
 every run failed no operation, whether each pair's two runs gave equal
 digests, and the environment block run.py printed for each side's first run.
 
-The second form prints one line per file, workload and metric.
+The second form prints one line per file, workload and metric, ending in
+whether it shows a gain: the change won at least 9 of 10 pairs and its median
+is better than the parent's by more than the parent's q3 - q1.
 """
 
 from __future__ import annotations
@@ -87,6 +89,14 @@ def summarize(runs: dict, directions: dict) -> dict:
     return out
 
 
+def gain_shown(m: dict) -> bool:
+    """Whether one metric's summary shows the change better (see the module doc)."""
+    p, c = m["parent"], m["change"]
+    sign = 1 if m["better"] == "lower" else -1
+    return (10 * m["change_won"] >= 9 * m["pairs"]
+            and sign * (p["median"] - c["median"]) > p["q3"] - p["q1"])
+
+
 def git(*args: str) -> bytes:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, check=True).stdout
 
@@ -151,7 +161,8 @@ def summary_lines(paths: list[str]) -> list[str]:
                     f"{Path(path).name} {record['parent']} {workload} {name} ({m['better']}): "
                     f"parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}] "
                     f"change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}] "
-                    f"won {m['change_won']}/{m['pairs']}; {flags}")
+                    f"won {m['change_won']}/{m['pairs']}, "
+                    f"{'gain shown' if gain_shown(m) else 'no gain shown'}; {flags}")
     return lines
 
 

@@ -15,6 +15,7 @@ yields exactly 400 frames of 400 samples, and there is no pre-emphasis.
 
 from __future__ import annotations
 
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -187,7 +188,8 @@ def write_feature_cache(records: list[AggregatedFeature], path) -> None:
                 if row.shape != (FEATURE_DIM,):
                     raise ValueError(f"record {i}: expected {FEATURE_DIM} values, "
                                      f"got shape {row.shape}")
-                if not 0 <= rec.label < NUM_CLASSES:
+                # an integer of any kind, numpy's included, but not 3.0
+                if not (isinstance(rec.label, numbers.Integral) and 0 <= rec.label < NUM_CLASSES):
                     raise ValueError(f"record {i}: label must be an int in "
                                      f"0..{NUM_CLASSES - 1}, got {rec.label}")
                 sid = rec.source_id.encode("utf-8")

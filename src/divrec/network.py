@@ -5,7 +5,9 @@ ReLU on every hidden layer, softmax at the output, inverted dropout (rate
 as views of one vector in the model file's order. Each layer is computed in
 place in the product it has just made, in forward and backward alike. Only a
 training-mode forward draws dropout masks and keeps per-layer arrays (with
-those bool masks), and only those backward reads.
+those bool masks), and only those backward reads. An inference forward runs
+the chain over blocks of ``BATCH_SIZE`` rows, so its memory does not grow with
+the row count.
 """
 
 from __future__ import annotations
@@ -44,6 +46,10 @@ ARCHITECTURE: tuple[LayerSpec, ...] = (
 
 INPUT_DIM = ARCHITECTURE[0].in_dim
 NUM_CLASSES = ARCHITECTURE[-1].out_dim
+
+# rows per training batch and per inference block: a block's widest layer
+# is 256 kB, where a whole (n, 256) product grows with n
+BATCH_SIZE = 128
 
 # the model file's fixed header: format version, layer count, then per layer
 # in_dim, out_dim, activation tag and dropout rate (NaN for none)
@@ -128,9 +134,11 @@ def forward(
     probabilities and, in training mode, the cache for ``backward`` (None in
     inference mode, which keeps no per-layer arrays and applies no dropout).
     Training mode needs ``rng`` (a ValueError without it) and draws fresh
-    inverted-dropout masks from it. Any input shape other than (batch, 26),
-    a single 1-D vector included, is a DataError; an output holding NaN or
-    infinity is a NumericError.
+    inverted-dropout masks from it. Inference mode runs the chain over blocks
+    of ``BATCH_SIZE`` rows into one output array; up to ``BATCH_SIZE`` rows
+    that is one chain over the whole input. Any input shape other than
+    (batch, 26), a single 1-D vector included, is a DataError; an output
+    holding NaN or infinity is a NumericError.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != INPUT_DIM:
@@ -141,24 +149,40 @@ def forward(
         if rng is None:
             raise ValueError("training-mode forward needs an rng")
         cache = ForwardCache(inputs=x, activations=[], dropout_masks=[])
-    a = x
     # an overflow shows up as a non-finite output, refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, spec in enumerate(ARCHITECTURE):
-            z = a @ params.weights[i].T
-            z += params.biases[i]
-            a = np.maximum(z, 0.0, out=z) if spec.activation == "relu" else softmax(z)
-            if cache is not None:
-                mask = None
-                if (rate := spec.dropout_after) is not None:
-                    mask = rng.random(a.shape) >= rate
-                    a = a * mask
-                    a *= 1.0 / (1.0 - rate)
-                cache.activations.append(a)
-                cache.dropout_masks.append(mask)
-    if not np.all(np.isfinite(a)):
+        if cache is not None:
+            out = _chain(x, params, cache, rng)
+        else:
+            out = np.empty((x.shape[0], NUM_CLASSES))
+            for lo in range(0, x.shape[0], BATCH_SIZE):
+                out[lo : lo + BATCH_SIZE] = _chain(x[lo : lo + BATCH_SIZE], params)
+    if not np.all(np.isfinite(out)):
         raise NumericError("network output contains NaN or infinity")
-    return a, cache
+    return out, cache
+
+
+def _chain(
+    a: np.ndarray,
+    params: NetworkParams,
+    cache: ForwardCache | None = None,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """The layers over rows ``a``; with a ``cache``, dropout from ``rng`` and
+    each layer's output and mask appended to it."""
+    for i, spec in enumerate(ARCHITECTURE):
+        z = a @ params.weights[i].T
+        z += params.biases[i]
+        a = np.maximum(z, 0.0, out=z) if spec.activation == "relu" else softmax(z)
+        if cache is not None:
+            mask = None
+            if (rate := spec.dropout_after) is not None:
+                mask = rng.random(a.shape) >= rate
+                a = a * mask
+                a *= 1.0 / (1.0 - rate)
+            cache.activations.append(a)
+            cache.dropout_masks.append(mask)
+    return a
 
 
 def backward(

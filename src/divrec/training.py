@@ -7,8 +7,9 @@ bias-corrected moment updates over the parameters' one vector, in slices of
 ``ADAM_CHUNK`` values; the learning rate halves after three epochs
 without a validation-loss improvement of at least 1e-4 (reduce-on-plateau),
 floored at 1e-6. Each epoch steps through shuffled batches of ``BATCH_SIZE``
-rows. These recipe values are module constants; only the learning rate, epoch
-count and seed are settable.
+rows (``network.BATCH_SIZE``, which is also the inference forward's block).
+These recipe values are module constants; only the learning rate, epoch count
+and seed are settable.
 
 Training loss and accuracy are size-weighted means over each epoch's
 batches, taken from the training-mode forward every step already runs
@@ -29,6 +30,7 @@ from .atomic import write_whole
 from .errors import DataError, NumericError
 from .features import AggregatedFeature
 from .network import (
+    BATCH_SIZE,
     NUM_CLASSES,
     NetworkParams,
     backward,
@@ -49,8 +51,6 @@ PLATEAU_FACTOR = 0.5
 PLATEAU_PATIENCE = 3
 PLATEAU_MIN_DELTA = 1e-4
 MIN_LR = 1e-6
-
-BATCH_SIZE = 128
 
 # values per slice of Adam's update: a slice's six operands (theta, g, m, v
 # and two scratch buffers) take 1.5 MB and stay in a 2 MB L2 cache; over the

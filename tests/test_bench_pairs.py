@@ -39,22 +39,30 @@ def _record(bench_pairs, parent: str, parent_rss: list, change_rss: list,
 
 
 def test_summary_prints_one_line_per_file_workload_and_metric(bench_pairs, tmp_path, capsys):
-    first, second, old = tmp_path / "BENCH_1.json", tmp_path / "BENCH_2.json", tmp_path / "old.json"
+    first, second, third, old = (tmp_path / name for name in
+                                 ("BENCH_1.json", "BENCH_2.json", "BENCH_3.json", "old.json"))
     # quartiles are perfbench/stats.py's (exclusive method); the change wins
-    # accuracy, a higher-is-better metric, in two pairs and ties the third
+    # accuracy, a higher-is-better metric, in two pairs and ties the third.
+    # A gain is shown only on BENCH_2's peak_rss_mb: every pair won, by more
+    # than the parent's spread; BENCH_3's change wins every pair by less
     first.write_text(json.dumps(_record(bench_pairs, "abc1234", [90, 91, 92], [79, 80, 93],
                                         [0.8, 0.8, 0.9], [0.9, 0.85, 0.9])))
-    second.write_text(json.dumps(_record(bench_pairs, "def5678", [80, 80, 80], [80, 80, 80])))
+    second.write_text(json.dumps(_record(bench_pairs, "def5678", [90, 91, 92], [80, 81, 82])))
+    third.write_text(json.dumps(_record(bench_pairs, "fed8765", [80, 90, 100], [79, 89, 99])))
     old.write_text(json.dumps({"summary": {}}))
-    assert bench_pairs.main(["--summary", str(first), str(second), str(old)]) == 0
+    assert bench_pairs.main(["--summary", str(first), str(second), str(third), str(old)]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "BENCH_1.json abc1234 pipeline-480 peak_rss_mb (lower): parent 91 [90, 92] "
-        "change 80 [79, 93] won 2/3; failures none, digests equal",
+        "change 80 [79, 93] won 2/3, no gain shown; failures none, digests equal",
         "BENCH_1.json abc1234 pipeline-480 accuracy (higher): parent 0.8 [0.8, 0.9] "
-        "change 0.9 [0.85, 0.9] won 2/3; failures none, digests equal",
-        "BENCH_2.json def5678 pipeline-480 peak_rss_mb (lower): parent 80 [80, 80] "
-        "change 80 [80, 80] won 0/3; failures none, digests equal",
+        "change 0.9 [0.85, 0.9] won 2/3, no gain shown; failures none, digests equal",
+        "BENCH_2.json def5678 pipeline-480 peak_rss_mb (lower): parent 91 [90, 92] "
+        "change 81 [80, 82] won 3/3, gain shown; failures none, digests equal",
         "BENCH_2.json def5678 pipeline-480 accuracy (higher): parent 1 [1, 1] "
-        "change 1 [1, 1] won 0/3; failures none, digests equal",
+        "change 1 [1, 1] won 0/3, no gain shown; failures none, digests equal",
+        "BENCH_3.json fed8765 pipeline-480 peak_rss_mb (lower): parent 90 [80, 100] "
+        "change 89 [79, 99] won 3/3, no gain shown; failures none, digests equal",
+        "BENCH_3.json fed8765 pipeline-480 accuracy (higher): parent 1 [1, 1] "
+        "change 1 [1, 1] won 0/3, no gain shown; failures none, digests equal",
         f"{old}: not a bench_pairs/1 file; skipped",
     ]

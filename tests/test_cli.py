@@ -847,6 +847,25 @@ def test_evaluate_val_split_matches_train_report(workspace, tmp_path, capsys):
     assert len(disk) == 9
 
 
+def test_evaluate_val_split_of_two_blocks_matches_train_report(tmp_path):
+    # 1,400 records give 140 validation rows, two of the inference forward's
+    # 128-row blocks; overlapping class blobs keep the accuracy below 1.0
+    rng = np.random.default_rng(3)
+    centres = rng.normal(0, 1, (8, 26))
+    write_feature_cache([AggregatedFeature(centres[i % 8] + rng.normal(0, 1.5, 26), i % 8,
+                                           f"seg{i:04d}") for i in range(1400)],
+                        tmp_path / "cache.feat")
+    assert main(["train", str(tmp_path / "cache.feat"), "--model-out", str(tmp_path / "m.bin"),
+                 "--metrics-out", str(tmp_path / "m.csv"), "--seed", "5", "--epochs", "2"]) == 0
+    assert main(["evaluate", str(tmp_path / "m.bin"), str(tmp_path / "cache.feat"),
+                 "--split", "val", "--seed", "5", "--out", str(tmp_path / "r.json")]) == 0
+    report = json.loads((tmp_path / "r.json").read_text())
+    last = (tmp_path / "m.csv").read_text().strip().split("\n")[-1].split(",")
+    assert report["total"] == 140
+    assert 0.0 < report["accuracy"] < 1.0
+    assert report["accuracy"] == float(last[4])
+
+
 def test_evaluate_confusion_rows_match_cache_counts(workspace, tmp_path):
     out = tmp_path / "full.json"
     assert main(["evaluate", str(workspace / "model.bin"), str(workspace / "cache.feat"),

@@ -452,6 +452,8 @@ def test_failed_write_of_another_kind_keeps_numpy_error(tmp_path):
     (8, "s", "label must be an int in 0..7, got 8"),
     (255, "s", "label must be an int in 0..7, got 255"),
     (-1, "s", "label must be an int in 0..7, got -1"),
+    (3.0, "s", "label must be an int in 0..7, got 3.0"),
+    (2.5, "s", "label must be an int in 0..7, got 2.5"),
     (3, "x" * 65_536, "source id is 65536 bytes of UTF-8, over 65535"),
 ])
 def test_writer_refuses_what_the_reader_would_not_read_back(tmp_path, label, source_id, message):
@@ -470,6 +472,12 @@ def test_writer_takes_the_widest_source_id_and_every_label(tmp_path):
     back = read_feature_cache(tmp_path / "c.feat")
     assert [rec.label for rec in back] == list(range(8))
     assert len(back[7].source_id) == 65_535
+
+
+def test_writer_takes_numpy_integer_labels(tmp_path):
+    records = [AggregatedFeature(np.zeros(26), kind(5), "s") for kind in (np.int64, np.uint8)]
+    write_feature_cache(records, tmp_path / "c.feat")
+    assert [rec.label for rec in read_feature_cache(tmp_path / "c.feat")] == [5, 5]
 
 
 def test_writes_leave_a_file_named_like_a_temporary_alone(tmp_path, rng):

@@ -13,6 +13,7 @@ from divrec.errors import DataError, NumericError
 from divrec.network import (
     _HEADER,
     ARCHITECTURE,
+    BATCH_SIZE,
     PARAM_COUNT,
     NetworkParams,
     backward,
@@ -304,6 +305,23 @@ def test_forward_memory_is_two_layers_wide():
     assert traced_peak(lambda: forward(x, params)) <= 2.5 * widest
     assert traced_peak(lambda: forward(x, params, mode="train",
                                        rng=np.random.default_rng(1))) <= 4.25 * widest
+
+
+def test_inference_forward_is_its_128_row_blocks_concatenated():
+    # above BATCH_SIZE rows the blocks' GEMMs need not equal one whole-input
+    # GEMM in the last bit; the forward is defined as the blocks
+    params = init_params(0)
+    x = np.random.default_rng(0).normal(0, 1, (300, 26))
+    blocks = [forward(x[lo : lo + BATCH_SIZE], params)[0] for lo in range(0, 300, BATCH_SIZE)]
+    assert forward(x, params)[0].tobytes() == np.concatenate(blocks).tobytes()
+
+
+def test_inference_forward_memory_does_not_grow_with_the_rows():
+    # at paper scale, only the input and output arrays outgrow one block's layers
+    params = init_params(0)
+    x = np.random.default_rng(0).normal(0, 1, (16_730, 26))
+    small = traced_peak(lambda: forward(x[:BATCH_SIZE], params))
+    assert traced_peak(lambda: forward(x, params)) <= small + x.nbytes + 16_730 * 8 * 8
 
 
 def test_backward_requires_training_cache(rng):
