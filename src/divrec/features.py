@@ -15,7 +15,6 @@ yields exactly 400 frames of 400 samples, and there is no pre-emphasis.
 
 from __future__ import annotations
 
-import numbers
 import struct
 from dataclasses import dataclass
 
@@ -58,7 +57,8 @@ class FilterBank:
 class AggregatedFeature:
     """26-dim per-segment mean feature vector with its division label; a plain
     record, not checked when built (the cache writer refuses a vector of another
-    shape and a label outside 0..7, and the reader a label byte outside 0..7)."""
+    shape and a label that is not an int in 0..7, and the reader a label byte
+    outside 0..7)."""
 
     vector: np.ndarray
     label: int
@@ -176,9 +176,9 @@ _WRITE_BLOCK = 1024  # records joined per write, so the writer's memory stays fl
 def write_feature_cache(records: list[AggregatedFeature], path) -> None:
     """Binary cache: DIVFEAT1 magic, u64 count, then per record a label byte,
     u16 source-id length + UTF-8 bytes, 26 f64 LE values. A record whose vector
-    is not 26 values, whose label is outside 0..7 or whose source id is over
-    65,535 bytes raises ``ValueError`` naming it. Written whole
-    (``atomic.write_whole``): a write that raises leaves ``path`` as it was."""
+    is not 26 values, whose source id is over 65,535 bytes or whose label is
+    not an int in 0..7 (3.0 included) raises ``ValueError`` naming it. Written
+    whole (``atomic.write_whole``): a write that raises leaves ``path`` as it was."""
     with write_whole(path) as fh:
         fh.write(CACHE_MAGIC + struct.pack("<Q", len(records)))
         for first in range(0, len(records), _WRITE_BLOCK):
@@ -188,15 +188,19 @@ def write_feature_cache(records: list[AggregatedFeature], path) -> None:
                 if row.shape != (FEATURE_DIM,):
                     raise ValueError(f"record {i}: expected {FEATURE_DIM} values, "
                                      f"got shape {row.shape}")
-                # an integer of any kind, numpy's included, but not 3.0
-                if not (isinstance(rec.label, numbers.Integral) and 0 <= rec.label < NUM_CLASSES):
-                    raise ValueError(f"record {i}: label must be an int in "
-                                     f"0..{NUM_CLASSES - 1}, got {rec.label}")
                 sid = rec.source_id.encode("utf-8")
                 if len(sid) > _MAX_SOURCE_ID:
                     raise ValueError(f"record {i}: source id is {len(sid)} bytes of UTF-8, "
                                      f"over {_MAX_SOURCE_ID}")
-                parts += (_RECORD_HEADER.pack(rec.label, len(sid)), sid, row.tobytes())
+                # struct packs an int of any kind, numpy's included, and refuses 3.0
+                try:
+                    if not 0 <= rec.label < NUM_CLASSES:
+                        raise struct.error
+                    header = _RECORD_HEADER.pack(rec.label, len(sid))
+                except struct.error:
+                    raise ValueError(f"record {i}: label must be an int in "
+                                     f"0..{NUM_CLASSES - 1}, got {rec.label}") from None
+                parts += (header, sid, row.tobytes())
             fh.write(b"".join(parts))
 
 
