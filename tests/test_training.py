@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divrec.errors import DataError, NumericError
-from divrec.features import AggregatedFeature
+from divrec.evaluation import evaluate
+from divrec.features import AggregatedFeature, read_feature_cache, write_feature_cache
 from divrec import training
 from divrec.network import PARAM_COUNT, NetworkParams, backward, forward, init_params
 from divrec.training import (
@@ -453,6 +454,28 @@ def test_training_deterministic_and_metrics_counted_independently(tmp_path, monk
     # the size weighting of one batch, kept so the bits match
     assert one_epoch[0].train_loss == cross_entropy(probs, one_hot(y)) * n / n
     assert one_epoch[0].train_acc == int(np.sum(np.argmax(probs, axis=1) == y)) / n
+
+
+def test_a_list_and_its_cache_read_back_split_train_and_evaluate_alike(tmp_path):
+    # the records as written and as read_feature_cache returns them: the same
+    # parts in the same order, the same trained bytes and history, the same
+    # reports; 277 training rows make two full batches and a partial one
+    records = make_records([48, 46, 44, 43, 42, 40, 41, 41], rng=np.random.default_rng(21),
+                           spread=2.0)
+    write_feature_cache(records, tmp_path / "c.feat")
+    shapes = (records, read_feature_cache(tmp_path / "c.feat"))
+    config = TrainingConfig(seed=4, epochs=3)
+
+    parts = [split_dataset(shape, config) for shape in shapes]
+    assert [[rec.source_id for rec in part] for part in parts[0]] == [
+        [rec.source_id for rec in part] for part in parts[1]]
+    assert [len(part) for part in parts[0]] == [277, 34, 34]
+
+    (params_a, history_a), (params_b, history_b) = (train(shape, config) for shape in shapes)
+    assert params_a.vector.tobytes() == params_b.vector.tobytes()
+    assert history_a == history_b
+    assert evaluate(params_a, shapes[0]) == evaluate(params_a, shapes[1])
+    assert evaluate(params_a, parts[0][2]) == evaluate(params_a, parts[1][2])
 
 
 def test_train_peak_memory_at_paper_scale():
