@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -184,7 +185,12 @@ def main(argv=None) -> int:
                         help="a workload to run (repeatable; default: all in BENCHMARK.json)")
     args = parser.parse_args(argv)
     if args.summary:
-        print("\n".join(summary_lines(args.summary)))
+        try:
+            print("\n".join(summary_lines(args.summary)), flush=True)
+        except BrokenPipeError:
+            # the reader closed the pipe (``| head``): stop quietly, and point
+            # stdout at /dev/null so the interpreter's last flush cannot fail too
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     if not args.parent or not args.out or args.pairs < 1:
         parser.error("pair mode needs PARENT_REV, --out and --pairs of at least 1")

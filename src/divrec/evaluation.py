@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError
-from .features import AggregatedFeature
+from .features import AggregatedFeature, FeatureTable
 from .network import NUM_CLASSES, NetworkParams, forward
 
 
@@ -36,14 +36,15 @@ def predict(params: NetworkParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.argmax(probs, axis=1), probs
 
 
-def evaluate(params: NetworkParams, records: list[AggregatedFeature]) -> dict:
-    """Score a labeled set; returns the report as a JSON-ready dict: accuracy,
-    total, labels, confusion and per_class (see docs/formats.md). The order
-    of the input records does not matter."""
-    if not records:
+def evaluate(params: NetworkParams, records: FeatureTable | list[AggregatedFeature]) -> dict:
+    """Score a labeled set, a table or a list of records; returns the report as
+    a JSON-ready dict: accuracy, total, labels, confusion and per_class (see
+    docs/formats.md). The order of the input records does not matter."""
+    table = FeatureTable.of(records)
+    if not len(table):
         raise DataError("cannot evaluate an empty sample set")
-    y_true = np.array([rec.label for rec in records], dtype=np.int64)
-    y_pred, _ = predict(params, np.stack([rec.vector for rec in records]))
+    y_true = table.labels
+    y_pred, _ = predict(params, table.vectors())
 
     confusion = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
     np.add.at(confusion, (y_true, y_pred), 1)
@@ -67,7 +68,7 @@ def evaluate(params: NetworkParams, records: list[AggregatedFeature]) -> dict:
         })
     return {
         "accuracy": int(np.trace(confusion)) / int(confusion.sum()),
-        "total": len(records),
+        "total": len(table),
         "labels": list(DIVISION_NAMES),
         "confusion": confusion.tolist(),
         "per_class": per_class,

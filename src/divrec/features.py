@@ -16,6 +16,7 @@ yields exactly 400 frames of 400 samples, and there is no pre-emphasis.
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,11 +59,65 @@ class AggregatedFeature:
     """26-dim per-segment mean feature vector with its division label; a plain
     record, not checked when built (the cache writer refuses a vector of another
     shape and a label that is not an int in 0..7, and the reader a label byte
-    outside 0..7)."""
+    outside 0..7). A ``FeatureTable`` builds one on demand for each row it is
+    asked for."""
 
     vector: np.ndarray
     label: int
     source_id: str
+
+
+class FeatureTable(Sequence):
+    """Records held as three columns: an (n, 26) vector array, an (n,) int64
+    label array and a list of n source ids. ``rows`` picks this table's records
+    from the columns, in its order, so the parts of a split share one set of
+    columns. ``t[i]`` is an ``AggregatedFeature`` whose vector is a writeable
+    view of its row; ``t[a:b]`` is a table."""
+
+    def __init__(self, vectors: np.ndarray, labels: np.ndarray, source_ids: list[str],
+                 rows: np.ndarray | None = None) -> None:
+        self.columns = (vectors, labels, source_ids)
+        self.rows = np.arange(len(source_ids)) if rows is None else rows
+
+    @classmethod
+    def of(cls, records) -> FeatureTable:
+        """``records`` itself if it is a table, else a table of a list's
+        records; a label outside 0..7 raises ``ValueError`` naming the record."""
+        if isinstance(records, FeatureTable):
+            return records
+        vectors = (np.stack([rec.vector for rec in records]) if records
+                   else np.empty((0, FEATURE_DIM)))
+        labels = np.array([rec.label for rec in records], dtype=np.int64)
+        bad = np.flatnonzero((labels < 0) | (labels >= NUM_CLASSES))
+        if bad.size:
+            raise ValueError(f"record {bad[0]}: label must be an int in "
+                             f"0..{NUM_CLASSES - 1}, got {labels[bad[0]]}")
+        return cls(vectors, labels, [rec.source_id for rec in records])
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.take(i)
+        row = self.rows[i]
+        vectors, labels, source_ids = self.columns
+        return AggregatedFeature(vectors[row], int(labels[row]), source_ids[row])
+
+    def __eq__(self, other) -> bool:
+        return list(self) == other if isinstance(other, list) else NotImplemented
+
+    def take(self, index) -> FeatureTable:
+        """The table of this one's records at ``index``, over the same columns."""
+        return FeatureTable(*self.columns, rows=self.rows[index])
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self.columns[1][self.rows]
+
+    def vectors(self, index=slice(None)) -> np.ndarray:
+        """A new (k, 26) array of the vectors of this table's records at ``index``."""
+        return self.columns[0][self.rows[index]]
 
 
 def frame_signal(samples: np.ndarray) -> np.ndarray:
@@ -204,8 +259,9 @@ def write_feature_cache(records: list[AggregatedFeature], path) -> None:
             fh.write(b"".join(parts))
 
 
-def read_feature_cache(path) -> list[AggregatedFeature]:
-    """Each record's ``vector`` is a writeable row of one (count, 26) array."""
+def read_feature_cache(path) -> FeatureTable:
+    """The file's records as a ``FeatureTable``, whose columns are one
+    (count, 26) array, the labels and the source ids."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:8] != CACHE_MAGIC:
@@ -216,8 +272,8 @@ def read_feature_cache(path) -> list[AggregatedFeature]:
     if len(raw) < 16 or count > (len(raw) - 16) // _MIN_RECORD:
         raise truncated
     values = bytearray(count * _VECTOR_BYTES)
-    vectors = np.frombuffer(values, dtype="<f8").reshape(count, FEATURE_DIM)
-    records = []
+    labels = bytearray(count)
+    source_ids = []
     pos = 16
     try:
         for i in range(count):
@@ -234,12 +290,16 @@ def read_feature_cache(path) -> list[AggregatedFeature]:
             if label >= NUM_CLASSES:
                 raise DataError(f"{path}: record {i}: label must be an int in "
                                 f"0..{NUM_CLASSES - 1}, got {label}")
-            records.append(AggregatedFeature(vectors[i], label, sid))
+            labels[i] = label
+            source_ids.append(sid)
     except struct.error as exc:
         raise truncated from exc
     if pos != len(raw):
         raise DataError(f"{path}: {len(raw) - pos} bytes after the {count} declared records")
+    del raw  # so the check below does not add to the peak of the parse
+    vectors = np.frombuffer(values, dtype="<f8").reshape(count, FEATURE_DIM)
     non_finite = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
     if non_finite.size:
         raise DataError(f"{path}: record {non_finite[0]} has a NaN or infinite value")
-    return records
+    return FeatureTable(vectors, np.frombuffer(labels, dtype=np.uint8).astype(np.int64),
+                        source_ids)

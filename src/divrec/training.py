@@ -28,7 +28,7 @@ import numpy as np
 
 from .atomic import write_whole
 from .errors import DataError, NumericError
-from .features import AggregatedFeature
+from .features import AggregatedFeature, FeatureTable
 from .network import (
     BATCH_SIZE,
     NUM_CLASSES,
@@ -200,37 +200,33 @@ def _stratified_counts(class_sizes: np.ndarray) -> np.ndarray:
 
 
 def split_dataset(
-    features: list[AggregatedFeature],
+    features: FeatureTable | list[AggregatedFeature],
     config: TrainingConfig,
-) -> tuple[list[AggregatedFeature], list[AggregatedFeature], list[AggregatedFeature]]:
-    """Seeded shuffle + stratified slicing into (train, test, validation);
+) -> tuple[FeatureTable, FeatureTable, FeatureTable]:
+    """Seeded shuffle + stratified slicing into (train, test, validation)
+    tables over the columns of ``features`` (a list is made a table first);
     every one of the NUM_CLASSES labels must have samples."""
-    if len(features) < 10:
-        raise DataError(f"need at least 10 samples to split, got {len(features)}")
-    labels = [rec.label for rec in features]
-    missing = sorted(set(range(NUM_CLASSES)) - set(labels))
+    table = FeatureTable.of(features)
+    if len(table) < 10:
+        raise DataError(f"need at least 10 samples to split, got {len(table)}")
+    labels = table.labels
+    missing = sorted(set(range(NUM_CLASSES)) - set(labels.tolist()))
     if missing:
         raise DataError(f"no samples for label(s) {missing}")
 
     rng = np.random.default_rng([config.seed, 0])
-    order = rng.permutation(len(features))
+    order = rng.permutation(len(table))
+    # each class's members in the order the permutation visits them
+    by_label = [order[labels[order] == c] for c in range(NUM_CLASSES)]
 
-    by_label: list[list[int]] = [[] for _ in range(NUM_CLASSES)]
-    for idx in order:
-        by_label[labels[idx]].append(int(idx))
-
-    counts = _stratified_counts(np.array([len(m) for m in by_label], dtype=np.int64))
+    counts = _stratified_counts(np.array([m.size for m in by_label], dtype=np.int64))
 
     train, test, val = [], [], []
     for members, (n_tr, n_te, n_va) in zip(by_label, counts):
-        train.extend(members[:n_tr])
-        test.extend(members[n_tr : n_tr + n_te])
-        val.extend(members[n_tr + n_te : n_tr + n_te + n_va])
-    return (
-        [features[i] for i in train],
-        [features[i] for i in test],
-        [features[i] for i in val],
-    )
+        train.append(members[:n_tr])
+        test.append(members[n_tr : n_tr + n_te])
+        val.append(members[n_tr + n_te : n_tr + n_te + n_va])
+    return tuple(table.take(np.concatenate(part)) for part in (train, test, val))
 
 
 @dataclass
@@ -253,12 +249,6 @@ class PlateauScheduler:
         return lr
 
 
-def _dataset_arrays(records: list[AggregatedFeature]) -> tuple[np.ndarray, np.ndarray]:
-    x = np.stack([rec.vector for rec in records])
-    y = np.array([rec.label for rec in records], dtype=np.int64)
-    return x, y
-
-
 def _evaluate_arrays(params: NetworkParams, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     probs, _ = forward(x, params, mode="infer")
     loss = cross_entropy(probs, one_hot(y))
@@ -267,14 +257,15 @@ def _evaluate_arrays(params: NetworkParams, x: np.ndarray, y: np.ndarray) -> tup
 
 
 def train(
-    features: list[AggregatedFeature],
+    features: FeatureTable | list[AggregatedFeature],
     config: TrainingConfig,
 ) -> tuple[NetworkParams, list[EpochMetrics]]:
-    """Full training run; returns final parameters and the per-epoch history."""
+    """Full training run; returns final parameters and the per-epoch history.
+    Each batch's vectors are gathered from the columns and only its targets
+    are one-hot encoded, so no copy of the whole training set is made."""
     train_set, _, val_set = split_dataset(features, config)
-    x_train, y_train = _dataset_arrays(train_set)
-    x_val, y_val = _dataset_arrays(val_set)
-    t_train = one_hot(y_train)
+    y_train = train_set.labels
+    x_val, y_val = val_set.vectors(), val_set.labels
 
     params = init_params(config.seed)
     state = init_adam_state(params, config)
@@ -284,14 +275,15 @@ def train(
     dropout_rng = np.random.default_rng([config.seed, 2])
 
     history: list[EpochMetrics] = []
-    n = x_train.shape[0]
+    n = len(train_set)
     for epoch in range(1, config.epochs + 1):
         perm = shuffle_rng.permutation(n)
         loss_sum, correct = 0.0, 0
         for start in range(0, n, BATCH_SIZE):
             batch = perm[start : start + BATCH_SIZE]
-            targets = t_train[batch]
-            probs, cache = forward(x_train[batch], params, mode="train", rng=dropout_rng)
+            targets = one_hot(y_train[batch])
+            probs, cache = forward(train_set.vectors(batch), params, mode="train",
+                                   rng=dropout_rng)
             loss_sum += cross_entropy(probs, targets) * len(batch)
             correct += int(np.count_nonzero(np.argmax(probs, axis=1) == y_train[batch]))
             grads = backward(params, cache, targets, out=grads)

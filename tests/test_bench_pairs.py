@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,3 +69,18 @@ def test_summary_prints_one_line_per_file_workload_and_metric(bench_pairs, tmp_p
         "change 1 [1, 1] won 0/3, no gain shown; failures none, digests equal",
         f"{old}: not a bench_pairs/1 file; skipped",
     ]
+
+
+def test_summary_into_a_closed_pipe_exits_quietly(bench_pairs, tmp_path):
+    # the pipe's reader is gone before the first line is written, as with
+    # ``| head`` once it has read its lines: no traceback, and exit 0
+    path = tmp_path / "BENCH_1.json"
+    path.write_text(json.dumps(_record(bench_pairs, "abc1234", [90, 91, 92], [79, 80, 93])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, str(SCRIPT), "--summary", str(path)],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import re
 from collections import Counter
 
 import numpy as np
@@ -81,6 +82,19 @@ def test_split_missing_class_raises():
     records = make_records([10, 10, 10, 10, 10, 10, 10, 0])
     with pytest.raises(DataError, match=r"no samples for label\(s\) \[7\]"):
         split_dataset(records, TrainingConfig(seed=0))
+
+
+@pytest.mark.parametrize("label", [-1, 8])
+def test_split_and_evaluate_refuse_a_label_outside_0_to_7(label):
+    # a record list is made a table first, which names the record; no part
+    # drops it and no confusion row counts it as another class
+    records = make_records([10] * 8)
+    records[23].label = label
+    message = f"record 23: label must be an int in 0..7, got {label}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        split_dataset(records, TrainingConfig(seed=0))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evaluate(init_params(0), records)
 
 
 def test_split_too_few_samples_raises():
@@ -487,6 +501,22 @@ def test_train_peak_memory_at_paper_scale():
                for i, v in enumerate(rng.normal(0.0, 1.0, (16730, 26)))]
     peak = traced_peak(lambda: train(records, TrainingConfig(seed=3, epochs=2)))
     assert peak < 40e6, peak
+
+
+def test_train_on_a_read_cache_copies_no_training_matrix(tmp_path):
+    # 16,730 records as read_feature_cache returns them, split to 13,384
+    # training rows, of which a (13384, 26) copy takes 2.8 MB and a (13384, 8)
+    # one-hot matrix 0.9 MB. Net of the table, read before tracing starts,
+    # one epoch peaked at 7.0-7.8 MB with each batch gathered and encoded on
+    # its own, and at 10.6-11.4 MB with both copies: the bound is 1.2 MB above
+    # the first and 1.6 MB below the second
+    rng = np.random.default_rng(13)
+    write_feature_cache([AggregatedFeature(v, i % 8, f"r{i}")
+                         for i, v in enumerate(rng.normal(0.0, 1.0, (16730, 26)))],
+                        tmp_path / "paper.feat")
+    table = read_feature_cache(tmp_path / "paper.feat")
+    peak = traced_peak(lambda: train(table, TrainingConfig(seed=3, epochs=1)))
+    assert peak < 9e6, peak
 
 
 def test_epoch_metrics_fields_sane():

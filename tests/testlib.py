@@ -130,13 +130,19 @@ def synthesize_utterance(class_index: int, rng: np.random.Generator, seconds: fl
 
 
 def traced_peak(fn) -> int:
-    """The tracemalloc peak, in bytes, while ``fn()`` runs.
+    """The tracemalloc peak, in bytes, while ``fn()`` runs."""
+    return traced_held_and_peak(fn)[1]
+
+
+def traced_held_and_peak(fn) -> tuple[int, int]:
+    """The bytes still traced once ``fn()`` has returned, its result among
+    them, and the tracemalloc peak while it ran.
 
     Tracing stops even when ``fn`` raises, so a failing call cannot leave it on
     to slow every later test."""
     tracemalloc.start()
     try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
+        result = fn()  # noqa: F841  (held while the memory is read)
+        return tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
