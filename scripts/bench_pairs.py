@@ -19,9 +19,14 @@ metric (in BENCHMARK.json's direction; ties count for neither side), whether
 every run failed no operation, whether each pair's two runs gave equal
 digests, and the environment block run.py printed for each side's first run.
 
-The second form prints one line per file, workload and metric, ending in
-whether it shows a gain: the change won at least 9 of 10 pairs and its median
-is better than the parent's by more than the parent's q3 - q1.
+The file names the working tree as HEAD's commit, "with uncommitted edits"
+when a file under ``RUN_PATHS`` differs from HEAD or is new and not ignored.
+
+The second form prints one line per file, workload and metric: each side's
+median and quartiles, the median and quartiles of the per-pair ratios (change
+over parent), the pairs won, and whether it shows a gain: the change won at
+least 9 of 10 pairs and its median is better than the parent's by more than
+the parent's q3 - q1.
 """
 
 from __future__ import annotations
@@ -43,6 +48,8 @@ import stats  # perfbench/ is a directory of scripts, not a package
 
 LAYOUT = "bench_pairs/1"
 SIDES = ("parent", "change")
+# what a run reads of the working tree: an edit elsewhere does not change what it measures
+RUN_PATHS = ("src", "perfbench", "BENCHMARK.json")
 
 
 def run_benchmark(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -98,8 +105,23 @@ def gain_shown(m: dict) -> bool:
             and sign * (p["median"] - c["median"]) > p["q3"] - p["q1"])
 
 
+def pair_ratios(runs: dict, name: str) -> str:
+    """The median and quartiles of one metric's per-pair ratios, change over parent."""
+    pairs = [(p["metrics"][name], c["metrics"][name])
+             for p, c in zip(runs["parent"], runs["change"])]
+    if any(p == 0 for p, _ in pairs):
+        return "pair ratio n/a"
+    q1, median, q3 = stats.quartiles([c / p for p, c in pairs])
+    return f"pair ratio {median:.4g} [{q1:.4g}, {q3:.4g}]"
+
+
 def git(*args: str) -> bytes:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, check=True).stdout
+
+
+def run_paths_edited() -> bool:
+    """Whether a file a run reads differs from HEAD, or is new and not ignored."""
+    return bool(git("status", "--porcelain", "--", *RUN_PATHS).strip())
 
 
 def run_pairs(args) -> dict:
@@ -108,7 +130,7 @@ def run_pairs(args) -> dict:
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     parent = git("rev-parse", "--short", args.parent).decode().strip()
     head = git("rev-parse", "--short", "HEAD").decode().strip()
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no").strip())
+    dirty = run_paths_edited()
     record = {
         "layout": LAYOUT,
         "parent": parent,
@@ -162,7 +184,7 @@ def summary_lines(paths: list[str]) -> list[str]:
                     f"{Path(path).name} {record['parent']} {workload} {name} ({m['better']}): "
                     f"parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}] "
                     f"change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}] "
-                    f"won {m['change_won']}/{m['pairs']}, "
+                    f"{pair_ratios(entry['runs'], name)}, won {m['change_won']}/{m['pairs']}, "
                     f"{'gain shown' if gain_shown(m) else 'no gain shown'}; {flags}")
     return lines
 

@@ -15,6 +15,7 @@ yields exactly 400 frames of 400 samples, and there is no pre-emphasis.
 
 from __future__ import annotations
 
+import operator
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -57,67 +58,96 @@ class FilterBank:
 @dataclass
 class AggregatedFeature:
     """26-dim per-segment mean feature vector with its division label; a plain
-    record, not checked when built (the cache writer refuses a vector of another
-    shape and a label that is not an int in 0..7, and the reader a label byte
-    outside 0..7). A ``FeatureTable`` builds one on demand for each row it is
-    asked for."""
+    record, not checked when built. The cache writer and ``FeatureTable.of``
+    refuse a vector of another shape and a label that is not an int in 0..7,
+    and the reader a label byte outside 0..7. A ``FeatureTable`` builds one on
+    demand for each row it is asked for, decoding its source id then."""
 
     vector: np.ndarray
     label: int
     source_id: str
 
 
-class FeatureTable(Sequence):
-    """Records held as three columns: an (n, 26) vector array, an (n,) int64
-    label array and a list of n source ids. ``rows`` picks this table's records
-    from the columns, in its order, so the parts of a split share one set of
-    columns. ``t[i]`` is an ``AggregatedFeature`` whose vector is a writeable
-    view of its row; ``t[a:b]`` is a table."""
+# a table holds a record list's source ids as bytes; an id that is not valid
+# Unicode (a lone surrogate) still comes back as it went in
+_ID_ERRORS = "surrogatepass"
 
-    def __init__(self, vectors: np.ndarray, labels: np.ndarray, source_ids: list[str],
-                 rows: np.ndarray | None = None) -> None:
-        self.columns = (vectors, labels, source_ids)
-        self.rows = np.arange(len(source_ids)) if rows is None else rows
+
+class FeatureTable(Sequence):
+    """Records held as columns: an (n, 26) vector array, an (n,) int64 label
+    array, and the n source ids as one UTF-8 buffer with n + 1 int64 offsets
+    (id k is ``buffer[offsets[k]:offsets[k + 1]]``). ``rows`` picks this
+    table's records from the columns, in its order, so the parts of a split
+    share one set of columns; it is None for a table that is all of its
+    columns in order, whose ``labels`` and ``vectors()`` are the columns
+    themselves. ``t[i]`` is an ``AggregatedFeature`` whose vector is a
+    writeable view of its row; ``t[a:b]`` is a table."""
+
+    def __init__(self, vectors: np.ndarray, labels: np.ndarray, id_buffer: bytes,
+                 id_offsets: np.ndarray, rows: np.ndarray | None = None) -> None:
+        self.columns = (vectors, labels, id_buffer, id_offsets)
+        self.rows = rows
 
     @classmethod
     def of(cls, records) -> FeatureTable:
         """``records`` itself if it is a table, else a table of a list's
-        records; a label outside 0..7 raises ``ValueError`` naming the record."""
+        records. As in the cache writer, a vector that is not 26 values or a
+        label that is not an int in 0..7 (3.0 included) raises ``ValueError``
+        naming the record."""
         if isinstance(records, FeatureTable):
             return records
-        vectors = (np.stack([rec.vector for rec in records]) if records
-                   else np.empty((0, FEATURE_DIM)))
-        labels = np.array([rec.label for rec in records], dtype=np.int64)
-        bad = np.flatnonzero((labels < 0) | (labels >= NUM_CLASSES))
-        if bad.size:
-            raise ValueError(f"record {bad[0]}: label must be an int in "
-                             f"0..{NUM_CLASSES - 1}, got {labels[bad[0]]}")
-        return cls(vectors, labels, [rec.source_id for rec in records])
+        vectors = np.empty((len(records), FEATURE_DIM))
+        labels = np.empty(len(records), dtype=np.int64)
+        for i, rec in enumerate(records):
+            row = np.asarray(rec.vector, dtype=np.float64)
+            if row.shape != (FEATURE_DIM,):
+                raise ValueError(f"record {i}: expected {FEATURE_DIM} values, "
+                                 f"got shape {row.shape}")
+            # operator.index takes the ints struct packs, numpy's included, and refuses 3.0
+            try:
+                label = operator.index(rec.label)
+                if not 0 <= label < NUM_CLASSES:
+                    raise TypeError
+            except TypeError:
+                raise ValueError(f"record {i}: label must be an int in "
+                                 f"0..{NUM_CLASSES - 1}, got {rec.label}") from None
+            vectors[i], labels[i] = row, label
+        ids = [rec.source_id.encode("utf-8", _ID_ERRORS) for rec in records]
+        offsets = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum([len(sid) for sid in ids], out=offsets[1:])
+        return cls(vectors, labels, b"".join(ids), offsets)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.columns[1]) if self.rows is None else len(self.rows)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return self.take(i)
-        row = self.rows[i]
-        vectors, labels, source_ids = self.columns
-        return AggregatedFeature(vectors[row], int(labels[row]), source_ids[row])
+        row = range(len(self))[i] if self.rows is None else self.rows[i]
+        vectors, labels, id_buffer, id_offsets = self.columns
+        source_id = id_buffer[id_offsets[row] : id_offsets[row + 1]].decode("utf-8", _ID_ERRORS)
+        return AggregatedFeature(vectors[row], int(labels[row]), source_id)
 
     def __eq__(self, other) -> bool:
         return list(self) == other if isinstance(other, list) else NotImplemented
 
     def take(self, index) -> FeatureTable:
         """The table of this one's records at ``index``, over the same columns."""
-        return FeatureTable(*self.columns, rows=self.rows[index])
+        rows = np.arange(len(self)) if self.rows is None else self.rows
+        return FeatureTable(*self.columns, rows=rows[index])
 
     @property
     def labels(self) -> np.ndarray:
-        return self.columns[1][self.rows]
+        """The records' labels: the label column itself for a whole table."""
+        labels = self.columns[1]
+        return labels if self.rows is None else labels[self.rows]
 
     def vectors(self, index=slice(None)) -> np.ndarray:
-        """A new (k, 26) array of the vectors of this table's records at ``index``."""
-        return self.columns[0][self.rows[index]]
+        """The (k, 26) vectors of this table's records at ``index``, gathered
+        into a new array; a whole table given a slice gives a view of its
+        vector column instead, and its ``vectors()`` is the column itself."""
+        vectors = self.columns[0]
+        return vectors[index] if self.rows is None else vectors[self.rows[index]]
 
 
 def frame_signal(samples: np.ndarray) -> np.ndarray:
@@ -260,8 +290,9 @@ def write_feature_cache(records: list[AggregatedFeature], path) -> None:
 
 
 def read_feature_cache(path) -> FeatureTable:
-    """The file's records as a ``FeatureTable``, whose columns are one
-    (count, 26) array, the labels and the source ids."""
+    """The file's records as a whole ``FeatureTable``, whose columns are one
+    (count, 26) array, the labels and the source ids' bytes as they lie in the
+    file; each id is decoded once here, so one that is not UTF-8 is refused."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:8] != CACHE_MAGIC:
@@ -273,7 +304,8 @@ def read_feature_cache(path) -> FeatureTable:
         raise truncated
     values = bytearray(count * _VECTOR_BYTES)
     labels = bytearray(count)
-    source_ids = []
+    ids = bytearray()
+    id_offsets = np.zeros(count + 1, dtype=np.int64)
     pos = 16
     try:
         for i in range(count):
@@ -282,8 +314,9 @@ def read_feature_cache(path) -> FeatureTable:
             pos = start + _VECTOR_BYTES
             if pos > len(raw):
                 raise truncated
+            sid = raw[start - sid_len : start]
             try:
-                sid = raw[start - sid_len : start].decode("utf-8")
+                sid.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise DataError(f"{path}: record {i} source id is not UTF-8") from exc
             values[i * _VECTOR_BYTES : (i + 1) * _VECTOR_BYTES] = raw[start:pos]
@@ -291,7 +324,8 @@ def read_feature_cache(path) -> FeatureTable:
                 raise DataError(f"{path}: record {i}: label must be an int in "
                                 f"0..{NUM_CLASSES - 1}, got {label}")
             labels[i] = label
-            source_ids.append(sid)
+            ids += sid
+            id_offsets[i + 1] = len(ids)
     except struct.error as exc:
         raise truncated from exc
     if pos != len(raw):
@@ -302,4 +336,4 @@ def read_feature_cache(path) -> FeatureTable:
     if non_finite.size:
         raise DataError(f"{path}: record {non_finite[0]} has a NaN or infinite value")
     return FeatureTable(vectors, np.frombuffer(labels, dtype=np.uint8).astype(np.int64),
-                        source_ids)
+                        bytes(ids), id_offsets)

@@ -134,9 +134,10 @@ def forward(
     probabilities and, in training mode, the cache for ``backward`` (None in
     inference mode, which keeps no per-layer arrays and applies no dropout).
     Training mode needs ``rng`` (a ValueError without it) and draws fresh
-    inverted-dropout masks from it. Inference mode runs the chain over blocks
-    of ``BATCH_SIZE`` rows into one output array; up to ``BATCH_SIZE`` rows
-    that is one chain over the whole input. Any input shape other than
+    inverted-dropout masks from it, applied in place in the layer's output,
+    so the cache holds each layer's output once. Inference mode runs the
+    chain over blocks of ``BATCH_SIZE`` rows into one output array; up to
+    ``BATCH_SIZE`` rows that is one chain over the whole input. Any input shape other than
     (batch, 26), a single 1-D vector included, is a DataError; an output
     holding NaN or infinity is a NumericError.
     """
@@ -178,7 +179,7 @@ def _chain(
             mask = None
             if (rate := spec.dropout_after) is not None:
                 mask = rng.random(a.shape) >= rate
-                a = a * mask
+                a *= mask  # float times bool: the bits of a * mask, with no new array
                 a *= 1.0 / (1.0 - rate)
             cache.activations.append(a)
             cache.dropout_masks.append(mask)

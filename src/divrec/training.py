@@ -262,7 +262,9 @@ def train(
 ) -> tuple[NetworkParams, list[EpochMetrics]]:
     """Full training run; returns final parameters and the per-epoch history.
     Each batch's vectors are gathered from the columns and only its targets
-    are one-hot encoded, so no copy of the whole training set is made."""
+    are one-hot encoded, so no copy of the whole training set is made; a
+    step's forward cache, probabilities and targets are released before the
+    next step's forward."""
     train_set, _, val_set = split_dataset(features, config)
     y_train = train_set.labels
     x_val, y_val = val_set.vectors(), val_set.labels
@@ -287,6 +289,7 @@ def train(
             loss_sum += cross_entropy(probs, targets) * len(batch)
             correct += int(np.count_nonzero(np.argmax(probs, axis=1) == y_train[batch]))
             grads = backward(params, cache, targets, out=grads)
+            del targets, probs, cache  # not held through the next step's forward
             adam_step(params, grads, state)
 
         val_loss, val_acc = _evaluate_arrays(params, x_val, y_val)

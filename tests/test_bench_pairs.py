@@ -44,8 +44,9 @@ def _record(bench_pairs, parent: str, parent_rss: list, change_rss: list,
 def test_summary_prints_one_line_per_file_workload_and_metric(bench_pairs, tmp_path, capsys):
     first, second, third, old = (tmp_path / name for name in
                                  ("BENCH_1.json", "BENCH_2.json", "BENCH_3.json", "old.json"))
-    # quartiles are perfbench/stats.py's (exclusive method); the change wins
-    # accuracy, a higher-is-better metric, in two pairs and ties the third.
+    # quartiles are perfbench/stats.py's (exclusive method), of each side and
+    # of the per-pair ratios change / parent; the change wins accuracy, a
+    # higher-is-better metric, in two pairs and ties the third.
     # A gain is shown only on BENCH_2's peak_rss_mb: every pair won, by more
     # than the parent's spread; BENCH_3's change wins every pair by less
     first.write_text(json.dumps(_record(bench_pairs, "abc1234", [90, 91, 92], [79, 80, 93],
@@ -56,17 +57,17 @@ def test_summary_prints_one_line_per_file_workload_and_metric(bench_pairs, tmp_p
     assert bench_pairs.main(["--summary", str(first), str(second), str(third), str(old)]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "BENCH_1.json abc1234 pipeline-480 peak_rss_mb (lower): parent 91 [90, 92] "
-        "change 80 [79, 93] won 2/3, no gain shown; failures none, digests equal",
+        "change 80 [79, 93] pair ratio 0.8791 [0.8778, 1.011], won 2/3, no gain shown; failures none, digests equal",
         "BENCH_1.json abc1234 pipeline-480 accuracy (higher): parent 0.8 [0.8, 0.9] "
-        "change 0.9 [0.85, 0.9] won 2/3, no gain shown; failures none, digests equal",
+        "change 0.9 [0.85, 0.9] pair ratio 1.062 [1, 1.125], won 2/3, no gain shown; failures none, digests equal",
         "BENCH_2.json def5678 pipeline-480 peak_rss_mb (lower): parent 91 [90, 92] "
-        "change 81 [80, 82] won 3/3, gain shown; failures none, digests equal",
+        "change 81 [80, 82] pair ratio 0.8901 [0.8889, 0.8913], won 3/3, gain shown; failures none, digests equal",
         "BENCH_2.json def5678 pipeline-480 accuracy (higher): parent 1 [1, 1] "
-        "change 1 [1, 1] won 0/3, no gain shown; failures none, digests equal",
+        "change 1 [1, 1] pair ratio 1 [1, 1], won 0/3, no gain shown; failures none, digests equal",
         "BENCH_3.json fed8765 pipeline-480 peak_rss_mb (lower): parent 90 [80, 100] "
-        "change 89 [79, 99] won 3/3, no gain shown; failures none, digests equal",
+        "change 89 [79, 99] pair ratio 0.9889 [0.9875, 0.99], won 3/3, no gain shown; failures none, digests equal",
         "BENCH_3.json fed8765 pipeline-480 accuracy (higher): parent 1 [1, 1] "
-        "change 1 [1, 1] won 0/3, no gain shown; failures none, digests equal",
+        "change 1 [1, 1] pair ratio 1 [1, 1], won 0/3, no gain shown; failures none, digests equal",
         f"{old}: not a bench_pairs/1 file; skipped",
     ]
 
@@ -84,3 +85,36 @@ def test_summary_into_a_closed_pipe_exits_quietly(bench_pairs, tmp_path):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_a_ratio_over_a_parent_value_of_zero_is_not_printed(bench_pairs):
+    runs = {"parent": [{"metrics": {"x": 0.0}}, {"metrics": {"x": 2.0}}],
+            "change": [{"metrics": {"x": 1.0}}, {"metrics": {"x": 1.0}}]}
+    assert bench_pairs.pair_ratios(runs, "x") == "pair ratio n/a"
+
+
+def test_only_an_edit_to_what_a_run_reads_marks_the_tree_edited(bench_pairs, tmp_path,
+                                                               monkeypatch):
+    # a clone-like tree with a source file, the harness, BENCHMARK.json and a
+    # note; editing or adding the note is not an edit to what a run measures
+    for name in ("src/divrec/a.py", "perfbench/run.py", "BENCHMARK.json", "ROADMAP.md"):
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text("0\n")
+    for args in (["init", "-q"], ["add", "-A"],
+                 ["-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "seed"]):
+        subprocess.run(["git", *args], cwd=tmp_path, check=True, capture_output=True)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    assert not bench_pairs.run_paths_edited()
+    (tmp_path / "ROADMAP.md").write_text("1\n")
+    (tmp_path / "ISSUE.md").write_text("new\n")
+    assert not bench_pairs.run_paths_edited()
+    for name in ("src/divrec/a.py", "perfbench/run.py", "BENCHMARK.json", "src/divrec/b.py"):
+        path = tmp_path / name
+        before = path.read_text() if path.exists() else None
+        path.write_text("1\n")
+        assert bench_pairs.run_paths_edited(), name
+        if before is None:
+            path.unlink()
+        else:
+            path.write_text(before)
+    assert not bench_pairs.run_paths_edited()

@@ -11,10 +11,10 @@ from divrec.evaluation import (
     label_from_name,
     predict,
 )
-from divrec.features import AggregatedFeature
+from divrec.features import AggregatedFeature, read_feature_cache, write_feature_cache
 from divrec.network import forward, init_params
 
-from testlib import passthrough_params
+from testlib import passthrough_params, traced_peak
 
 
 def zeroed_params():
@@ -138,6 +138,20 @@ def test_evaluate_order_independent(rng):
     rng.shuffle(shuffled)
     again = evaluate(params, shuffled)
     assert base == again
+
+
+def test_evaluate_a_whole_read_table_copies_no_vectors(tmp_path):
+    # train-paper's 16,730 records, read before tracing starts: the (16730, 8)
+    # probabilities take 1.07 MB and the peak was 1.67 MB; a copy of the
+    # 3.5 MB vector column put it at 5.28 MB
+    rng = np.random.default_rng(13)
+    write_feature_cache([AggregatedFeature(v, i % 8, f"r{i}")
+                         for i, v in enumerate(rng.normal(0.0, 1.0, (16730, 26)))],
+                        tmp_path / "paper.feat")
+    table = read_feature_cache(tmp_path / "paper.feat")
+    params = init_params(0)
+    peak = traced_peak(lambda: evaluate(params, table))
+    assert peak < 2.5e6, peak
 
 
 def test_empty_set_rejected():

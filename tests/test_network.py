@@ -298,13 +298,14 @@ def test_forward_bytes_equal_reference_and_nothing_is_written_into(batch, mode):
 def test_forward_memory_is_two_layers_wide():
     # each layer writes its bias and ReLU into the product it has just made,
     # so inference holds about the widest layer's input and output; training
-    # adds the cached layers and one float draw per dropout layer
+    # adds the cached layers and one float draw per dropout layer, and applies
+    # the mask in place (3.63 times the widest layer; 3.88 with a new array)
     params = init_params(0)
     x = np.random.default_rng(0).normal(0, 1, (4096, 26))
     widest = 4096 * 256 * 8
     assert traced_peak(lambda: forward(x, params)) <= 2.5 * widest
     assert traced_peak(lambda: forward(x, params, mode="train",
-                                       rng=np.random.default_rng(1))) <= 4.25 * widest
+                                       rng=np.random.default_rng(1))) <= 3.75 * widest
 
 
 def test_inference_forward_is_its_128_row_blocks_concatenated():

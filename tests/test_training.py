@@ -2,6 +2,7 @@ import dataclasses
 import math
 import pickle
 import re
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -84,13 +85,20 @@ def test_split_missing_class_raises():
         split_dataset(records, TrainingConfig(seed=0))
 
 
-@pytest.mark.parametrize("label", [-1, 8])
-def test_split_and_evaluate_refuse_a_label_outside_0_to_7(label):
-    # a record list is made a table first, which names the record; no part
-    # drops it and no confusion row counts it as another class
+@pytest.mark.parametrize("label, size, message", [
+    (-1, 26, "label must be an int in 0..7, got -1"),
+    (8, 26, "label must be an int in 0..7, got 8"),
+    (2.5, 26, "label must be an int in 0..7, got 2.5"),
+    (3.0, 26, "label must be an int in 0..7, got 3.0"),
+    (2, 25, "expected 26 values, got shape (25,)"),
+], ids=["-1", "8", "2.5", "3.0", "25-values"])
+def test_split_and_evaluate_refuse_a_label_outside_0_to_7(label, size, message):
+    # a record list is made a table first, which refuses what the cache writer
+    # refuses and names the record: no part drops it, no float label is
+    # scored as the class below it and no confusion row counts it as another
     records = make_records([10] * 8)
-    records[23].label = label
-    message = f"record 23: label must be an int in 0..7, got {label}"
+    records[23].label, records[23].vector = label, records[23].vector[:size]
+    message = f"record 23: {message}"
     with pytest.raises(ValueError, match=re.escape(message)):
         split_dataset(records, TrainingConfig(seed=0))
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -352,6 +360,33 @@ def test_train_bytes_equal_the_per_tensor_reference(monkeypatch):
     assert ([t.tobytes() for t in params.weights + params.biases]
             == [t.tobytes() for t in want_params.weights + want_params.biases])
     assert history == want_history
+
+
+def test_a_training_step_holds_nothing_of_the_step_before(monkeypatch):
+    # the batch, every cached layer output (the probabilities among them) and
+    # the one-hot targets of a step are freed before the next step's forward
+    records = make_records([30] * 8, rng=np.random.default_rng(14))
+    monkeypatch.setattr(training, "BATCH_SIZE", 40)
+    last_step, steps = [], []
+
+    def tracked_forward(x, params, mode="infer", rng=None):
+        if mode == "train":
+            assert all(ref() is None for ref in last_step), f"step {len(steps)}"
+            last_step.clear()
+        probs, cache = forward(x, params, mode=mode, rng=rng)
+        if mode == "train":
+            steps.append(len(x))
+            last_step.extend(map(weakref.ref, [cache, cache.inputs, *cache.activations]))
+        return probs, cache
+
+    def tracked_backward(params, cache, targets, out=None):
+        last_step.append(weakref.ref(targets))
+        return backward(params, cache, targets, out=out)
+
+    monkeypatch.setattr(training, "forward", tracked_forward)
+    monkeypatch.setattr(training, "backward", tracked_backward)
+    train(records, TrainingConfig(seed=15, epochs=2))
+    assert steps == [40, 40, 40, 40, 32] * 2
 
 
 # --- plateau scheduling ---
