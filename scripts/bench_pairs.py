@@ -130,11 +130,10 @@ def run_pairs(args) -> dict:
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     parent = git("rev-parse", "--short", args.parent).decode().strip()
     head = git("rev-parse", "--short", "HEAD").decode().strip()
-    dirty = run_paths_edited()
     record = {
         "layout": LAYOUT,
         "parent": parent,
-        "change": head + (" with uncommitted edits" if dirty else ""),
+        "change": head + (" with uncommitted edits" if run_paths_edited() else ""),
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
                    "--trace 0",
         "environment": {},
