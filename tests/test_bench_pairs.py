@@ -106,7 +106,7 @@ def test_only_an_edit_to_what_a_run_reads_marks_the_tree_edited(bench_pairs, tmp
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
     assert not bench_pairs.run_paths_edited()
     (tmp_path / "ROADMAP.md").write_text("1\n")
-    (tmp_path / "ISSUE.md").write_text("new\n")
+    (tmp_path / "NOTES.md").write_text("new\n")
     assert not bench_pairs.run_paths_edited()
     for name in ("src/divrec/a.py", "perfbench/run.py", "BENCHMARK.json", "src/divrec/b.py"):
         path = tmp_path / name
