@@ -52,8 +52,9 @@ SIDES = ("parent", "change")
 RUN_PATHS = ("src", "perfbench", "BENCHMARK.json")
 
 
-def run_benchmark(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py`` run in ``root``: its result, digests and environment."""
+def run_benchmark(root: Path, side: str, workload: str, seed: int, seconds: float) -> dict:
+    """One ``perfbench/run.py`` run in ``root``, ``side``'s checkout: its
+    result, digests and environment."""
     proc = subprocess.Popen(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -66,7 +67,8 @@ def run_benchmark(root: Path, workload: str, seed: int, seconds: float) -> dict:
         proc.wait()
         raise
     if proc.returncode != 0:
-        raise SystemExit(f"{root}: run.py exited {proc.returncode}:\n{stderr[-2000:]}")
+        raise SystemExit(f"{workload} seed {seed} {side}: run.py in {root} exited "
+                         f"{proc.returncode}:\n{stderr[-2000:]}")
     lines = stdout.splitlines()
     result = json.loads(lines[-1])
 
@@ -149,7 +151,7 @@ def run_pairs(args) -> dict:
             first = [SIDES[k % 2] for k in range(args.pairs)]
             for seed, lead in zip(seeds, first):
                 for side in (lead, SIDES[1 - SIDES.index(lead)]):
-                    run = run_benchmark(roots[side], workload, seed, args.seconds)
+                    run = run_benchmark(roots[side], side, workload, seed, args.seconds)
                     record["environment"].setdefault(side, run.pop("environment"))
                     runs[side].append(run)
                     print(f"{workload} seed {seed} {side}: "

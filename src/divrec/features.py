@@ -59,29 +59,28 @@ class FilterBank:
 class AggregatedFeature:
     """26-dim per-segment mean feature vector with its division label; a plain
     record, not checked when built. The cache writer and ``FeatureTable.of``
-    refuse a vector of another shape and a label that is not an int in 0..7,
-    and the reader a label byte outside 0..7. A ``FeatureTable`` builds one on
-    demand for each row it is asked for, decoding its source id then."""
+    refuse, by one check, a vector of another shape, a label that is not an
+    int in 0..7 and a source id that is not UTF-8 or is over 65,535 bytes of
+    it; the reader refuses a label byte outside 0..7. A ``FeatureTable``
+    builds one on demand for each row it is asked for, decoding its source id
+    then."""
 
     vector: np.ndarray
     label: int
     source_id: str
 
 
-# a table holds a record list's source ids as bytes; an id that is not valid
-# Unicode (a lone surrogate) still comes back as it went in
-_ID_ERRORS = "surrogatepass"
-
-
 class FeatureTable(Sequence):
     """Records held as columns: an (n, 26) vector array, an (n,) int64 label
     array, and the n source ids as one UTF-8 buffer with n + 1 int64 offsets
-    (id k is ``buffer[offsets[k]:offsets[k + 1]]``). ``rows`` picks this
-    table's records from the columns, in its order, so the parts of a split
-    share one set of columns; it is None for a table that is all of its
-    columns in order, whose ``labels`` and ``vectors()`` are the columns
-    themselves. ``t[i]`` is an ``AggregatedFeature`` whose vector is a
-    writeable view of its row; ``t[a:b]`` is a table."""
+    (id k is ``buffer[offsets[k]:offsets[k + 1]]``), checked as a cache's
+    records are: by the reader for a read table, by the writer's check for a
+    list's (``of``). ``rows`` picks this table's records from the columns, in
+    its order, so the parts of a split share one set of columns; it is None
+    for a table that is all of its columns in order, whose ``labels`` and
+    ``vectors()`` are the columns themselves. ``t[i]`` is an
+    ``AggregatedFeature`` whose vector is a writeable view of its row;
+    ``t[a:b]`` is a table."""
 
     def __init__(self, vectors: np.ndarray, labels: np.ndarray, id_buffer: bytes,
                  id_offsets: np.ndarray, rows: np.ndarray | None = None) -> None:
@@ -91,28 +90,16 @@ class FeatureTable(Sequence):
     @classmethod
     def of(cls, records) -> FeatureTable:
         """``records`` itself if it is a table, else a table of a list's
-        records. As in the cache writer, a vector that is not 26 values or a
-        label that is not an int in 0..7 (3.0 included) raises ``ValueError``
-        naming the record."""
+        records, checked by the cache writer's own check (``_cache_fields``):
+        a record the writer would refuse raises its ``ValueError``."""
         if isinstance(records, FeatureTable):
             return records
         vectors = np.empty((len(records), FEATURE_DIM))
         labels = np.empty(len(records), dtype=np.int64)
-        for i, rec in enumerate(records):
-            row = np.asarray(rec.vector, dtype=np.float64)
-            if row.shape != (FEATURE_DIM,):
-                raise ValueError(f"record {i}: expected {FEATURE_DIM} values, "
-                                 f"got shape {row.shape}")
-            # operator.index takes the ints struct packs, numpy's included, and refuses 3.0
-            try:
-                label = operator.index(rec.label)
-                if not 0 <= label < NUM_CLASSES:
-                    raise TypeError
-            except TypeError:
-                raise ValueError(f"record {i}: label must be an int in "
-                                 f"0..{NUM_CLASSES - 1}, got {rec.label}") from None
+        ids = []
+        for i, (row, label, sid) in enumerate(_cache_fields(records)):
             vectors[i], labels[i] = row, label
-        ids = [rec.source_id.encode("utf-8", _ID_ERRORS) for rec in records]
+            ids.append(sid)
         offsets = np.zeros(len(ids) + 1, dtype=np.int64)
         np.cumsum([len(sid) for sid in ids], out=offsets[1:])
         return cls(vectors, labels, b"".join(ids), offsets)
@@ -125,11 +112,8 @@ class FeatureTable(Sequence):
             return self.take(i)
         row = range(len(self))[i] if self.rows is None else self.rows[i]
         vectors, labels, id_buffer, id_offsets = self.columns
-        source_id = id_buffer[id_offsets[row] : id_offsets[row + 1]].decode("utf-8", _ID_ERRORS)
+        source_id = id_buffer[id_offsets[row] : id_offsets[row + 1]].decode("utf-8")
         return AggregatedFeature(vectors[row], int(labels[row]), source_id)
-
-    def __eq__(self, other) -> bool:
-        return list(self) == other if isinstance(other, list) else NotImplemented
 
     def take(self, index) -> FeatureTable:
         """The table of this one's records at ``index``, over the same columns."""
@@ -258,35 +242,46 @@ _MAX_SOURCE_ID = 0xFFFF  # bytes a u16 length can declare
 _WRITE_BLOCK = 1024  # records joined per write, so the writer's memory stays flat
 
 
+def _cache_fields(records):
+    """Each record's (26 f64 LE values, label, UTF-8 source id), as a cache
+    holds them. A vector that is not 26 values, a label that is not an int in
+    0..7 (numpy's taken, 3.0 refused) or a source id that is not UTF-8 or is
+    over 65,535 bytes of it raises ``ValueError`` naming the record."""
+    for i, rec in enumerate(records):
+        row = np.asarray(rec.vector, dtype="<f8")
+        if row.shape != (FEATURE_DIM,):
+            raise ValueError(f"record {i}: expected {FEATURE_DIM} values, got shape {row.shape}")
+        try:
+            label = operator.index(rec.label)
+            if not 0 <= label < NUM_CLASSES:
+                raise TypeError
+        except TypeError:
+            raise ValueError(f"record {i}: label must be an int in "
+                             f"0..{NUM_CLASSES - 1}, got {rec.label}") from None
+        try:
+            sid = rec.source_id.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"record {i}: source id is not UTF-8") from None
+        if len(sid) > _MAX_SOURCE_ID:
+            raise ValueError(f"record {i}: source id is {len(sid)} bytes of UTF-8, "
+                             f"over {_MAX_SOURCE_ID}")
+        yield row, label, sid
+
+
 def write_feature_cache(records: list[AggregatedFeature], path) -> None:
     """Binary cache: DIVFEAT1 magic, u64 count, then per record a label byte,
-    u16 source-id length + UTF-8 bytes, 26 f64 LE values. A record whose vector
-    is not 26 values, whose source id is over 65,535 bytes or whose label is
-    not an int in 0..7 (3.0 included) raises ``ValueError`` naming it. Written
-    whole (``atomic.write_whole``): a write that raises leaves ``path`` as it was."""
+    u16 source-id length + UTF-8 bytes, 26 f64 LE values. A record
+    ``_cache_fields`` refuses raises its ``ValueError``. Written whole
+    (``atomic.write_whole``): a write that raises leaves ``path`` as it was."""
     with write_whole(path) as fh:
         fh.write(CACHE_MAGIC + struct.pack("<Q", len(records)))
-        for first in range(0, len(records), _WRITE_BLOCK):
-            parts = []
-            for i, rec in enumerate(records[first : first + _WRITE_BLOCK], first):
-                row = np.asarray(rec.vector, dtype="<f8")
-                if row.shape != (FEATURE_DIM,):
-                    raise ValueError(f"record {i}: expected {FEATURE_DIM} values, "
-                                     f"got shape {row.shape}")
-                sid = rec.source_id.encode("utf-8")
-                if len(sid) > _MAX_SOURCE_ID:
-                    raise ValueError(f"record {i}: source id is {len(sid)} bytes of UTF-8, "
-                                     f"over {_MAX_SOURCE_ID}")
-                # struct packs an int of any kind, numpy's included, and refuses 3.0
-                try:
-                    if not 0 <= rec.label < NUM_CLASSES:
-                        raise struct.error
-                    header = _RECORD_HEADER.pack(rec.label, len(sid))
-                except struct.error:
-                    raise ValueError(f"record {i}: label must be an int in "
-                                     f"0..{NUM_CLASSES - 1}, got {rec.label}") from None
-                parts += (header, sid, row.tobytes())
-            fh.write(b"".join(parts))
+        parts = []
+        for row, label, sid in _cache_fields(records):
+            parts.append(_RECORD_HEADER.pack(label, len(sid)) + sid + row.tobytes())
+            if len(parts) == _WRITE_BLOCK:
+                fh.write(b"".join(parts))
+                parts.clear()
+        fh.write(b"".join(parts))
 
 
 def read_feature_cache(path) -> FeatureTable:

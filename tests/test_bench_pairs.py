@@ -118,3 +118,30 @@ def test_only_an_edit_to_what_a_run_reads_marks_the_tree_edited(bench_pairs, tmp
         else:
             path.write_text(before)
     assert not bench_pairs.run_paths_edited()
+
+
+@pytest.mark.parametrize("failing", ["parent", "change"])
+def test_a_failed_run_names_its_workload_seed_and_side(bench_pairs, tmp_path, monkeypatch,
+                                                       failing):
+    # a checkout whose perfbench/run.py prints a minimal result, or exits 1:
+    # the committed one is the parent's (git archive), the edited one the change's
+    ok = ("print('digests: {}')\nprint('environment: {}')\n"
+          "print('{\"metrics\": {}, \"attempted\": 1, \"failed\": 0}')\n")
+    fail = "import sys\nsys.exit('boom')\n"
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "BENCHMARK.json").write_text(
+        json.dumps({"workloads": [{"name": "w1"}], "end_to_end": []}))
+    run_py = tmp_path / "perfbench" / "run.py"
+    run_py.write_text(fail if failing == "parent" else ok)
+    for args in (["init", "-q"], ["add", "-A"],
+                 ["-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "seed"]):
+        subprocess.run(["git", *args], cwd=tmp_path, check=True, capture_output=True)
+    run_py.write_text(ok if failing == "parent" else fail)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    args = bench_pairs.argparse.Namespace(parent="HEAD", pairs=2, seconds=1.0, first_seed=7,
+                                          workload=None)
+    with pytest.raises(SystemExit) as excinfo:
+        bench_pairs.run_pairs(args)
+    message = str(excinfo.value.code)
+    assert message.startswith(f"w1 seed 7 {failing}: run.py in "), message
+    assert message.endswith(" exited 1:\nboom\n"), message

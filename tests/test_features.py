@@ -26,7 +26,7 @@ from divrec.features import (
     write_feature_cache,
 )
 
-from testlib import traced_held_and_peak, traced_peak
+from testlib import REFUSED_RECORDS, traced_held_and_peak, traced_peak
 
 SR = 16000
 BANK = build_filterbank()
@@ -449,18 +449,14 @@ def test_failed_write_of_another_kind_keeps_numpy_error(tmp_path):
         assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("label, source_id, message", [
-    (8, "s", "label must be an int in 0..7, got 8"),
-    (255, "s", "label must be an int in 0..7, got 255"),
-    (-1, "s", "label must be an int in 0..7, got -1"),
-    (3.0, "s", "label must be an int in 0..7, got 3.0"),
-    (2.5, "s", "label must be an int in 0..7, got 2.5"),
-    (3, "x" * 65_536, "source id is 65536 bytes of UTF-8, over 65535"),
-])
-def test_writer_refuses_what_the_reader_would_not_read_back(tmp_path, label, source_id, message):
-    # a label the reader refuses, or an id a u16 length cannot declare, after two good records
+@pytest.mark.parametrize("label, size, source_id, message", REFUSED_RECORDS.values(),
+                         ids=[f"{label}-{sid}-{message}"
+                              for label, _, sid, message in REFUSED_RECORDS.values()])
+def test_writer_refuses_what_the_reader_would_not_read_back(tmp_path, label, size, source_id,
+                                                            message):
+    # a record the reader could not read back, after two good records
     records = [AggregatedFeature(np.zeros(26), 0, "ok") for _ in range(2)]
-    records.append(AggregatedFeature(np.zeros(26), label, source_id))
+    records.append(AggregatedFeature(np.zeros(size), label, source_id))
     with pytest.raises(ValueError, match=re.escape(f"record 2: {message}")):
         write_feature_cache(records, tmp_path / "c.feat")
     assert list(tmp_path.iterdir()) == []
@@ -504,7 +500,7 @@ def test_zero_record_cache_round_trip(tmp_path):
     path = tmp_path / "empty.feat"
     write_feature_cache([], path)
     assert path.read_bytes() == b"DIVFEAT1" + bytes(8)
-    assert read_feature_cache(path) == []
+    assert list(read_feature_cache(path)) == []
 
 
 def test_read_vectors_are_writeable_and_separate(tmp_path, rng):
@@ -553,6 +549,26 @@ def test_source_ids_round_trip_through_a_read_table_its_slices_and_split_parts(t
         assert [rec.source_id for rec in part] == [rec.source_id for rec in listed]
     assert sorted(rec.source_id for part in split_dataset(table, config) for rec in part) == (
         sorted(ids))
+
+
+def test_writer_takes_a_read_table_and_its_split_parts(tmp_path):
+    # a table is a sequence of records: written again, a read table gives the
+    # file's own bytes, and a split part the bytes of its records as a list
+    from divrec.training import TrainingConfig, split_dataset
+
+    ids = [f"s{i}" for i in range(40)]
+    ids[0], ids[9] = "", "ঢাকা/বক্তা_০১"
+    records = [AggregatedFeature(np.full(26, i / 4), i % 8, sid) for i, sid in enumerate(ids)]
+    write_feature_cache(records, tmp_path / "all.feat")
+    table = read_feature_cache(tmp_path / "all.feat")
+    write_feature_cache(table, tmp_path / "again.feat")
+    assert (tmp_path / "again.feat").read_bytes() == (tmp_path / "all.feat").read_bytes()
+    part = split_dataset(table, TrainingConfig(seed=2))[0]
+    write_feature_cache(part, tmp_path / "part.feat")
+    write_feature_cache([records[i] for i in part.rows], tmp_path / "listed.feat")
+    assert (tmp_path / "part.feat").read_bytes() == (tmp_path / "listed.feat").read_bytes()
+    assert [rec.source_id for rec in read_feature_cache(tmp_path / "part.feat")] == [
+        rec.source_id for rec in part]
 
 
 def test_a_list_table_takes_numpy_integer_labels():

@@ -27,7 +27,7 @@ from divrec.training import (
     write_metrics_csv,
 )
 
-from testlib import traced_peak
+from testlib import REFUSED_RECORDS, traced_peak
 from test_network import _preactivation_gated_backward
 
 
@@ -85,19 +85,15 @@ def test_split_missing_class_raises():
         split_dataset(records, TrainingConfig(seed=0))
 
 
-@pytest.mark.parametrize("label, size, message", [
-    (-1, 26, "label must be an int in 0..7, got -1"),
-    (8, 26, "label must be an int in 0..7, got 8"),
-    (2.5, 26, "label must be an int in 0..7, got 2.5"),
-    (3.0, 26, "label must be an int in 0..7, got 3.0"),
-    (2, 25, "expected 26 values, got shape (25,)"),
-], ids=["-1", "8", "2.5", "3.0", "25-values"])
-def test_split_and_evaluate_refuse_a_label_outside_0_to_7(label, size, message):
+@pytest.mark.parametrize("label, size, source_id, message", REFUSED_RECORDS.values(),
+                         ids=list(REFUSED_RECORDS))
+def test_split_and_evaluate_refuse_a_label_outside_0_to_7(label, size, source_id, message):
     # a record list is made a table first, which refuses what the cache writer
     # refuses and names the record: no part drops it, no float label is
-    # scored as the class below it and no confusion row counts it as another
+    # scored as the class below it, no confusion row counts it as another and
+    # no table holds an id the writer could not write
     records = make_records([10] * 8)
-    records[23].label, records[23].vector = label, records[23].vector[:size]
+    records[23] = AggregatedFeature(records[23].vector[:size], label, source_id)
     message = f"record 23: {message}"
     with pytest.raises(ValueError, match=re.escape(message)):
         split_dataset(records, TrainingConfig(seed=0))

@@ -129,6 +129,21 @@ def synthesize_utterance(class_index: int, rng: np.random.Generator, seconds: fl
     return render_utterance(draw_utterance(class_index, rng, int(round(seconds * 16000)), np.ones(3)))
 
 
+# records the cache writer and FeatureTable.of both refuse, by name: (label,
+# number of values, source id, the message after "record {i}: "). The last is
+# a lone surrogate, as decoding a non-UTF-8 file name with surrogateescape gives
+REFUSED_RECORDS = {
+    "-1": (-1, 26, "s", "label must be an int in 0..7, got -1"),
+    "8": (8, 26, "s", "label must be an int in 0..7, got 8"),
+    "255": (255, 26, "s", "label must be an int in 0..7, got 255"),
+    "2.5": (2.5, 26, "s", "label must be an int in 0..7, got 2.5"),
+    "3.0": (3.0, 26, "s", "label must be an int in 0..7, got 3.0"),
+    "25-values": (2, 25, "s", "expected 26 values, got shape (25,)"),
+    "65536-byte-id": (3, 26, "x" * 65_536, "source id is 65536 bytes of UTF-8, over 65535"),
+    "lone-surrogate": (3, 26, "seg\udce9", "source id is not UTF-8"),
+}
+
+
 def traced_peak(fn) -> int:
     """The tracemalloc peak, in bytes, while ``fn()`` runs."""
     return traced_held_and_peak(fn)[1]
