@@ -449,6 +449,7 @@ def test_failed_write_of_another_kind_keeps_numpy_error(tmp_path):
         assert list(tmp_path.iterdir()) == []
 
 
+# ids as pytest names (label, source id, message)
 @pytest.mark.parametrize("label, size, source_id, message", REFUSED_RECORDS.values(),
                          ids=[f"{label}-{sid}-{message}"
                               for label, _, sid, message in REFUSED_RECORDS.values()])
