@@ -1,18 +1,23 @@
-"""WAV decoding and encoding on top of the standard library's ``wave`` module.
+"""WAV decoding on top of the standard library's ``wave`` module, and encoding.
 
 Raw int16 samples are normalized by dividing by 32768 on read and encoded as
 round(a * 32767) on write (the standard asymmetric int16 convention: -32768
 maps to -1.0 but 1.0 maps to 32767). ``WavReader`` says which checks ``wave``
-makes and which this module adds; docs/formats.md gives the file layout.
+makes and which this module adds; docs/formats.md gives the file layout, whose
+44-byte header ``WavWriter`` writes.
 
-``preprocess`` and ``predict`` decode one segment's block at a time, so no
-array grows with the recording; ``cli._steady_malloc`` keeps the freed blocks.
+``preprocess`` and ``predict`` decode one segment's block at a time, and
+``WavWriter`` takes a file a block at a time, so no array grows with the
+recording; ``steady_malloc`` keeps the freed blocks in the heap.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
+import struct
 import wave
+from contextlib import suppress
 
 import numpy as np
 
@@ -20,6 +25,34 @@ from .errors import DataError
 
 TARGET_SAMPLE_RATE = 16000
 ENCODE_BLOCK = 1 << 16  # samples encoded per write, so the writer's memory stays flat
+
+
+# glibc's malloc.h: mallopt parameters and the values every command and
+# make_fixture fix
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 << 20  # the ceiling of glibc's own dynamic threshold on 64-bit hosts
+TRIM_THRESHOLD = 64 << 20  # twice that, the ratio glibc's dynamic rule keeps
+
+
+def steady_malloc() -> None:
+    """Fix glibc's mmap and trim thresholds, so that the arrays each segment,
+    block or training step frees stay in the heap for the next one instead of
+    going back to the kernel and being faulted in again; does nothing when the
+    C library has no ``mallopt``.
+
+    By default glibc raises both thresholds to the largest block freed so far,
+    so its behaviour would depend on which arrays a caller happened to free
+    first. Block-at-a-time decoding and writing free no whole-file array to push
+    them up, so each thread would hand its block arrays back to the kernel
+    after every segment or block and fault them in again."""
+    try:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    except OSError:
+        return
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
 class WavReader:
@@ -119,16 +152,71 @@ def pcm16_round_trip(samples: np.ndarray) -> np.ndarray:
     return decode_pcm16(encode_pcm16(samples))
 
 
+class WavWriter:
+    """A 16 kHz mono PCM16 LE file of ``frames`` samples, written a block at a
+    time: the counterpart of ``WavReader``.
+
+    The 44-byte header of docs/formats.md declares ``frames`` and is written
+    first, so no field is patched afterwards. A file is never left cut short:
+    one the with-block leaves by an exception is removed by ``discard``, and so
+    is one whose write or close fails, with an OSError that names it. ``close``
+    also removes a file whose sample count is not the declared one, and raises
+    ValueError.
+    """
+
+    def __init__(self, path, frames: int):
+        self.path = path
+        self.frames = frames
+        self._written = 0
+        data_bytes = 2 * frames
+        self._fh = open(path, "wb")
+        self._checked(self._fh.write, b"RIFF" + struct.pack(
+            "<I4s4sIHHIIHH4sI", 36 + data_bytes, b"WAVE", b"fmt ", 16, 1, 1,
+            TARGET_SAMPLE_RATE, 2 * TARGET_SAMPLE_RATE, 2, 16, b"data", data_bytes))
+
+    def __enter__(self) -> WavWriter:
+        return self
+
+    def __exit__(self, exc_type, *_) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self.discard()
+
+    def _checked(self, op, *args) -> None:
+        try:
+            op(*args)
+        except OSError as exc:
+            self.discard()
+            if exc.filename is None:  # a failed write or flush names no file
+                exc.filename = os.fspath(self.path)
+            raise
+
+    def write(self, pcm: np.ndarray) -> None:
+        """Append int16 samples, as ``encode_pcm16`` gives them."""
+        self._written += len(pcm)
+        self._checked(self._fh.write, pcm.astype("<i2", copy=False))
+
+    def close(self) -> None:
+        self._checked(self._fh.close)
+        if self._written != self.frames:
+            self.discard()
+            raise ValueError(f"{self.path}: {self._written} samples written, "
+                             f"{self.frames} declared; the file was removed")
+
+    def discard(self) -> None:
+        """Close the file and remove it."""
+        with suppress(OSError):
+            self._fh.close()
+        with suppress(FileNotFoundError):
+            os.remove(self.path)
+
+
 def write_wav(samples: np.ndarray, path) -> None:
-    """Encode mono samples as a 16 kHz PCM16 LE WAV file (the 44-byte header
-    of docs/formats.md), ``ENCODE_BLOCK`` samples at a time."""
+    """Encode mono samples as a 16 kHz PCM16 LE WAV file through ``WavWriter``,
+    ``ENCODE_BLOCK`` samples at a time."""
     if samples.ndim != 1:
         raise ValueError("write_wav expects mono samples")
-    # opened here, not by wave: wave.open on a path it cannot open leaves a
-    # half-built writer whose __del__ prints a traceback
-    with open(path, "wb") as fh, wave.open(fh, "wb") as wav:
-        # frame count declared: wave writes the header once, and host-order samples as LE
-        wav.setparams((1, 2, TARGET_SAMPLE_RATE, len(samples), "NONE", "not compressed"))
+    with WavWriter(path, len(samples)) as wav:
         for first in range(0, len(samples), ENCODE_BLOCK):
-            block = encode_pcm16(samples[first : first + ENCODE_BLOCK])
-            wav.writeframesraw(block.astype(np.int16, copy=False))
+            wav.write(encode_pcm16(samples[first : first + ENCODE_BLOCK]))

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import __version__
 from .atomic import write_whole
-from .audio_io import TARGET_SAMPLE_RATE, WavReader, ingest, pcm16_round_trip, write_wav
+from .audio_io import (TARGET_SAMPLE_RATE, WavReader, ingest, pcm16_round_trip,
+                       steady_malloc, write_wav)
 from .errors import DataError, NumericError
 from .evaluation import (
     DIVISION_NAMES,
@@ -86,33 +87,6 @@ def _openblas():
             set_.argtypes, set_.restype = [ctypes.c_int], None
             return get, set_
     return None
-
-
-# glibc's malloc.h: mallopt parameters and the values fixed for every command
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
-MMAP_THRESHOLD = 32 << 20  # the ceiling of glibc's own dynamic threshold on 64-bit hosts
-TRIM_THRESHOLD = 64 << 20  # twice that, the ratio glibc's dynamic rule keeps
-
-
-def _steady_malloc() -> None:
-    """Fix glibc's mmap and trim thresholds, so that the arrays each segment or
-    training step frees stay in the heap for the next one instead of going back
-    to the kernel and being faulted in again; does nothing when the C library
-    has no ``mallopt``.
-
-    By default glibc raises both thresholds to the largest block freed so far,
-    so its behaviour would depend on which arrays a command happened to free
-    first. Segment-at-a-time decoding frees no whole-file array to push them up,
-    so each worker would hand its ~10 MB of segment arrays back to the kernel
-    after every segment and fault them in again."""
-    try:
-        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    except OSError:
-        return
-    if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-        mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
-        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
 @contextmanager
@@ -403,7 +377,7 @@ def main(argv=None) -> int:
         # before the command reads its input, so the exit code does not depend on it
         if getattr(args, "workers", 1) < 1:
             raise UsageError(f"--workers must be at least 1, got {args.workers}")
-        _steady_malloc()
+        steady_malloc()
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

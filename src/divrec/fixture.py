@@ -11,30 +11,36 @@ which ``make_fixture`` draws from its one generator:
 
 - per speaker, before the speaker's files: three jitter factors,
   ``uniform(-0.015, 0.015, size=3)``;
-- per file, in ``draw_utterance``:
+- per file (1 and 2 in ``draw_utterance``):
   1. for each of the three tones: a frequency jitter ``uniform(-0.005,
      0.005)``, an amplitude jitter ``uniform(-0.1, 0.1)`` and a phase
      ``uniform(0, 2 pi)``;
   2. the start of the first pause, ``uniform(1, 4)`` s, then after each
      pause that fits in the file the gap to the next, ``uniform(3, 5)`` s
      (the last gap drawn is the one that runs past the end);
-  3. the noise floor, ``normal(0, NOISE_LEVEL, n)``.
+  3. the noise floor, n values of ``normal(0, NOISE_LEVEL)``, drawn one
+     ``RENDER_BLOCK`` at a time: the same values, and the same generator state
+     after them, as one ``normal(0, NOISE_LEVEL, n)``, since the generator
+     fills values in order whatever the size of each call.
 
-``render_utterance`` builds the samples from those values alone, so the
-draws run on the calling thread in that order while the rendering and WAV
-writing of earlier files run on a pool of ``POOL_SIZE`` threads. Which
-thread renders a file does not change its bytes.
+``render_block`` builds a block's samples from those values alone, so the
+draws run on the calling thread in that order while a pool of ``POOL_SIZE``
+threads renders and encodes the blocks drawn before; the calling thread writes
+the encoded blocks in draw order. Which thread renders a block does not change
+its bytes, and no array is as long as a file, so memory does not grow with
+the file length.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .audio_io import TARGET_SAMPLE_RATE, write_wav
+from .audio_io import TARGET_SAMPLE_RATE, WavWriter, encode_pcm16, steady_malloc
 from .evaluation import DIVISION_NAMES
 
 # one (f1, f2, f3) tone set per division, pairwise distinct in mel space
@@ -54,21 +60,20 @@ TONE_AMPLITUDES = (0.30, 0.20, 0.12)
 PAUSE_SAMPLES = int(0.3 * TARGET_SAMPLE_RATE)
 NOISE_LEVEL = 0.01  # standard deviation of the white noise floor
 
-# render+write threads; np.sin, rng.normal and the PCM16 encode release the
-# GIL, so they overlap the next file's draw on the calling thread
+# render+encode threads; np.sin and the PCM16 encode release the GIL, so they
+# overlap the draws and writes on the calling thread
 POOL_SIZE = 2
-# files drawn but not yet written, each holding one full-length array: one
-# waits ready for the next free thread, and more would only hold memory
-MAX_IN_FLIGHT = POOL_SIZE + 1
 RENDER_BLOCK = 1 << 16  # samples; small enough to keep a block's temporaries in cache
+# blocks drawn but not yet written, across file boundaries: enough to keep both
+# threads busy while the calling thread writes, each holding one block's noise
+BLOCKS_IN_FLIGHT = 8
 
 
 class Utterance(NamedTuple):
-    """What one file takes from the generator, in draw order."""
+    """One file's tones and pauses, in draw order; its noise floor follows them."""
 
     tones: tuple[tuple[float, float, float], ...]  # (frequency Hz, amplitude, phase)
     pauses: tuple[int, ...]  # first sample of each silent stretch
-    noise: np.ndarray
 
 
 def draw_utterance(
@@ -77,7 +82,8 @@ def draw_utterance(
     n: int,
     speaker_jitter: np.ndarray,
 ) -> Utterance:
-    """Draw one n-sample utterance's random values from ``rng``."""
+    """Draw one n-sample utterance's tones and pauses from ``rng``; its noise
+    floor is the next n values of ``normal(0, NOISE_LEVEL)``."""
     tones = []
     for (freq, amp, j) in zip(CLASS_TONES[class_index], TONE_AMPLITUDES, speaker_jitter):
         f = freq * j * (1.0 + rng.uniform(-0.005, 0.005))
@@ -91,35 +97,28 @@ def draw_utterance(
         pauses.append(pos)
         pos += int(rng.uniform(3.0, 5.0) * TARGET_SAMPLE_RATE)
 
-    return Utterance(tuple(tones), tuple(pauses), rng.normal(0.0, NOISE_LEVEL, n))
+    return Utterance(tuple(tones), tuple(pauses))
 
 
-def render_utterance(utterance: Utterance) -> np.ndarray:
-    """The samples of ``utterance``, built in its noise array, which is returned.
+def render_block(utterance: Utterance, lo: int, noise: np.ndarray) -> np.ndarray:
+    """The PCM16 samples ``lo`` to ``lo + len(noise)`` of ``utterance``, built
+    in ``noise``, its noise floor over that stretch.
 
-    Every step is elementwise, so rendering ``RENDER_BLOCK`` samples at a time,
-    each block with its own stretch of the time axis (sample index / 16000 s),
-    gives the same bits as whole-array arithmetic with only block-sized
-    temporaries."""
-    signal = utterance.noise
-    for lo in range(0, len(signal), RENDER_BLOCK):
-        hi = min(lo + RENDER_BLOCK, len(signal))
-        tb = np.arange(lo, hi) / TARGET_SAMPLE_RATE
-        voiced = np.zeros(hi - lo)
-        for f, a, phase in utterance.tones:
-            voiced += a * np.sin(2.0 * np.pi * f * tb + phase)
-        for pos in utterance.pauses:
-            start, stop = max(pos, lo), min(pos + PAUSE_SAMPLES, hi)
-            if start < stop:
-                voiced[start - lo : stop - lo] *= 0.0  # the same bits as a 0/1 envelope
-        block = signal[lo:hi]
-        block += voiced
-        np.clip(block, -1.0, 1.0, out=block)
-    return signal
-
-
-def _render_and_write(utterance: Utterance, path: Path) -> None:
-    write_wav(render_utterance(utterance), path)
+    Every step is elementwise, so each block, with its own stretch of the time
+    axis (sample index / 16000 s), gives the same bits as whole-array
+    arithmetic with only block-sized temporaries."""
+    hi = lo + len(noise)
+    tb = np.arange(lo, hi) / TARGET_SAMPLE_RATE
+    voiced = np.zeros(hi - lo)
+    for f, a, phase in utterance.tones:
+        voiced += a * np.sin(2.0 * np.pi * f * tb + phase)
+    for pos in utterance.pauses:
+        start, stop = max(pos, lo), min(pos + PAUSE_SAMPLES, hi)
+        if start < stop:
+            voiced[start - lo : stop - lo] *= 0.0  # the same bits as a 0/1 envelope
+    noise += voiced
+    np.clip(noise, -1.0, 1.0, out=noise)
+    return encode_pcm16(noise)
 
 
 def make_fixture(
@@ -131,9 +130,11 @@ def make_fixture(
 ) -> list[Path]:
     """Write the corpus tree root/<Division>/<speaker>/<speaker>_NNN.wav.
 
-    The first error, from this thread or from a render or write on the pool,
-    stops the run: no further file is started, the writes already running
-    finish, and the error is raised."""
+    The first error, from this thread or from a render on the pool, stops the
+    run: no further block is drawn, the renders already running finish, the
+    file being written is removed, and the error is raised. So every file
+    left on disk is whole. Like every command, it first fixes the process's
+    malloc thresholds (``steady_malloc``)."""
     # the RIFF size field, 36 + data bytes, is a u32; samples are 2 bytes
     max_seconds = (2**32 - 37) // 2 / TARGET_SAMPLE_RATE
     if seed < 0 or speakers_per_class < 1 or files_per_speaker < 1:
@@ -145,8 +146,24 @@ def make_fixture(
     n = int(round(file_seconds * TARGET_SAMPLE_RATE))  # every file has the same length
     if n < 1:
         raise ValueError(f"file_seconds must give at least one sample, got {file_seconds}")
+    steady_malloc()  # each block's arrays reuse the last one's heap, not new pages
+
     written: list[Path] = []
-    in_flight: set[Future] = set()
+    window: deque[tuple[Path, int, Future]] = deque()  # (file, first sample, render) in draw order
+    wav: WavWriter | None = None  # the file being written, opened at its first block
+
+    def write_oldest() -> None:
+        nonlocal wav
+        path, lo, rendering = window.popleft()
+        pcm = rendering.result()  # raises the error of a failed render
+        if lo == 0:
+            wav = WavWriter(path, n)
+            written.append(path)
+        wav.write(pcm)
+        if lo + len(pcm) == n:
+            wav.close()
+            wav = None
+
     pool = ThreadPoolExecutor(max_workers=POOL_SIZE)
     try:
         for c, division in enumerate(DIVISION_NAMES):
@@ -156,19 +173,20 @@ def make_fixture(
                 speaker_dir.mkdir(parents=True, exist_ok=True)
                 speaker_jitter = 1.0 + rng.uniform(-0.015, 0.015, size=3)
                 for k in range(files_per_speaker):
-                    # collect the finished files, waiting for one when too many are drawn
-                    full = len(in_flight) >= MAX_IN_FLIGHT
-                    done, in_flight = wait(in_flight, timeout=None if full else 0,
-                                           return_when=FIRST_COMPLETED)
-                    for future in done:
-                        future.result()  # raises the error of a failed render or write
                     utterance = draw_utterance(c, rng, n, speaker_jitter)
                     path = speaker_dir / f"{speaker_id}_{k:03d}.wav"
-                    in_flight.add(pool.submit(_render_and_write, utterance, path))
-                    written.append(path)
-        for future in in_flight:
-            future.result()
+                    for lo in range(0, n, RENDER_BLOCK):
+                        if len(window) == BLOCKS_IN_FLIGHT:
+                            write_oldest()
+                        noise = rng.normal(0.0, NOISE_LEVEL, min(RENDER_BLOCK, n - lo))
+                        window.append((path, lo, pool.submit(render_block, utterance, lo, noise)))
+        while window:
+            write_oldest()
+    except BaseException:
+        if wav is not None:
+            wav.discard()
+        raise
     finally:
-        # after an error: drop the files not yet started, let running writes finish
+        # after an error: drop the blocks not yet started, let running renders finish
         pool.shutdown(cancel_futures=True)
     return written

@@ -6,8 +6,8 @@ import. Segmentation greedily cuts 10 s chunks from the start and keeps the
 remainder only when it is at least 8 s long, so every emitted chunk lies in
 [8 s, 10 s]. It is a rule over the header's frame count: the commands read
 each chunk from the file just before denoising it, so a worker holds one
-segment at a time, whatever the length of the recording; ``cli._steady_malloc``
-keeps that memory in the worker heaps.
+segment at a time, whatever the length of the recording;
+``audio_io.steady_malloc`` keeps that memory in the worker heaps.
 
 Noise reduction is classical magnitude spectral subtraction: Hann-windowed
 frames (512 samples, hop 256), noise magnitude profile estimated as the mean

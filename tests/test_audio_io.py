@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divrec.audio_io import encode_pcm16, ingest, pcm16_round_trip, read_wav, write_wav
+from divrec.audio_io import (WavWriter, encode_pcm16, ingest, pcm16_round_trip, read_wav,
+                             write_wav)
 from divrec.errors import DataError
 
 from testlib import build_wav_bytes, chunk_bytes, riff_bytes
@@ -76,6 +77,24 @@ def test_write_wav_bytes_equal_hand_built_file_at_block_edges(tmp_path, n):
     write_wav(samples, path)
     assert path.read_bytes() == build_wav_bytes(encode_pcm16(samples).astype(np.int16))
 
+
+
+@pytest.mark.parametrize("written, raised", [
+    (2, RuntimeError),  # the with-block raises before its last block
+    (2, ValueError),  # the block ends with fewer samples than declared
+    (4, ValueError),  # or with more
+], ids=["block-raises", "short", "long"])
+def test_wav_writer_removes_a_file_that_does_not_hold_its_declared_samples(
+        tmp_path, written, raised):
+    path = tmp_path / "out.wav"
+    pcm = encode_pcm16(np.zeros(1000))
+    with pytest.raises(raised):
+        with WavWriter(path, 3000) as wav:
+            for _ in range(written):
+                wav.write(pcm)
+            if raised is RuntimeError:
+                raise RuntimeError("stopped")
+    assert not path.exists()
 
 def test_rejects_non_riff(tmp_path):
     path = tmp_path / "bad.wav"

@@ -19,7 +19,7 @@ from divrec.audio_io import ingest, read_wav, write_wav
 from divrec import audio_io, cli
 from divrec.cli import _map_rows, _training_config, build_parser, main
 from divrec.errors import DataError
-from divrec.evaluation import predict
+from divrec.evaluation import DIVISION_NAMES, predict
 from divrec.features import (
     AggregatedFeature,
     aggregate,
@@ -28,12 +28,14 @@ from divrec.features import (
     read_feature_cache,
     write_feature_cache,
 )
+from divrec.fixture import RENDER_BLOCK, make_fixture
 from divrec.manifest import ManifestRow, read_manifest, write_manifest
 from divrec.network import load_model, save_model
 from divrec.training import TrainingConfig
 
 from testlib import (BAD_MODELS, build_model_bytes, build_wav_bytes, chunk_bytes,
-                     passthrough_params, riff_bytes, sine_clip, synthesize_utterance)
+                     draw_and_render, passthrough_params, riff_bytes, sine_clip,
+                     synthesize_utterance)
 
 SR = 16000
 REPO = Path(__file__).resolve().parent.parent
@@ -670,7 +672,7 @@ def test_a_command_fixes_the_malloc_thresholds_before_it_runs(tmp_path, monkeypa
 def test_preprocess_without_mallopt_writes_same_segments(workspace, tmp_path, monkeypatch):
     # a C library without mallopt: the thresholds are left alone
     monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: object())
-    cli._steady_malloc()
+    cli.steady_malloc()
     out_dir = tmp_path / "segments"
     assert main(["preprocess", str(workspace / "manifest.csv"), "--out-dir", str(out_dir),
                  "--out", str(tmp_path / "s.csv"), "--workers", "2"]) == 0
@@ -1321,19 +1323,20 @@ def test_make_fixture_golden_bytes(tmp_path):
     assert digest.hexdigest() == "94fdfff97f1de989190385aa4e5c2337492edaee42b0d9b4416e05ad183d40c9"
 
 
-def _make_fixture_within(out: Path, seconds: float = 60.0) -> int:
-    """Exit code of a one-second-per-file make-fixture run, failing the test
-    if it raises or has not returned within ``seconds``."""
+def _make_fixture_within(out: Path, seconds: float = 60.0, file_seconds: int = 1) -> int:
+    """Exit code of a make-fixture run of two files per speaker, failing the
+    test if it raises or has not returned within ``seconds``."""
     codes = []
     argv = ["make-fixture", "--out", str(out), "--speakers-per-class", "1",
-            "--files-per-speaker", "2", "--file-seconds", "1"]
+            "--files-per-speaker", "2", "--file-seconds", str(file_seconds)]
     runner = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
     runner.start()
     runner.join(seconds)
     assert not runner.is_alive(), "make-fixture did not return"
     assert len(codes) == 1, "make-fixture raised instead of returning an exit code"
-    # the writes running at the error finished: no file is left cut short
-    assert all(p.stat().st_size == 44 + 2 * SR for p in out.rglob("*.wav") if p.is_file())
+    # no file is left cut short
+    assert all(p.stat().st_size == 44 + 2 * SR * file_seconds
+               for p in out.rglob("*.wav") if p.is_file())
     return codes[0]
 
 
@@ -1353,6 +1356,79 @@ def test_make_fixture_write_failure_is_exit_2(tmp_path, capsys, blocker, kind):
     err = capsys.readouterr().err
     assert str(blocker) in err
     assert "Traceback" not in err
+
+
+
+@pytest.mark.parametrize("n", [1, RENDER_BLOCK - 1, RENDER_BLOCK, RENDER_BLOCK + 1])
+def test_make_fixture_equals_whole_array_reference_at_block_edges(tmp_path, n):
+    """Each file is drawn, rendered and written a block at a time; the bytes
+    are those of one whole-array draw and render per file, in the same order."""
+    out = tmp_path / "streamed"
+    streamed = make_fixture(out, seed=62, speakers_per_class=1, files_per_speaker=2,
+                            file_seconds=n / SR)
+    rng = np.random.default_rng(62)
+    reference = []
+    for c, division in enumerate(DIVISION_NAMES):
+        speaker_id = f"{division.lower()}_spk000"
+        jitter = 1.0 + rng.uniform(-0.015, 0.015, size=3)
+        for k in range(2):
+            path = tmp_path / "reference" / f"{speaker_id}_{k:03d}.wav"
+            path.parent.mkdir(exist_ok=True)
+            write_wav(draw_and_render(c, rng, n, jitter), path)
+            reference.append(Path(division, speaker_id, path.name))
+    assert [p.relative_to(out) for p in streamed] == reference
+    for path in streamed:
+        assert path.stat().st_size == 44 + 2 * n
+        assert path.read_bytes() == (tmp_path / "reference" / path.name).read_bytes()
+
+
+class _FailingFile:
+    """A binary file whose ``fail_at``-th write (the header is the first) or
+    whose close raises ENOSPC, as on a full disk."""
+
+    def __init__(self, path, fail_at):
+        self._fh = open(path, "wb")
+        self._fail_at = fail_at
+        self._writes = 0
+
+    def _fail(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes == self._fail_at:
+            self._fail()
+        return self._fh.write(data)
+
+    def close(self):
+        self._fh.close()
+        if self._fail_at == "close":
+            self._fail()
+
+
+@pytest.mark.parametrize("fail_at", [3, "close"], ids=["middle-block", "close"])
+def test_make_fixture_failure_inside_a_file_is_exit_2_and_removes_it(
+        tmp_path, monkeypatch, capsys, fail_at):
+    """A 10 s file is three blocks; the run stops at the failing file's
+    error, after the files before it, and leaves none cut short."""
+    out = tmp_path / "c"
+    target = out / "Chittagong" / "chittagong_spk000" / "chittagong_spk000_001.wav"
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        if Path(path) == target:
+            return _FailingFile(path, fail_at)
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(audio_io, "open", failing_open, raising=False)
+    assert _make_fixture_within(out, file_seconds=10) == 2
+    err = capsys.readouterr().err
+    assert str(target) in err and "No space left on device" in err
+    assert "Traceback" not in err
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*.wav")) == [
+        "Barisal/barisal_spk000/barisal_spk000_000.wav",
+        "Barisal/barisal_spk000/barisal_spk000_001.wav",
+        "Chittagong/chittagong_spk000/chittagong_spk000_000.wav",
+    ]
 
 
 # --- exit codes ---

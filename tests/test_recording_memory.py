@@ -1,6 +1,7 @@
-"""preprocess and predict read a recording one segment at a time: no array
-grows with the file's length, no stage writes into its input, and a worker's
-heap stays in place from one segment to the next."""
+"""preprocess and predict read a recording one segment at a time, and
+make-fixture writes one a block at a time: no array grows with the file's
+length, no stage writes into its input, and a worker's heap stays in place
+from one segment to the next."""
 
 import os
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 from divrec import cli
 from divrec.audio_io import WavReader, read_wav, write_wav
 from divrec.cli import _preprocess_one, main
+from divrec.fixture import make_fixture
 from divrec.manifest import ManifestRow
 from divrec.network import init_params, save_model
 from divrec.preprocess import reduce_noise, segment
@@ -154,10 +156,40 @@ def test_a_repeated_preprocess_faults_in_almost_no_pages(tmp_path):
     assert faults / 32 < 50, faults
 
 
+
+FIXTURE_FAULTS = """
+import resource, sys
+from divrec.fixture import make_fixture
+
+def faults(k):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    make_fixture(f"{sys.argv[1]}/c{k}", seed=k, speakers_per_class=1, files_per_speaker=2,
+                 file_seconds=20.0)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+faults(0)
+print(faults(1))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's mallopt")
+def test_a_repeated_make_fixture_faults_in_few_pages(tmp_path):
+    # called as a library, without a command to fix the malloc thresholds: 16
+    # files of 20 s, 80 blocks. With glibc's default thresholds each thread
+    # returned its block arrays to the kernel after every block, 60-210 minor
+    # faults per block over 9 runs; with them fixed, 0-11.
+    proc = subprocess.run([sys.executable, "-c", FIXTURE_FAULTS, str(tmp_path)],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    faults = int(proc.stdout.split()[-1])
+    assert faults / 80 < 20, faults
+
 # Bounds on each stage's own working memory (tracemalloc peaks, inputs built
 # outside the traced call). Holding every dead intermediate until return
 # peaked at 14.2 MB in reduce_noise; encoding a whole file at once at 16.0 MB
-# in write_wav; predict on 100 s, which runs both, at 28.1 MB.
+# in write_wav; predict on 100 s, which runs both, at 28.1 MB; make_fixture
+# with a full-length noise array per file in flight at 28.2 MB for 8 x 60 s
+# files, against 9.2 MB a block at a time.
 
 def test_reduce_noise_of_a_10_s_segment_peaks_under_8_mb():
     segment = synthesize_utterance(5, np.random.default_rng(9), 10.0)
@@ -175,3 +207,9 @@ def test_predict_of_a_100_s_file_peaks_under_24_mb(tmp_path, capsys):
     row = _recording(tmp_path / "100s.wav", 100.0)
     assert traced_peak(lambda: main(["predict", str(model), row.audio_path])) <= 24_000_000
     assert "prediction:" in capsys.readouterr().out
+
+
+def test_make_fixture_of_8_files_of_60_s_peaks_under_12_mb(tmp_path):
+    assert traced_peak(lambda: make_fixture(tmp_path, seed=3, speakers_per_class=1,
+                                            files_per_speaker=1,
+                                            file_seconds=60.0)) <= 12_000_000

@@ -6,7 +6,7 @@ import zlib
 
 import numpy as np
 
-from divrec.fixture import draw_utterance, render_utterance
+from divrec.fixture import NOISE_LEVEL, PAUSE_SAMPLES, draw_utterance
 from divrec.network import ARCHITECTURE, init_params
 
 
@@ -124,9 +124,29 @@ def sine_clip(freq: float = 440.0, amplitude: float = 0.5, seconds: float = 1.0)
     return amplitude * np.sin(2 * np.pi * freq * t)
 
 
+def render_utterance(utterance, noise: np.ndarray) -> np.ndarray:
+    """The samples of a fixture ``utterance`` over its whole ``noise`` floor,
+    in whole-array arithmetic: the oracle for ``fixture.render_block``."""
+    t = np.arange(len(noise)) / 16000
+    voiced = np.zeros(len(noise))
+    for f, a, phase in utterance.tones:
+        voiced += a * np.sin(2.0 * np.pi * f * t + phase)
+    for pos in utterance.pauses:
+        voiced[pos : pos + PAUSE_SAMPLES] *= 0.0
+    return np.clip(noise + voiced, -1.0, 1.0)
+
+
+def draw_and_render(class_index: int, rng: np.random.Generator, n: int,
+                    speaker_jitter: np.ndarray) -> np.ndarray:
+    """One n-sample fixture file's samples, drawn from ``rng`` in
+    ``make_fixture``'s order with the noise floor drawn whole."""
+    utterance = draw_utterance(class_index, rng, n, speaker_jitter)
+    return render_utterance(utterance, rng.normal(0.0, NOISE_LEVEL, n))
+
+
 def synthesize_utterance(class_index: int, rng: np.random.Generator, seconds: float) -> np.ndarray:
     """One 16 kHz fixture utterance of class ``class_index`` with no speaker jitter."""
-    return render_utterance(draw_utterance(class_index, rng, int(round(seconds * 16000)), np.ones(3)))
+    return draw_and_render(class_index, rng, int(round(seconds * 16000)), np.ones(3))
 
 
 # records the cache writer and FeatureTable.of both refuse, by name: (label,
