@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -106,22 +105,33 @@ def _single_threaded_blas():
         set_(before)
 
 
+class SkippedRow(Exception):
+    """A row that yields nothing and is no failure; ``_map_rows`` logs its
+    message in manifest order and does not count it."""
+
+
 def _map_rows(rows: list[ManifestRow], fn, workers: int) -> tuple[list, int]:
-    """Run ``fn`` over ``rows`` on ``workers`` threads; returns the results in
-    manifest order and the count of rows that raised DataError or OSError
-    (a missing or unreadable file), each logged on stderr as one line that
-    starts with the row's path. Any other exception ends the call: no row
-    starts after it is raised, the rows already running finish, and it is
-    raised again in manifest order. ``workers`` above the cores this process
-    may run on is cut to that count, with one stderr line saying so; each
-    worker holds one segment at a time, and the results do not depend on the
-    count.
+    """Run ``fn`` over ``rows`` on ``workers`` threads: the calling thread and
+    ``workers`` - 1 helpers, each taking the next row not yet taken, so one
+    worker starts no thread at all. Returns the results in manifest order and
+    the count of rows that raised DataError or OSError (a missing or
+    unreadable file). Each such row, and each that raised SkippedRow (which is
+    not counted), is logged on stderr as one line that starts with the row's
+    path; the lines are printed in manifest order once the last worker has
+    finished. Any other exception ends the call: no row starts after it is
+    raised, the rows already running finish, and it is raised again in
+    manifest order. ``workers`` above the cores this process may run on is cut
+    to that count, with one stderr line saying so; each worker holds one
+    segment at a time, and the results do not depend on the count.
+
+    The calling thread's malloc heap is the main arena, which later commands
+    in the same process reuse; each helper thread may open an arena of its own.
 
     OpenBLAS is held at one thread until the last worker has finished, so the
-    pool's threads do not each start BLAS threads that compete for the same
-    cores; the previous count is restored afterwards, also when a row raised.
-    The count is process-wide, so two concurrent calls (from library code; the
-    CLI makes one at a time) are not supported."""
+    workers do not each start BLAS threads that compete for the same cores;
+    the previous count is restored afterwards, also when a row raised. The
+    count is process-wide, so two concurrent calls (from library code; the CLI
+    makes one at a time) are not supported."""
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
     if workers > cores:
@@ -130,33 +140,59 @@ def _map_rows(rows: list[ManifestRow], fn, workers: int) -> tuple[list, int]:
         workers = cores
 
     stop = threading.Event()
+    take = threading.Lock()
+    untaken = iter(range(len(rows)))
+    # per row taken: (result, stderr line or None, counted as a failure) or
+    # the exception that ends the call; rows are taken in order, so every row
+    # left None comes after that exception
+    outcomes = [None] * len(rows)
 
     def attempt(row: ManifestRow):
-        # a skipped row comes after the one that set ``stop``, whose exception
-        # the loop below raises first, so what it returns is never read
-        if stop.is_set():
-            return None, None
         try:
-            return fn(row), None
-        except (DataError, OSError) as exc:
+            return fn(row), None, False
+        except (SkippedRow, DataError, OSError) as exc:
             # audio_io errors already name the file; OSError text starts with [Errno n]
             message = str(exc)
             if not message.startswith(row.audio_path):
                 message = f"{row.audio_path}: {message}"
-            return None, message
+            return None, message, not isinstance(exc, SkippedRow)
+
+    def work():
+        while not stop.is_set():
+            with take:
+                i = next(untaken, None)
+            if i is None:
+                return
+            try:
+                outcomes[i] = attempt(rows[i])
+            except BaseException as exc:
+                stop.set()
+                outcomes[i] = exc
+
+    with _single_threaded_blas():
+        helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+        for helper in helpers:
+            helper.start()
+        try:
+            work()
         except BaseException:
             stop.set()
             raise
+        finally:
+            for helper in helpers:
+                helper.join()
 
     results = []
     failures = 0
-    with _single_threaded_blas(), ThreadPoolExecutor(max_workers=workers) as pool:
-        for result, err in pool.map(attempt, rows):
-            if err is not None:
-                failures += 1
-                print(err, file=sys.stderr)
-            else:
-                results.append(result)
+    for outcome in outcomes:
+        if isinstance(outcome, BaseException):
+            raise outcome
+        result, line, failed = outcome
+        if line is None:
+            results.append(result)
+        else:
+            failures += failed
+            print(line, file=sys.stderr)
     return results, failures
 
 
@@ -176,10 +212,9 @@ def cmd_scan(args) -> int:
 def _preprocess_one(row: ManifestRow, out_dir: Path) -> list[ManifestRow]:
     with WavReader(row.audio_path, TARGET_SAMPLE_RATE) as wav:
         lengths = segment(wav.frames)
-        if not lengths:  # logged, not counted as a failure
-            print(f"{row.audio_path}: {wav.frames / TARGET_SAMPLE_RATE:g} s long, "
-                  "too short for one 8-10 s segment; skipped", file=sys.stderr)
-            return []
+        if not lengths:
+            raise SkippedRow(f"{wav.frames / TARGET_SAMPLE_RATE:g} s long, "
+                             "too short for one 8-10 s segment; skipped")
         stem = Path(row.audio_path).stem
         seg_dir = out_dir / row.division / row.speaker_id
         seg_dir.mkdir(parents=True, exist_ok=True)

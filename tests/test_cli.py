@@ -203,6 +203,44 @@ def test_preprocess_names_a_clip_too_short_for_one_segment(tmp_path, capsys):
     assert len(read_manifest(tmp_path / "s.csv")) == 1
 
 
+def test_preprocess_logs_each_row_in_manifest_order_under_two_workers(tmp_path, capsys,
+                                                                      monkeypatch):
+    # a row that fails only once the rows after it have been read, then a row
+    # too short for a segment: the short row's line follows the failure's,
+    # however the two workers' rows interleave
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    clips = tmp_path / "clips"
+    clips.mkdir()
+    broken, short, whole = (clips / f"{name}.wav" for name in ("broken", "short", "whole"))
+    broken.write_bytes(b"this is not audio at all")
+    write_wav(np.zeros(5 * SR), short)
+    write_wav(np.zeros(10 * SR), whole)
+    write_manifest([ManifestRow(audio_path=str(path), division="Dhaka", speaker_id="s1")
+                    for path in (broken, short, whole)], tmp_path / "m.csv")
+    real_reader = cli.WavReader
+    runs = []
+    for run in range(3):
+        last_read = threading.Event()
+
+        def reader(path, rate):
+            if path == str(broken):
+                assert last_read.wait(10)
+            elif path == str(whole):
+                last_read.set()
+            return real_reader(path, rate)
+
+        monkeypatch.setattr(cli, "WavReader", reader)
+        assert main(["preprocess", str(tmp_path / "m.csv"), "--workers", "2",
+                     "--out-dir", str(tmp_path / f"seg{run}"),
+                     "--out", str(tmp_path / f"s{run}.csv")]) == 0
+        out, err = capsys.readouterr()
+        assert out.endswith("(1/3 input files failed)\n")
+        runs.append(err.splitlines())
+    assert runs[0] == runs[1] == runs[2]
+    assert len(runs[0]) == 2 and runs[0][0].startswith(f"{broken}: ")
+    assert runs[0][1] == f"{short}: 5 s long, too short for one 8-10 s segment; skipped"
+
+
 def test_preprocess_makes_no_directory_for_a_clip_too_short_for_one_segment(tmp_path):
     corpus = tmp_path / "corpus" / "Barisal"
     for speaker, seconds in (("spk1", 5), ("spk2", 12)):
@@ -736,6 +774,37 @@ def test_map_rows_one_worker_also_holds_blas_at_one_thread(blas_threads):
     before = blas_threads()
     assert _map_rows(_rows(2), lambda row: blas_threads(), workers=1) == ([1, 1], 0)
     assert blas_threads() == before
+
+
+def test_map_rows_one_worker_starts_no_thread():
+    before, caller = threading.active_count(), threading.get_ident()
+    seen = []
+
+    def fn(row):
+        seen.append((threading.get_ident(), threading.active_count()))
+        return row.audio_path
+
+    assert _map_rows(_rows(3), fn, workers=1) == (["r0.wav", "r1.wav", "r2.wav"], 0)
+    assert seen == [(caller, before)] * 3
+
+
+def test_map_rows_two_workers_are_the_calling_thread_and_one_more(monkeypatch):
+    # each row waits at a two-party barrier, so both workers take rows
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    before, caller = threading.active_count(), threading.get_ident()
+    barrier = threading.Barrier(2, timeout=10)
+    seen = []
+
+    def fn(row):
+        seen.append((threading.get_ident(), threading.active_count()))
+        barrier.wait()
+        return row.audio_path
+
+    assert _map_rows(_rows(4), fn, workers=2) == ([f"r{i}.wav" for i in range(4)], 0)
+    threads = {ident for ident, _ in seen}
+    assert caller in threads and len(threads) == 2
+    assert {count for _, count in seen} == {before + 1}
+    assert threading.active_count() == before
 
 
 def test_map_rows_starts_no_row_after_one_that_ends_the_call():

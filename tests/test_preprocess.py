@@ -12,6 +12,7 @@ from divrec.errors import DataError
 from divrec.manifest import ManifestRow
 from divrec.preprocess import (
     NOISE_FRAMES,
+    NR_BLOCK_FRAMES,
     NR_FRAME_LEN,
     NR_HOP,
     NR_WINDOW,
@@ -235,3 +236,38 @@ def test_reduce_noise_bytes_equal_pinned_copy(name):
     got = reduce_noise(samples)
     assert got.dtype == np.float64 and got.shape == samples.shape
     assert got.tobytes() == _pinned_reduce_noise(samples).tobytes()
+
+
+# --- blocks: the pinned bytes wherever a block boundary falls ---
+
+def _samples_for_frames(n_frames: int, short_by: int = 0) -> int:
+    """A sample count whose padded grid has ``n_frames`` frames; ``short_by``
+    (under one hop) leaves the last hop of samples ragged."""
+    n = (n_frames - 3) * NR_HOP - short_by
+    assert int(np.ceil((n + NR_FRAME_LEN) / NR_HOP)) + 1 == n_frames
+    return n
+
+
+_BLOCK_EDGE_LENGTHS = {
+    **{f"{k}x{NR_BLOCK_FRAMES}{d:+d}-frames": _samples_for_frames(k * NR_BLOCK_FRAMES + d)
+       for k in (1, 2, 10) for d in (-1, 0, 1)},
+    f"{2 * NR_BLOCK_FRAMES}-frames-ragged": _samples_for_frames(2 * NR_BLOCK_FRAMES, 100),
+    "one-block": _samples_for_frames(NR_BLOCK_FRAMES - 20),
+    "512-samples": NR_FRAME_LEN,
+}
+
+
+@pytest.mark.parametrize("name", list(_BLOCK_EDGE_LENGTHS))
+def test_reduce_noise_bytes_equal_pinned_copy_at_block_edges(name):
+    n = _BLOCK_EDGE_LENGTHS[name]
+    samples = _fixture_segment(4, seconds=11.0)[:n]
+    assert samples.shape == (n,)
+    assert reduce_noise(samples).tobytes() == _pinned_reduce_noise(samples).tobytes()
+
+
+def test_reduce_noise_bytes_equal_pinned_copy_with_a_silent_stretch():
+    # the quietest frames lie in several blocks, one of them wholly silent
+    samples = _fixture_segment(6)
+    samples[30 * NR_HOP : 30 * NR_HOP + 2 * NR_BLOCK_FRAMES * NR_HOP] = 0.0
+    samples[-3 * NR_HOP :] = 0.0
+    assert reduce_noise(samples).tobytes() == _pinned_reduce_noise(samples).tobytes()
