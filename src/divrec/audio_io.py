@@ -44,7 +44,14 @@ def steady_malloc() -> None:
     so its behaviour would depend on which arrays a caller happened to free
     first. Block-at-a-time decoding and writing free no whole-file array to push
     them up, so each thread would hand its block arrays back to the kernel
-    after every segment or block and fault them in again."""
+    after every segment or block and fault them in again.
+
+    What a heap keeps is then one thread's working set: for ``preprocess``,
+    one segment's decode, a ``reduce_noise`` call (2.7 MB by tracemalloc for
+    10 s, its output included) and the WAV encoder's block. The commands' map
+    runs one worker on the calling thread, whose heap is the main arena that a
+    later command in the same process reuses; a helper thread's arena is kept
+    as well, and glibc reuses it for a later thread."""
     try:
         mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     except OSError:

@@ -197,8 +197,8 @@ def test_reduce_noise_of_a_10_s_segment_peaks_under_8_mb():
 
 
 def test_reduce_noise_of_a_10_s_segment_in_blocks_peaks_under_4_mb():
-    # computed over whole frame and spectrum arrays it peaked at 6.17 MB; a
-    # block of frames at a time, at 2.9 MB, of which 1.3 MB is the output
+    # computed over whole frame and spectrum arrays it peaked at 6.5 MB; a
+    # block of frames at a time, at 2.7 MB, of which 1.3 MB is the output
     segment = synthesize_utterance(5, np.random.default_rng(9), 10.0)
     assert traced_peak(lambda: reduce_noise(segment)) <= 4_000_000
 
