@@ -51,7 +51,7 @@ def steady_malloc() -> None:
     10 s, its output included) and the WAV encoder's block. The commands' map
     runs one worker on the calling thread, whose heap is the main arena that a
     later command in the same process reuses; a helper thread's arena is kept
-    as well, and glibc reuses it for a later thread."""
+    as well, and a later helper thread may take it over or open its own."""
     try:
         mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     except OSError:

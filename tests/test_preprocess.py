@@ -266,8 +266,10 @@ def test_reduce_noise_bytes_equal_pinned_copy_at_block_edges(name):
 
 
 def test_reduce_noise_bytes_equal_pinned_copy_with_a_silent_stretch():
-    # the quietest frames lie in several blocks, one of them wholly silent
+    # the 10 quietest frames lie in two blocks: four silent frames of the
+    # second block, and the first six of the third, which is wholly silent
+    block = NR_BLOCK_FRAMES
     samples = _fixture_segment(6)
-    samples[30 * NR_HOP : 30 * NR_HOP + 2 * NR_BLOCK_FRAMES * NR_HOP] = 0.0
-    samples[-3 * NR_HOP :] = 0.0
+    samples[(block + 5) * NR_HOP : (block + 10) * NR_HOP] = 0.0
+    samples[(2 * block - 1) * NR_HOP : 3 * block * NR_HOP] = 0.0
     assert reduce_noise(samples).tobytes() == _pinned_reduce_noise(samples).tobytes()
